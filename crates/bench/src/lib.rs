@@ -38,7 +38,7 @@ pub use gap::{
 };
 
 use std::num::NonZeroUsize;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use regpipe_core::{
     BestOfAllDriver, IncreaseIiDriver, SpillDriver, SpillDriverOptions, Winner,
@@ -172,17 +172,20 @@ pub fn run_spill_variant(
     options: SpillDriverOptions,
 ) -> SuiteAggregate {
     let driver = SpillDriver::new(options);
-    let per_loop =
-        parallel_map(loops, harness_jobs(), |_, l| driver.run(&l.ddg, machine, regs));
+    let per_loop = parallel_map(loops, harness_jobs(), |_, l| {
+        let started = Instant::now();
+        let outcome = driver.run(&l.ddg, machine, regs);
+        (outcome, started.elapsed())
+    });
     let mut agg = SuiteAggregate::default();
-    for (l, outcome) in loops.iter().zip(per_loop) {
+    for (l, (outcome, elapsed)) in loops.iter().zip(per_loop) {
         match outcome {
             Ok(out) => {
                 agg.cycles += l.cycles(out.schedule.ii());
                 agg.memory_refs += u64::from(out.memory_ops()) * l.weight;
                 agg.reschedules += u64::from(out.reschedules);
                 agg.iis_explored += u64::from(out.iis_explored);
-                agg.sched_time += out.elapsed;
+                agg.sched_time += elapsed;
                 agg.spilled += u64::from(out.spilled);
             }
             Err(_) => agg.failures += 1,

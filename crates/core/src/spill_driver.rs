@@ -2,8 +2,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::time::Duration;
-use std::time::Instant;
 
 use regpipe_ddg::Ddg;
 use regpipe_machine::{MachineConfig, Mrt};
@@ -103,8 +101,6 @@ pub struct SpillOutcome {
     /// Candidate IIs explored across all scheduling calls (the paper's
     /// scheduling-effort measure behind Figure 8c).
     pub iis_explored: u32,
-    /// Wall-clock time spent inside the driver.
-    pub elapsed: Duration,
     /// One point per reschedule (Figure 7's series).
     pub trace: Vec<SpillTracePoint>,
 }
@@ -218,7 +214,6 @@ impl<S: Scheduler> SpillDriver<S> {
         machine: &MachineConfig,
         regs: u32,
     ) -> Result<SpillOutcome, SpillFailure> {
-        let started = Instant::now();
         let mut g = ddg.clone();
         let mut trace: Vec<SpillTracePoint> = Vec::new();
         let mut spilled = 0u32;
@@ -284,7 +279,6 @@ impl<S: Scheduler> SpillDriver<S> {
                     spilled,
                     reschedules,
                     iis_explored,
-                    elapsed: started.elapsed(),
                     trace,
                 });
             }
@@ -328,7 +322,6 @@ impl<S: Scheduler> SpillDriver<S> {
                         iis_explored,
                         best,
                         trace,
-                        started,
                     );
                 }
                 return Err(SpillFailure {
@@ -361,7 +354,6 @@ impl<S: Scheduler> SpillDriver<S> {
         mut iis_explored: u32,
         mut best: Option<u32>,
         mut trace: Vec<SpillTracePoint>,
-        started: Instant,
     ) -> Result<SpillOutcome, SpillFailure> {
         // The graph no longer changes in this phase: one context serves
         // every sweep iteration. Scoped so `g` can be moved into the
@@ -412,7 +404,6 @@ impl<S: Scheduler> SpillDriver<S> {
                 spilled,
                 reschedules,
                 iis_explored,
-                elapsed: started.elapsed(),
                 trace,
             }),
             Err(kind) => Err(SpillFailure { kind, best_regs: best, trace }),

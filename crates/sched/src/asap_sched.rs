@@ -1,10 +1,6 @@
 //! Register-insensitive ASAP baseline scheduler.
 
-use regpipe_ddg::Ddg;
-use regpipe_machine::MachineConfig;
-
-use crate::analysis::TimeAnalysis;
-use crate::hrms::{place_order, PlaceMode, PlaceScratch};
+use crate::hrms::ii_search;
 use crate::loop_analysis::LoopAnalysis;
 use crate::{SchedError, SchedRequest, Schedule, Scheduler};
 
@@ -35,50 +31,17 @@ impl Scheduler for AsapScheduler {
         "asap"
     }
 
-    fn schedule(
-        &self,
-        ddg: &Ddg,
-        machine: &MachineConfig,
-        request: &SchedRequest,
-    ) -> Result<Schedule, SchedError> {
-        self.schedule_in(&LoopAnalysis::new(ddg, machine), request)
-    }
-
     fn schedule_in(
         &self,
         ctx: &LoopAnalysis<'_>,
         request: &SchedRequest,
     ) -> Result<Schedule, SchedError> {
-        let lower = ctx.mii().max(request.min_ii.unwrap_or(1));
-        let upper = request.max_ii.unwrap_or_else(|| ctx.fallback_max_ii());
-        if upper < lower {
-            return Err(SchedError::InfeasibleRequest { min_ii: lower, max_ii: upper });
-        }
-        // Forward topological order of group leaders over zero-distance
-        // edges: every placement window is bounded below by already-placed
-        // intra-iteration predecessors and above only by loop-carried edges,
-        // which relax as II grows. Cached as the context's fallback order.
-        let mut scratch = PlaceScratch::new(ctx.ddg().num_ops());
-        let mut tried = 0u32;
-        let mut prev: Option<TimeAnalysis> = None;
-        for ii in lower..=upper {
-            tried += 1;
-            let Some(analysis) = ctx.time_analysis(ii, prev.as_ref()) else {
-                continue;
-            };
-            if let Some(starts) = place_order(
-                ctx,
-                ii,
-                &ctx.fallback,
-                &analysis,
-                PlaceMode::AsapClamped,
-                &mut scratch,
-            ) {
-                return Ok(Schedule::with_provenance(ii, starts, "asap", tried));
-            }
-            prev = Some(analysis);
-        }
-        Err(SchedError::NoScheduleUpTo { max_ii: upper })
+        // No ordering phase: only the context's forward topological order
+        // of group leaders over zero-distance edges, placed ASAP-clamped.
+        // Every placement window is bounded below by already-placed
+        // intra-iteration predecessors and above only by loop-carried
+        // edges, which relax as II grows.
+        ii_search(ctx, request, "asap", None)
     }
 }
 
@@ -86,6 +49,7 @@ impl Scheduler for AsapScheduler {
 mod tests {
     use super::*;
     use regpipe_ddg::{DdgBuilder, OpKind};
+    use regpipe_machine::MachineConfig;
 
     #[test]
     fn schedules_basic_loops() {

@@ -274,15 +274,6 @@ impl Scheduler for ExactScheduler {
         "exact"
     }
 
-    fn schedule(
-        &self,
-        ddg: &Ddg,
-        machine: &MachineConfig,
-        request: &SchedRequest,
-    ) -> Result<Schedule, SchedError> {
-        self.schedule_in(&LoopAnalysis::new(ddg, machine), request)
-    }
-
     fn schedule_in(
         &self,
         ctx: &LoopAnalysis<'_>,

@@ -76,58 +76,58 @@ impl Scheduler for HrmsScheduler {
         "hrms"
     }
 
-    fn schedule(
-        &self,
-        ddg: &Ddg,
-        machine: &MachineConfig,
-        request: &SchedRequest,
-    ) -> Result<Schedule, SchedError> {
-        self.schedule_in(&LoopAnalysis::new(ddg, machine), request)
-    }
-
     fn schedule_in(
         &self,
         ctx: &LoopAnalysis<'_>,
         request: &SchedRequest,
     ) -> Result<Schedule, SchedError> {
-        let lower = ctx.mii().max(request.min_ii.unwrap_or(1));
-        let upper = request.max_ii.unwrap_or_else(|| ctx.fallback_max_ii());
-        if upper < lower {
-            return Err(SchedError::InfeasibleRequest { min_ii: lower, max_ii: upper });
-        }
-        let mut scratch = PlaceScratch::new(ctx.ddg().num_ops());
-        let mut tried = 0u32;
-        let mut prev: Option<TimeAnalysis> = None;
-        for ii in lower..=upper {
-            tried += 1;
-            let Some(analysis) = ctx.time_analysis(ii, prev.as_ref()) else {
-                continue;
-            };
-            let order = ordering_in(ctx, &analysis);
-            if let Some(starts) =
-                place_order(ctx, ii, &order, &analysis, PlaceMode::Hrms, &mut scratch)
-            {
-                return Ok(Schedule::with_provenance(ii, starts, "hrms", tried));
-            }
-            // The greedy bidirectional placement can paint itself into a
-            // corner on graphs whose acyclic part straddles the recurrences.
-            // A forward topological order with ASAP-clamped placement cannot
-            // drift and converges as II grows; try it before giving up on
-            // this II so the search degrades gracefully instead of failing.
-            if let Some(starts) = place_order(
-                ctx,
-                ii,
-                &ctx.fallback,
-                &analysis,
-                PlaceMode::AsapClamped,
-                &mut scratch,
-            ) {
-                return Ok(Schedule::with_provenance(ii, starts, "hrms", tried));
-            }
-            prev = Some(analysis);
-        }
-        Err(SchedError::NoScheduleUpTo { max_ii: upper })
+        ii_search(ctx, request, "hrms", Some(ordering_in))
     }
+}
+
+/// The II walk shared by the list schedulers, from `max(MII, min_ii)` up
+/// to the request's ceiling. Each candidate II gets a warm-started timing
+/// analysis and a bidirectional placement of the group leaders in the
+/// order the `ordering` phase gives.
+/// When that wedges, or when there is no ordering (the ASAP baseline),
+/// the context's forward topological order is placed ASAP-clamped: it
+/// cannot drift and converges as the II grows, so the search degrades
+/// gracefully instead of failing. `slug` names the scheduler in the
+/// schedule's provenance.
+pub(crate) fn ii_search(
+    ctx: &LoopAnalysis<'_>,
+    request: &SchedRequest,
+    slug: &'static str,
+    ordering: Option<fn(&LoopAnalysis<'_>, &TimeAnalysis) -> Vec<OpId>>,
+) -> Result<Schedule, SchedError> {
+    let lower = ctx.mii().max(request.min_ii.unwrap_or(1));
+    let upper = request.max_ii.unwrap_or_else(|| ctx.fallback_max_ii());
+    if upper < lower {
+        return Err(SchedError::InfeasibleRequest { min_ii: lower, max_ii: upper });
+    }
+    let mut scratch = PlaceScratch::new(ctx.ddg().num_ops());
+    let mut tried = 0u32;
+    let mut prev: Option<TimeAnalysis> = None;
+    for ii in lower..=upper {
+        tried += 1;
+        let Some(analysis) = ctx.time_analysis(ii, prev.as_ref()) else {
+            continue;
+        };
+        let placed = ordering
+            .and_then(|order| {
+                let order = order(ctx, &analysis);
+                place_order(ctx, ii, &order, &analysis, PlaceMode::Hrms, &mut scratch)
+            })
+            .or_else(|| {
+                let fallback = &ctx.fallback;
+                place_order(ctx, ii, fallback, &analysis, PlaceMode::AsapClamped, &mut scratch)
+            });
+        if let Some(starts) = placed {
+            return Ok(Schedule::with_provenance(ii, starts, slug, tried));
+        }
+        prev = Some(analysis);
+    }
+    Err(SchedError::NoScheduleUpTo { max_ii: upper })
 }
 
 // ----------------------------------------------------------------------

@@ -187,38 +187,35 @@ pub trait Scheduler {
     /// A short human-readable name (for reports).
     fn name(&self) -> &'static str;
 
-    /// Schedules `ddg` on `machine`.
+    /// Schedules within a prebuilt [`LoopAnalysis`] context, letting
+    /// repeated calls on the same loop (II sweeps, best-of-all probes,
+    /// spill rounds between graph rewrites) share every II-independent
+    /// computation. Results must not depend on where the context came
+    /// from — it is a pure function of `(ddg, machine)`.
     ///
     /// # Errors
     ///
     /// Returns [`SchedError::NoScheduleUpTo`] if the II search is exhausted
     /// and [`SchedError::InfeasibleRequest`] for empty II ranges.
+    fn schedule_in(
+        &self,
+        ctx: &LoopAnalysis<'_>,
+        request: &SchedRequest,
+    ) -> Result<Schedule, SchedError>;
+
+    /// Schedules `ddg` on `machine`: builds the loop's [`LoopAnalysis`]
+    /// and calls [`Scheduler::schedule_in`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Scheduler::schedule_in`].
     fn schedule(
         &self,
         ddg: &Ddg,
         machine: &MachineConfig,
         request: &SchedRequest,
-    ) -> Result<Schedule, SchedError>;
-
-    /// Schedules within a prebuilt [`LoopAnalysis`] context, letting
-    /// repeated calls on the same loop (II sweeps, best-of-all probes,
-    /// spill rounds between graph rewrites) share every II-independent
-    /// computation.
-    ///
-    /// The default implementation ignores the cache and calls
-    /// [`Scheduler::schedule`]; the bundled schedulers override it. Results
-    /// must be identical either way — the context is a pure function of
-    /// `(ddg, machine)`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Scheduler::schedule`].
-    fn schedule_in(
-        &self,
-        ctx: &LoopAnalysis<'_>,
-        request: &SchedRequest,
     ) -> Result<Schedule, SchedError> {
-        self.schedule(ctx.ddg(), ctx.machine(), request)
+        self.schedule_in(&LoopAnalysis::new(ddg, machine), request)
     }
 }
 

@@ -10,9 +10,6 @@
 
 use std::fmt;
 
-use regpipe_ddg::Ddg;
-use regpipe_machine::MachineConfig;
-
 use crate::{
     AsapScheduler, ExactScheduler, HrmsScheduler, LoopAnalysis, SchedError, SchedRequest,
     Schedule, Scheduler, SmsScheduler,
@@ -88,21 +85,6 @@ impl Scheduler for SchedulerKind {
         self.slug()
     }
 
-    fn schedule(
-        &self,
-        ddg: &Ddg,
-        machine: &MachineConfig,
-        request: &SchedRequest,
-    ) -> Result<Schedule, SchedError> {
-        crate::deadline::check();
-        match self {
-            SchedulerKind::Hrms => HrmsScheduler::new().schedule(ddg, machine, request),
-            SchedulerKind::Sms => SmsScheduler::new().schedule(ddg, machine, request),
-            SchedulerKind::Asap => AsapScheduler::new().schedule(ddg, machine, request),
-            SchedulerKind::Exact => ExactScheduler::new().schedule(ddg, machine, request),
-        }
-    }
-
     fn schedule_in(
         &self,
         ctx: &LoopAnalysis<'_>,
@@ -124,6 +106,7 @@ impl Scheduler for SchedulerKind {
 mod tests {
     use super::*;
     use regpipe_ddg::{DdgBuilder, OpKind};
+    use regpipe_machine::MachineConfig;
 
     #[test]
     fn slugs_roundtrip_and_unknowns_are_named() {

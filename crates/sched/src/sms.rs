@@ -27,7 +27,7 @@
 //! infeasible at a candidate II the search simply moves on — the same
 //! ASAP-clamped fallback HRMS uses guarantees the II search converges.
 //!
-//! The placement phase is identical to HRMS ([`PlaceMode::Hrms`]): scan up
+//! The placement phase is identical to HRMS (`PlaceMode::Hrms`): scan up
 //! from the earliest start when producers anchor the node, down from the
 //! latest start when consumers do, at most II slots of the modulo
 //! reservation table — operations hug their scheduled neighbours and
@@ -42,9 +42,7 @@ use regpipe_ddg::{Ddg, OpId};
 use regpipe_machine::MachineConfig;
 
 use crate::analysis::TimeAnalysis;
-use crate::hrms::{
-    frontier_walk, group_priorities, place_order, Direction, PlaceMode, PlaceScratch,
-};
+use crate::hrms::{frontier_walk, group_priorities, ii_search, Direction};
 use crate::loop_analysis::LoopAnalysis;
 use crate::{SchedError, SchedRequest, Schedule, Scheduler};
 
@@ -84,56 +82,15 @@ impl Scheduler for SmsScheduler {
         "sms"
     }
 
-    fn schedule(
-        &self,
-        ddg: &Ddg,
-        machine: &MachineConfig,
-        request: &SchedRequest,
-    ) -> Result<Schedule, SchedError> {
-        self.schedule_in(&LoopAnalysis::new(ddg, machine), request)
-    }
-
     fn schedule_in(
         &self,
         ctx: &LoopAnalysis<'_>,
         request: &SchedRequest,
     ) -> Result<Schedule, SchedError> {
-        let lower = ctx.mii().max(request.min_ii.unwrap_or(1));
-        let upper = request.max_ii.unwrap_or_else(|| ctx.fallback_max_ii());
-        if upper < lower {
-            return Err(SchedError::InfeasibleRequest { min_ii: lower, max_ii: upper });
-        }
-        let mut scratch = PlaceScratch::new(ctx.ddg().num_ops());
-        let mut tried = 0u32;
-        let mut prev: Option<TimeAnalysis> = None;
-        for ii in lower..=upper {
-            tried += 1;
-            let Some(analysis) = ctx.time_analysis(ii, prev.as_ref()) else {
-                continue;
-            };
-            let order = swing_ordering(ctx, &analysis);
-            if let Some(starts) =
-                place_order(ctx, ii, &order, &analysis, PlaceMode::Hrms, &mut scratch)
-            {
-                return Ok(Schedule::with_provenance(ii, starts, "sms", tried));
-            }
-            // The swing order has no readiness gate, so both-sided windows
-            // can wedge at tight IIs; fall back to the context's forward
-            // topological order with ASAP-clamped placement before moving
-            // on, exactly as HRMS does, so the search always converges.
-            if let Some(starts) = place_order(
-                ctx,
-                ii,
-                &ctx.fallback,
-                &analysis,
-                PlaceMode::AsapClamped,
-                &mut scratch,
-            ) {
-                return Ok(Schedule::with_provenance(ii, starts, "sms", tried));
-            }
-            prev = Some(analysis);
-        }
-        Err(SchedError::NoScheduleUpTo { max_ii: upper })
+        // The swing order has no readiness gate, so both-sided windows can
+        // wedge at tight IIs; the shared walk's ASAP-clamped fallback keeps
+        // the search converging, exactly as for HRMS.
+        ii_search(ctx, request, "sms", Some(swing_ordering))
     }
 }
 

@@ -10,10 +10,8 @@
 
 use std::num::NonZeroUsize;
 
-use regpipe_core::{SpillPolicyKind, Strategy};
 use regpipe_exec::json::Value;
 use regpipe_exec::strategy_slug;
-use regpipe_sched::SchedulerKind;
 
 use crate::replay::{base_requests, replay_in_process, IdPolicy, ReplayConfig, ReplaySource};
 use crate::server::{ServeOptions, Server};
@@ -32,17 +30,9 @@ pub struct ServeBenchConfig {
     /// Number of passes over the request stream (pass 2+ exercise the
     /// cache hit path).
     pub repeat: usize,
-    /// Register budgets (each kernel is requested once per budget per
-    /// pass).
-    pub budgets: Vec<u32>,
-    /// Strategy for every request.
-    pub strategy: Strategy,
-    /// Scheduler for every request.
-    pub scheduler: SchedulerKind,
-    /// Spill policy for every request.
-    pub spill_policy: SpillPolicyKind,
-    /// Machine spec for every request.
-    pub machine_spec: String,
+    /// Per-request options: each kernel is requested once per budget per
+    /// pass, with the same strategy, scheduler, spill policy and machine.
+    pub replay: ReplayConfig,
     /// Client-side concurrency.
     pub jobs: NonZeroUsize,
     /// Whether the daemon cache is enabled.
@@ -57,11 +47,11 @@ impl Default for ServeBenchConfig {
             seed: 0xC1DA,
             count: 100,
             repeat: 2,
-            budgets: vec![64, 32],
-            strategy: Strategy::BestOfAll,
-            scheduler: SchedulerKind::default(),
-            spill_policy: SpillPolicyKind::default(),
-            machine_spec: "p2l4".to_string(),
+            replay: ReplayConfig {
+                budgets: vec![64, 32],
+                machine_spec: Some("p2l4".to_string()),
+                ..ReplayConfig::default()
+            },
             jobs: NonZeroUsize::new(1).unwrap(),
             cache: true,
             timed: false,
@@ -121,15 +111,8 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 ///
 /// Reports generator failures.
 pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, String> {
-    let replay_config = ReplayConfig {
-        budgets: config.budgets.clone(),
-        strategy: config.strategy,
-        scheduler: config.scheduler,
-        spill_policy: config.spill_policy,
-        machine_spec: Some(config.machine_spec.clone()),
-    };
     let source = ReplaySource::Gen { seed: config.seed, count: config.count };
-    let base = base_requests(&source, &replay_config)?;
+    let base = base_requests(&source, &config.replay)?;
     let server = Server::new(ServeOptions { cache: config.cache, ..ServeOptions::default() });
     let outcome =
         replay_in_process(&server, &base, config.repeat, config.jobs, IdPolicy::Stream);
@@ -181,6 +164,7 @@ impl ServeBenchReport {
     /// `regpipe-bench-serve/v2`; v2 added the `spill_policy` field).
     pub fn to_json(&self) -> String {
         let c = &self.config;
+        let r = &c.replay;
         let mut pairs = vec![
             ("schema".to_string(), Value::Str("regpipe-bench-serve/v2".into())),
             ("seed".to_string(), Value::uint(c.seed)),
@@ -188,12 +172,12 @@ impl ServeBenchReport {
             ("repeat".to_string(), Value::uint(c.repeat as u64)),
             (
                 "budgets".to_string(),
-                Value::Array(c.budgets.iter().map(|&b| Value::uint(u64::from(b))).collect()),
+                Value::Array(r.budgets.iter().map(|&b| Value::uint(u64::from(b))).collect()),
             ),
-            ("machine".to_string(), Value::Str(c.machine_spec.clone())),
-            ("scheduler".to_string(), Value::Str(c.scheduler.slug().into())),
-            ("strategy".to_string(), Value::Str(strategy_slug(c.strategy).into())),
-            ("spill_policy".to_string(), Value::Str(c.spill_policy.slug().into())),
+            ("machine".to_string(), Value::Str(r.machine().into())),
+            ("scheduler".to_string(), Value::Str(r.scheduler.slug().into())),
+            ("strategy".to_string(), Value::Str(strategy_slug(r.strategy).into())),
+            ("spill_policy".to_string(), Value::Str(r.spill_policy.slug().into())),
             ("cache".to_string(), Value::Bool(c.cache)),
             ("requests".to_string(), Value::uint(self.requests)),
             ("fitted".to_string(), Value::uint(self.fitted)),
@@ -226,7 +210,9 @@ mod tests {
     use regpipe_exec::json::parse as parse_json;
 
     fn small() -> ServeBenchConfig {
-        ServeBenchConfig { count: 8, budgets: vec![32], ..ServeBenchConfig::default() }
+        let defaults = ServeBenchConfig::default();
+        let replay = ReplayConfig { budgets: vec![32], ..defaults.replay.clone() };
+        ServeBenchConfig { count: 8, replay, ..defaults }
     }
 
     #[test]

@@ -55,6 +55,14 @@ impl Default for ReplayConfig {
     }
 }
 
+impl ReplayConfig {
+    /// The machine spec every request targets: the one sent, or else the
+    /// daemon's default.
+    pub fn machine(&self) -> &str {
+        self.machine_spec.as_deref().unwrap_or("p2l4")
+    }
+}
+
 /// Where the replayed workload comes from.
 #[derive(Clone, Debug)]
 pub enum ReplaySource {

@@ -154,13 +154,7 @@ pub fn select(
     candidates: &[SpillCandidate],
     heuristic: SelectHeuristic,
 ) -> Option<&SpillCandidate> {
-    candidates.iter().max_by(|a, b| {
-        rank(a, heuristic)
-            .total_cmp(&rank(b, heuristic))
-            .then(a.lifetime().cmp(&b.lifetime()))
-            .then(b.cost().cmp(&a.cost()))
-            .then(key(b).cmp(&key(a)))
-    })
+    candidates.iter().min_by(|a, b| paper_order(a, b, heuristic))
 }
 
 /// Greedy batch selection for the *multiple lifetimes at once* acceleration
@@ -180,32 +174,49 @@ pub fn select_batch(
     ii: u32,
 ) -> Vec<&SpillCandidate> {
     let mut pool: Vec<&SpillCandidate> = candidates.iter().collect();
-    pool.sort_by(|a, b| {
-        rank(b, heuristic)
-            .total_cmp(&rank(a, heuristic))
-            .then(b.lifetime().cmp(&a.lifetime()))
-            .then(a.cost().cmp(&b.cost()))
-            .then(key(a).cmp(&key(b)))
-    });
-    let mut selected = Vec::new();
+    pool.sort_by(|a, b| paper_order(a, b, heuristic));
+    take_while_over_budget(pool, max_live, available, ii)
+}
+
+/// The Section 4.1 ranking as a best-first comparator: the higher
+/// `heuristic` rank first, then the longer lifetime, then the lower cost,
+/// then identity order, so the order is total.
+pub(crate) fn paper_order(
+    a: &SpillCandidate,
+    b: &SpillCandidate,
+    heuristic: SelectHeuristic,
+) -> std::cmp::Ordering {
+    let rank = |c: &SpillCandidate| match heuristic {
+        SelectHeuristic::MaxLt => c.lifetime() as f64,
+        SelectHeuristic::MaxLtOverTraffic => c.ratio(),
+    };
+    rank(b)
+        .total_cmp(&rank(a))
+        .then(b.lifetime().cmp(&a.lifetime()))
+        .then(a.cost().cmp(&b.cost()))
+        .then(key(a).cmp(&key(b)))
+}
+
+/// Takes `ranked` candidates in order while the optimistic estimate,
+/// `max_live` minus each taken lifetime's concurrent-instance count
+/// (`⌈lifetime / II⌉`, at least 1), stays at or above `available`.
+pub(crate) fn take_while_over_budget(
+    ranked: Vec<&SpillCandidate>,
+    max_live: u32,
+    available: u32,
+    ii: u32,
+) -> Vec<&SpillCandidate> {
+    let ii = i64::from(ii.max(1));
     let mut estimate = i64::from(max_live);
-    for cand in pool {
+    let mut selected = Vec::new();
+    for cand in ranked {
         if estimate < i64::from(available) {
             break;
         }
-        let ii = i64::from(ii.max(1));
-        let freed = (cand.lifetime() + ii - 1).div_euclid(ii).max(1);
-        estimate -= freed;
+        estimate -= (cand.lifetime() + ii - 1).div_euclid(ii).max(1);
         selected.push(cand);
     }
     selected
-}
-
-pub(crate) fn rank(c: &SpillCandidate, heuristic: SelectHeuristic) -> f64 {
-    match heuristic {
-        SelectHeuristic::MaxLt => c.lifetime() as f64,
-        SelectHeuristic::MaxLtOverTraffic => c.ratio(),
-    }
 }
 
 /// Stable identity for deterministic tie-breaking.

@@ -18,7 +18,9 @@ use std::fmt;
 
 use regpipe_regalloc::LifetimeAnalysis;
 
-use crate::candidate::{key, rank, SelectHeuristic, SpillCandidate};
+use crate::candidate::{
+    key, paper_order, take_while_over_budget, SelectHeuristic, SpillCandidate,
+};
 
 /// The registered spill policies.
 ///
@@ -198,36 +200,23 @@ pub trait SpillPolicy {
         ctx: &RankContext<'_>,
         available: u32,
     ) -> Vec<&'a SpillCandidate> {
-        let mut selected = Vec::new();
-        let mut estimate = i64::from(ctx.analysis.max_live());
-        let ii = i64::from(ctx.analysis.ii().max(1));
-        for cand in self.ranked(candidates, ctx) {
-            if estimate < i64::from(available) {
-                break;
-            }
-            let freed = (cand.lifetime() + ii - 1).div_euclid(ii).max(1);
-            estimate -= freed;
-            selected.push(cand);
-        }
-        selected
+        let (max_live, ii) = (ctx.analysis.max_live(), ctx.analysis.ii());
+        take_while_over_budget(self.ranked(candidates, ctx), max_live, available, ii)
     }
 }
 
 impl SpillPolicy for SpillPolicyKind {
     fn order(&self, pool: &mut [&SpillCandidate], ctx: &RankContext<'_>) {
+        // The paper ordering also breaks the next-use policies' distance
+        // ties, so those stay total (and sensible) when distances collide.
+        let paper = |a: &&SpillCandidate, b: &&SpillCandidate| paper_order(a, b, ctx.heuristic);
         match self {
-            SpillPolicyKind::Paper => pool.sort_by(|a, b| {
-                rank(b, ctx.heuristic)
-                    .total_cmp(&rank(a, ctx.heuristic))
-                    .then(b.lifetime().cmp(&a.lifetime()))
-                    .then(a.cost().cmp(&b.cost()))
-                    .then(key(a).cmp(&key(b)))
-            }),
+            SpillPolicyKind::Paper => pool.sort_by(paper),
             SpillPolicyKind::MinNextUse => {
-                pool.sort_by(|a, b| next_use_order(a, b, ctx).then(paper_ties(a, b, ctx)))
+                pool.sort_by(|a, b| next_use_order(a, b, ctx).then(paper(a, b)))
             }
             SpillPolicyKind::FurthestNextUse => {
-                pool.sort_by(|a, b| next_use_order(b, a, ctx).then(paper_ties(a, b, ctx)))
+                pool.sort_by(|a, b| next_use_order(b, a, ctx).then(paper(a, b)))
             }
             SpillPolicyKind::RoundRobin => {
                 pool.sort_by_key(|c| key(c));
@@ -247,20 +236,6 @@ fn next_use_order(
     ctx: &RankContext<'_>,
 ) -> std::cmp::Ordering {
     next_use_distance(a, ctx).cmp(&next_use_distance(b, ctx))
-}
-
-/// The paper ordering as a tie-break chain, so the next-use policies stay
-/// total (and sensible) when distances collide.
-fn paper_ties(
-    a: &SpillCandidate,
-    b: &SpillCandidate,
-    ctx: &RankContext<'_>,
-) -> std::cmp::Ordering {
-    rank(b, ctx.heuristic)
-        .total_cmp(&rank(a, ctx.heuristic))
-        .then(b.lifetime().cmp(&a.lifetime()))
-        .then(a.cost().cmp(&b.cost()))
-        .then(key(a).cmp(&key(b)))
 }
 
 /// Cycles from production to the candidate's first consumption.

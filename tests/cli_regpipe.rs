@@ -519,6 +519,65 @@ fn suite_corpus_flag_misuse_is_an_error() {
     }
 }
 
+/// Regression: every verb used to look its flags up by name and ignore the
+/// rest, so a misspelt, unlisted, repeated or valueless flag, or a stray
+/// argument, silently ran a different experiment. Each now exits 1 with a
+/// message naming it. The runs happen in a scratch directory, so a
+/// regression cannot write reports into the working tree.
+#[test]
+fn dropped_arguments_are_errors_naming_them() {
+    let dir = scratch_dir("dropped-args");
+    let ddg = example_ddg(&dir);
+    let ddg = ddg.to_str().unwrap();
+    for (args, needle) in [
+        (&["compile", ddg, "--stratgy", "increase-ii"][..], "unknown flag '--stratgy'"),
+        (&["compile", ddg, "--heuristic", "lt"], "unknown flag '--heuristic'"),
+        (&["suite", "--strategy", "spill"], "unknown flag '--strategy'"),
+        (&["replay", "--count", "2", "--budget", "8"], "unknown flag '--budget'"),
+        (&["suite", "--jobs", "1", "--jobs", "4"], "--jobs given more than once"),
+        (&["suite", "extra"], "unexpected argument 'extra'"),
+        (&["compile", ddg, ddg], "unexpected argument"),
+        (&["suite", "--corpus", "--machine", "p1l4"], "--corpus needs a directory"),
+        (&["gap", "--count", "2", "--out"], "--out needs a value"),
+        (&["suite", "--dir", "d", "--jobs", "4"], "cannot be combined with --jobs"),
+    ] {
+        let out = bin()
+            .args(args)
+            .current_dir(&dir)
+            .env("REGPIPE_SUITE_SIZE", "3")
+            .output()
+            .expect("spawn regpipe");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+    // The valueless `--out` used to fall back to the default report path.
+    assert!(!dir.join("BENCH_gap.json").exists(), "gap wrote an unrequested report");
+    assert!(!dir.join("BENCH_suite.json").exists(), "suite ran despite bad arguments");
+    // `replay` accepts what its help lists, not the daemon-only knobs.
+    let out = bin().args(["help", "replay"]).output().expect("spawn regpipe");
+    let help = String::from_utf8(out.stdout).unwrap();
+    for flag in [
+        "--cache-bytes",
+        "--shards",
+        "--max-request-bytes",
+        "--deadline-ms",
+        "--compact-appends",
+        "--drain-ms",
+    ] {
+        assert!(!help.contains(flag), "help replay lists {flag}");
+        let out = bin()
+            .args(["replay", "--count", "2", flag, "1"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn regpipe");
+        assert_eq!(out.status.code(), Some(1), "replay {flag} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag '{flag}'")), "{flag}: {stderr}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Strict flag validation: a bad `--jobs` or `--size` is a clean error.
 #[test]
 fn suite_rejects_bad_jobs_and_size() {

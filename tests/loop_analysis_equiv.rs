@@ -4,8 +4,8 @@
 //! schedule, allocation, spill decision and provenance counter has to be
 //! byte-identical whether the drivers share one context across probes and
 //! rounds (the production path) or rebuild everything from scratch on every
-//! scheduler call (the reference path, obtained by hiding the
-//! `schedule_in` override behind a wrapper scheduler). A second family of
+//! scheduler call (the reference path, a wrapper scheduler whose
+//! `schedule_in` ignores the context it is handed). A second family of
 //! properties checks cache *invalidation*: after each spill rewrite, a
 //! context rebuilt on the mutated graph agrees with the standalone
 //! computations (groups, MII, RecMII, ordering, schedules) on that graph.
@@ -23,10 +23,10 @@ use regpipe::sched::{
 };
 use regpipe::spill::{candidates, select, spill_batch, SelectHeuristic};
 
-/// Reference scheduler: delegates to HRMS but deliberately does *not*
-/// forward `schedule_in`, so every call through the `Scheduler` trait takes
-/// the default fresh-context path. Drivers built over this wrapper redo all
-/// II-independent analysis per scheduler call — the pre-cache behaviour.
+/// Reference scheduler: delegates to HRMS but rebuilds the loop's context
+/// on every `schedule_in` call instead of using the one it is handed.
+/// Drivers built over this wrapper redo all II-independent analysis per
+/// scheduler call — the pre-cache behaviour.
 #[derive(Clone, Copy, Debug, Default)]
 struct UncachedHrms(HrmsScheduler);
 
@@ -35,13 +35,12 @@ impl Scheduler for UncachedHrms {
         "hrms-uncached"
     }
 
-    fn schedule(
+    fn schedule_in(
         &self,
-        ddg: &Ddg,
-        machine: &MachineConfig,
+        ctx: &LoopAnalysis<'_>,
         request: &SchedRequest,
     ) -> Result<Schedule, SchedError> {
-        self.0.schedule(ddg, machine, request)
+        self.0.schedule(ctx.ddg(), ctx.machine(), request)
     }
 }
 
