@@ -11,8 +11,8 @@
 //! 4. **Stage scheduling post-pass** — register reduction at constant II
 //!    (the paper's reference \[13\]) applied on top of both schedulers.
 
-use regpipe_bench::{evaluation_suite, harness_jobs};
-use regpipe_core::{SpillDriver, SpillDriverOptions};
+use regpipe_bench::evaluation_suite;
+use regpipe_core::{compile, CompileOptions, Strategy};
 use regpipe_exec::parallel_map;
 use regpipe_loops::paper;
 use regpipe_machine::MachineConfig;
@@ -21,7 +21,7 @@ use regpipe_sched::{stage_schedule, AsapScheduler, HrmsScheduler, SchedRequest, 
 use regpipe_spill::eliminate_dead_ops;
 
 fn main() {
-    regpipe_bench::apply_jobs_flag();
+    let jobs = regpipe_bench::expt_jobs();
     let loops = evaluation_suite();
     let machine = MachineConfig::p2l4();
     let hrms = HrmsScheduler::new();
@@ -30,7 +30,7 @@ fn main() {
     // ------------------------------------------------------------------
     // 1. HRMS vs ASAP register pressure (same-II subset).
     // ------------------------------------------------------------------
-    let per_loop = parallel_map(&loops, harness_jobs(), |_, l| {
+    let per_loop = parallel_map(&loops, jobs, |_, l| {
         let h = hrms.schedule(&l.ddg, &machine, &SchedRequest::default()).unwrap();
         let a = asap.schedule(&l.ddg, &machine, &SchedRequest::default()).unwrap();
         if h.ii() != a.ii() {
@@ -72,7 +72,7 @@ fn main() {
     // ------------------------------------------------------------------
     // 2. Rotating file vs MVE.
     // ------------------------------------------------------------------
-    let per_loop = parallel_map(&loops, harness_jobs(), |_, l| {
+    let per_loop = parallel_map(&loops, jobs, |_, l| {
         let s = hrms.schedule(&l.ddg, &machine, &SchedRequest::default()).unwrap();
         let analysis = LifetimeAnalysis::new(&l.ddg, &s);
         let mve = MveAllocator::new().allocate(&analysis);
@@ -101,10 +101,10 @@ fn main() {
         "{:<10} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "loop", "II", "mem ops", "II+dce", "mem+dce", "removed"
     );
-    let driver = SpillDriver::new(SpillDriverOptions::default());
+    let spill = CompileOptions { strategy: Strategy::Spill, ..CompileOptions::default() };
     for g in [paper::apsi47_like(), paper::apsi50_like()] {
-        let out = driver.run(&g, &machine, 32).expect("spill fits 32");
-        let clean = eliminate_dead_ops(&out.ddg);
+        let out = compile(&g, &machine, 32, &spill).expect("spill fits 32");
+        let clean = eliminate_dead_ops(out.ddg());
         let post = hrms
             .schedule(&clean.ddg, &machine, &SchedRequest::default())
             .expect("cleaned graph schedules");
@@ -112,8 +112,8 @@ fn main() {
         println!(
             "{:<10} {:>8} {:>8} {:>8} {:>8} {:>8}",
             g.name(),
-            out.schedule.ii(),
-            out.ddg.memory_ops(),
+            out.ii(),
+            out.ddg().memory_ops(),
             post.ii(),
             clean.ddg.memory_ops(),
             clean.removed.len()

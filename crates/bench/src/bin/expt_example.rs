@@ -4,8 +4,7 @@
 //! latency 2): schedule at II=1 (11 variant registers), reschedule at II=2
 //! (7 registers), then spill V1 and land on 5 registers at II=2.
 
-use regpipe_bench::harness_jobs;
-use regpipe_core::{SpillDriver, SpillDriverOptions};
+use regpipe_core::{compile, CompileOptions, SpillDriverOptions, Strategy};
 use regpipe_ddg::to_dot;
 use regpipe_exec::parallel_map;
 use regpipe_loops::paper::example_loop;
@@ -15,7 +14,7 @@ use regpipe_sched::{mii, HrmsScheduler, Kernel, SchedRequest, Scheduler};
 use regpipe_spill::SelectHeuristic;
 
 fn main() {
-    regpipe_bench::apply_jobs_flag();
+    let jobs = regpipe_bench::expt_jobs();
     let g = example_loop();
     let m = MachineConfig::uniform(4, 2);
     let scheduler = HrmsScheduler::new();
@@ -27,7 +26,7 @@ fn main() {
     // Figures 2 and 3 are independent schedules of the same graph (best II
     // and II = 2); compute both as a fan-out on the batch engine.
     let requests = [SchedRequest::default(), SchedRequest::starting_at(2)];
-    let mut schedules = parallel_map(&requests, harness_jobs(), |_, req| {
+    let mut schedules = parallel_map(&requests, jobs, |_, req| {
         scheduler.schedule(&g, &m, req).expect("schedulable")
     })
     .into_iter();
@@ -64,28 +63,28 @@ fn main() {
     );
 
     // Figures 5/6: spill V1 and reschedule.
-    let driver = SpillDriver::new(SpillDriverOptions {
-        heuristic: SelectHeuristic::MaxLt,
-        multi_spill: false,
-        last_ii_pruning: false,
-        ii_relief: true,
-        max_rounds: 64,
-        ..SpillDriverOptions::default()
-    });
+    let options = CompileOptions {
+        strategy: Strategy::Spill,
+        spill: SpillDriverOptions {
+            max_rounds: 64,
+            ..SpillDriverOptions::unaccelerated(SelectHeuristic::MaxLt)
+        },
+        ..CompileOptions::default()
+    };
     // The paper's Figure 6 counts 5 *variant* registers; the invariant `a`
     // occupies one more, so the total budget is 6.
-    let out = driver.run(&g, &m, 6).expect("fits 6 registers after spilling");
-    out.schedule.verify(&out.ddg, &m).expect("valid");
+    let out = compile(&g, &m, 6, &options).expect("fits 6 registers after spilling");
+    out.schedule().verify(out.ddg(), &m).expect("valid");
     println!("--- Figures 5/6: spill V1, budget 6 registers (5 variants + invariant a) ---");
-    println!("{}", out.ddg);
-    println!("{}", Kernel::new(&out.ddg, &out.schedule));
+    println!("{}", out.ddg());
+    println!("{}", out.kernel());
     println!(
         "  II = {} (paper: 2), variant regs = {} (paper: 5), lifetimes spilled = {}",
-        out.schedule.ii(),
-        out.allocation.variant_regs(),
-        out.spilled
+        out.ii(),
+        out.allocation().variant_regs(),
+        out.spilled()
     );
-    println!("  memory ops/iteration: {} -> {}", g.memory_ops(), out.ddg.memory_ops());
+    println!("  memory ops/iteration: {} -> {}", g.memory_ops(), out.ddg().memory_ops());
     println!("\n--- DOT of the rewritten graph (Figure 5c/5d) ---");
-    println!("{}", to_dot(&out.ddg));
+    println!("{}", to_dot(out.ddg()));
 }

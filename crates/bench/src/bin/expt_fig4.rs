@@ -7,16 +7,15 @@
 
 use std::fmt::Write as _;
 
-use regpipe_bench::harness_jobs;
-use regpipe_core::IncreaseIiDriver;
+use regpipe_core::{compile, CompileOptions, Strategy};
 use regpipe_exec::parallel_map;
 use regpipe_loops::paper::{apsi47_like, apsi50_like};
 use regpipe_machine::MachineConfig;
-use regpipe_sched::mii;
+use regpipe_regalloc::allocate;
+use regpipe_sched::{mii, HrmsScheduler, SchedRequest, Scheduler};
 
 fn sweep(name: &str, g: &regpipe_ddg::Ddg, machine: &MachineConfig) -> String {
     let mut out = String::new();
-    let driver = IncreaseIiDriver::new();
     let lo = mii(g, machine);
     let _ = writeln!(out, "--- {name} (MII = {lo}) ---");
     let _ = writeln!(out, "{:>5} {:>6} {:>4}", "II", "regs", "SC");
@@ -24,7 +23,11 @@ fn sweep(name: &str, g: &regpipe_ddg::Ddg, machine: &MachineConfig) -> String {
     let mut reached_16 = false;
     let mut reached_32 = false;
     for ii in lo..lo + 40 {
-        let Ok((s, a)) = driver.probe(g, machine, ii) else { continue };
+        let Ok(s) = HrmsScheduler::new().schedule(g, machine, &SchedRequest::exactly(ii))
+        else {
+            continue;
+        };
+        let a = allocate(g, &s);
         let _ = writeln!(out, "{:>5} {:>6} {:>4}", s.ii(), a.total(), s.stage_count());
         if a.total() <= 32 && !reached_32 {
             let _ = writeln!(
@@ -48,32 +51,33 @@ fn sweep(name: &str, g: &regpipe_ddg::Ddg, machine: &MachineConfig) -> String {
             break;
         }
     }
-    match driver.run(g, machine, 32) {
+    let increase_ii =
+        CompileOptions { strategy: Strategy::IncreaseIi, ..CompileOptions::default() };
+    match compile(g, machine, 32, &increase_ii) {
         Ok(run) => {
             let _ = writeln!(
                 out,
                 "=> converges to 32 registers at II {} ({} tries)\n",
-                run.schedule.ii(),
-                run.trace.len()
+                run.ii(),
+                run.trace().len()
             );
         }
         Err(e) => {
-            let _ = writeln!(out, "=> NEVER converges to 32 registers: {e}\n");
+            let _ = writeln!(out, "=> NEVER converges to 32 registers: {}\n", e.failure());
         }
     }
     out
 }
 
 fn main() {
-    regpipe_bench::apply_jobs_flag();
+    let jobs = regpipe_bench::expt_jobs();
     let machine = MachineConfig::p2l4();
     println!("=== Figure 4: behaviour under increasing II ({}) ===\n", machine);
     let figures = [
         ("Figure 4a: APSI-47-like (converges)", apsi47_like()),
         ("Figure 4b: APSI-50-like (does not converge)", apsi50_like()),
     ];
-    let sections =
-        parallel_map(&figures, harness_jobs(), |_, (name, g)| sweep(name, g, &machine));
+    let sections = parallel_map(&figures, jobs, |_, (name, g)| sweep(name, g, &machine));
     for section in sections {
         print!("{section}");
     }

@@ -8,8 +8,7 @@
 
 use std::fmt::Write as _;
 
-use regpipe_bench::harness_jobs;
-use regpipe_core::{SpillDriver, SpillDriverOptions};
+use regpipe_core::{compile, CompileOptions, SpillDriverOptions, Strategy, TracePoint};
 use regpipe_exec::parallel_map;
 use regpipe_loops::paper::{apsi47_like, apsi50_like};
 use regpipe_machine::MachineConfig;
@@ -17,14 +16,14 @@ use regpipe_spill::SelectHeuristic;
 
 fn trace(name: &str, g: &regpipe_ddg::Ddg, machine: &MachineConfig, budget: u32) -> String {
     let mut out = String::new();
-    let driver = SpillDriver::new(SpillDriverOptions {
-        heuristic: SelectHeuristic::MaxLt,
-        multi_spill: false,
-        last_ii_pruning: false,
-        ii_relief: true,
-        max_rounds: 512,
-        ..SpillDriverOptions::default()
-    });
+    let options = CompileOptions {
+        strategy: Strategy::Spill,
+        spill: SpillDriverOptions {
+            max_rounds: 512,
+            ..SpillDriverOptions::unaccelerated(SelectHeuristic::MaxLt)
+        },
+        ..CompileOptions::default()
+    };
     let _ =
         writeln!(out, "--- {name}: Max(LT), one lifetime per reschedule, budget {budget} ---");
     let _ = writeln!(
@@ -32,30 +31,30 @@ fn trace(name: &str, g: &regpipe_ddg::Ddg, machine: &MachineConfig, budget: u32)
         "{:>8} {:>5} {:>5} {:>6} {:>8} {:>9}",
         "spilled", "MII", "II", "regs", "mem ops", "bus use %"
     );
-    match driver.run(g, machine, budget) {
+    match compile(g, machine, budget, &options) {
         Ok(run) => {
-            for p in &run.trace {
+            for p in run.trace() {
                 point(&mut out, p);
             }
             let _ = writeln!(
                 out,
                 "=> fits {budget} regs with {} lifetimes spilled, II {} (first II was {})\n",
-                run.spilled,
-                run.schedule.ii(),
-                run.first_ii()
+                run.spilled(),
+                run.ii(),
+                run.trace()[0].ii
             );
         }
         Err(e) => {
-            for p in &e.trace {
+            for p in &e.failure().trace {
                 point(&mut out, p);
             }
-            let _ = writeln!(out, "=> failed: {e}\n");
+            let _ = writeln!(out, "=> failed: {}\n", e.failure());
         }
     }
     out
 }
 
-fn point(out: &mut String, p: &regpipe_core::SpillTracePoint) {
+fn point(out: &mut String, p: &TracePoint) {
     let _ = writeln!(
         out,
         "{:>8} {:>5} {:>5} {:>6} {:>8} {:>9.1}",
@@ -64,7 +63,7 @@ fn point(out: &mut String, p: &regpipe_core::SpillTracePoint) {
 }
 
 fn main() {
-    regpipe_bench::apply_jobs_flag();
+    let jobs = regpipe_bench::expt_jobs();
     let machine = MachineConfig::p2l4();
     println!("=== Figure 7: spilling trace ({machine}) ===\n");
     let cells = [
@@ -73,9 +72,8 @@ fn main() {
         ("Figure 7b: APSI-50-like", apsi50_like(), 32),
         ("Figure 7b: APSI-50-like", apsi50_like(), 16),
     ];
-    let sections = parallel_map(&cells, harness_jobs(), |_, (name, g, budget)| {
-        trace(name, g, &machine, *budget)
-    });
+    let sections =
+        parallel_map(&cells, jobs, |_, (name, g, budget)| trace(name, g, &machine, *budget));
     for section in sections {
         print!("{section}");
     }

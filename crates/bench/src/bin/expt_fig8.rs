@@ -6,15 +6,15 @@ use regpipe_bench::{
     evaluation_suite, fig8_variants, mcycles, run_ideal, run_spill_variant, suite_size,
     REGISTER_BUDGETS,
 };
-use regpipe_exec::stable_output;
+use regpipe_exec::bench_timing;
 use regpipe_machine::MachineConfig;
 
 fn main() {
-    regpipe_bench::apply_jobs_flag();
+    let jobs = regpipe_bench::expt_jobs();
     let loops = evaluation_suite();
     println!("=== Figure 8: heuristic evaluation ({} loops) ===", suite_size());
     for machine in MachineConfig::paper_configs() {
-        let ideal = run_ideal(&loops, &machine);
+        let ideal = run_ideal(&loops, &machine, jobs);
         for regs in REGISTER_BUDGETS {
             println!("\n--- {} with {} registers ---", machine.name(), regs);
             println!(
@@ -32,13 +32,13 @@ fn main() {
                 "-"
             );
             for variant in fig8_variants() {
-                let agg = run_spill_variant(&loops, &machine, regs, variant.options);
-                // Wall time is the one non-deterministic column; suppress
-                // it under REGPIPE_STABLE_OUTPUT=1 so runs byte-compare.
-                let time = if stable_output() {
-                    "         -".to_string()
-                } else {
+                let agg = run_spill_variant(&loops, &machine, regs, variant.options, jobs);
+                // Wall time is the one non-deterministic column: shown only
+                // under REGPIPE_BENCH_TIMING=1, so default runs byte-compare.
+                let time = if bench_timing() {
                     format!("{:>9.2}s", agg.sched_time.as_secs_f64())
+                } else {
+                    "         -".to_string()
                 };
                 println!(
                     "{:<28} {:>12} {:>12} {:>8} {:>10} {:>10} {time}",

@@ -6,7 +6,7 @@ use regpipe_bench::{evaluation_suite, fig9_row, mcycles, suite_size, REGISTER_BU
 use regpipe_machine::MachineConfig;
 
 fn main() {
-    regpipe_bench::apply_jobs_flag();
+    let jobs = regpipe_bench::expt_jobs();
     let loops = evaluation_suite();
     println!(
         "=== Figure 9: increase-II vs spill vs best-of-all ({} loops) ===\n",
@@ -18,7 +18,7 @@ fn main() {
     );
     for machine in MachineConfig::paper_configs() {
         for regs in REGISTER_BUDGETS {
-            let row = fig9_row(&loops, &machine, regs);
+            let row = fig9_row(&loops, &machine, regs, jobs);
             println!(
                 "{:<8} {:>6} {:>8} {:>13}M {:>11}M {:>11}M {:>10}",
                 machine.name(),

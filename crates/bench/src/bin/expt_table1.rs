@@ -6,7 +6,7 @@ use regpipe_bench::{evaluation_suite, suite_size, table1_row, REGISTER_BUDGETS};
 use regpipe_machine::MachineConfig;
 
 fn main() {
-    regpipe_bench::apply_jobs_flag();
+    let jobs = regpipe_bench::expt_jobs();
     let loops = evaluation_suite();
     println!(
         "=== Table 1: non-convergence of the increase-II strategy ({} loops) ===\n",
@@ -15,7 +15,7 @@ fn main() {
     println!("{:<8} {:>6} {:>14} {:>14}", "config", "regs", "never-converge", "% of cycles");
     for machine in MachineConfig::paper_configs() {
         for regs in REGISTER_BUDGETS {
-            let row = table1_row(&loops, &machine, regs);
+            let row = table1_row(&loops, &machine, regs, jobs);
             println!(
                 "{:<8} {:>6} {:>14} {:>13.1}%",
                 machine.name(),
@@ -28,7 +28,7 @@ fn main() {
     println!();
     // The paper observes the same loops fail regardless of configuration;
     // list the 32-register failures of P2L4 as the representative set.
-    let row = table1_row(&loops, &MachineConfig::p2l4(), 32);
+    let row = table1_row(&loops, &MachineConfig::p2l4(), 32, jobs);
     println!("Non-convergent loops on P2L4 with 32 registers:");
     for name in row.non_convergent.iter().take(30) {
         println!("  {name}");

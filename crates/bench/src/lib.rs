@@ -18,12 +18,13 @@
 //! (`BENCH_gap.json`, schema `regpipe-bench-gap/v2`).
 //!
 //! Run them in release mode, e.g.
-//! `cargo run --release -p regpipe-bench --bin expt_table1`.
+//! `cargo run --release -p regpipe_bench --bin expt_table1`.
 //! Every binary honours `REGPIPE_SUITE_SIZE` (default 1258; a set value
 //! must be a positive integer — anything else is a hard error, not a
 //! silent fallback) so quick passes are possible, and fans independent
-//! per-loop work out across `REGPIPE_JOBS` / `--jobs` worker threads via
-//! `regpipe_exec` — results are identical for every worker count.
+//! per-loop work out across worker threads via `regpipe_exec` (its one
+//! argument, `--jobs N`, else `REGPIPE_JOBS`, else all cores; see
+//! [`expt_jobs`]) — results are identical for every worker count.
 
 // Every public item of this crate is documented; CI turns gaps into errors.
 #![warn(missing_docs)]
@@ -40,9 +41,7 @@ pub use gap::{
 use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
-use regpipe_core::{
-    BestOfAllDriver, IncreaseIiDriver, SpillDriver, SpillDriverOptions, Winner,
-};
+use regpipe_core::{compile, CompileOptions, SpillDriverOptions, Strategy};
 use regpipe_exec::{parallel_map, resolve_jobs};
 use regpipe_loops::{suite, suite_size_from_env, BenchLoop};
 use regpipe_machine::MachineConfig;
@@ -59,25 +58,26 @@ pub fn suite_size() -> usize {
     suite_size_from_env().unwrap_or_else(|e| die(&e))
 }
 
-/// The worker count for the harness's parallel sweeps: `REGPIPE_JOBS` if
-/// set (strictly validated), otherwise the machine's parallelism.
-pub fn harness_jobs() -> NonZeroUsize {
-    resolve_jobs(None).unwrap_or_else(|e| die(&e))
+/// The worker count of an `expt_*` binary, read from its command line:
+/// the only argument it takes is `--jobs N`; without it, `REGPIPE_JOBS`,
+/// else all cores. Any other argument, or an invalid count, exits with
+/// status 2 naming it. Call this first thing in `main`, before anything
+/// is printed.
+pub fn expt_jobs() -> NonZeroUsize {
+    jobs_from_args(std::env::args().skip(1)).unwrap_or_else(|e| die(&e))
 }
 
-/// Applies a `--jobs N` argument from an `expt_*` binary's command line by
-/// exporting it as `REGPIPE_JOBS` (which [`harness_jobs`] then picks up).
-/// Call this first thing in `main`, before any threads exist.
-pub fn apply_jobs_flag() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let value = args.get(i + 1).map(String::as_str).unwrap_or("");
-        // Validate eagerly so a typo fails here, not mid-run.
-        if let Err(e) = resolve_jobs(Some(value)) {
-            die(&e);
+/// [`expt_jobs`] over an explicit argument list.
+fn jobs_from_args(args: impl IntoIterator<Item = String>) -> Result<NonZeroUsize, String> {
+    let mut args = args.into_iter();
+    let mut flag = None;
+    while let Some(arg) = args.next() {
+        if arg != "--jobs" || flag.is_some() {
+            return Err(format!("unexpected argument '{arg}' (usage: [--jobs N])"));
         }
-        std::env::set_var("REGPIPE_JOBS", value);
+        flag = Some(args.next().ok_or("--jobs needs a value (usage: [--jobs N])")?);
     }
+    resolve_jobs(flag.as_deref())
 }
 
 fn die(message: &str) -> ! {
@@ -107,20 +107,13 @@ pub fn ideal(l: &BenchLoop, machine: &MachineConfig) -> (u32, u32) {
 pub struct Fig8Variant {
     /// Display label (matches the paper's bar names).
     pub label: &'static str,
-    /// Spill-driver configuration.
+    /// Spill-strategy options.
     pub options: SpillDriverOptions,
 }
 
 /// The four heuristic variants of Figure 8, in the paper's order.
 pub fn fig8_variants() -> Vec<Fig8Variant> {
-    let base = |heuristic| SpillDriverOptions {
-        heuristic,
-        multi_spill: false,
-        last_ii_pruning: false,
-        ii_relief: true,
-        max_rounds: 1024,
-        ..SpillDriverOptions::default()
-    };
+    let base = SpillDriverOptions::unaccelerated;
     vec![
         Fig8Variant { label: "Max(LT)", options: base(SelectHeuristic::MaxLt) },
         Fig8Variant { label: "Max(LT/Traf)", options: base(SelectHeuristic::MaxLtOverTraffic) },
@@ -142,6 +135,11 @@ pub fn fig8_variants() -> Vec<Fig8Variant> {
     ]
 }
 
+/// Default compile options with `strategy`.
+fn strategy(strategy: Strategy) -> CompileOptions {
+    CompileOptions { strategy, ..CompileOptions::default() }
+}
+
 /// Aggregates of one (variant × machine × budget) run over the whole suite.
 #[derive(Clone, Debug, Default)]
 pub struct SuiteAggregate {
@@ -161,32 +159,33 @@ pub struct SuiteAggregate {
     pub spilled: u64,
 }
 
-/// Runs one spill variant over the suite, one worker thread per
-/// [`harness_jobs`] slot. Loops are independent, so the fold below visits
-/// per-loop outcomes in suite order and the aggregate is identical for any
-/// worker count (wall-clock `sched_time` aside).
+/// Runs one spill variant over the suite on `jobs` worker threads. Loops
+/// are independent, so the fold below visits per-loop outcomes in suite
+/// order and the aggregate is identical for any worker count (wall-clock
+/// `sched_time` aside).
 pub fn run_spill_variant(
     loops: &[BenchLoop],
     machine: &MachineConfig,
     regs: u32,
-    options: SpillDriverOptions,
+    spill: SpillDriverOptions,
+    jobs: NonZeroUsize,
 ) -> SuiteAggregate {
-    let driver = SpillDriver::new(options);
-    let per_loop = parallel_map(loops, harness_jobs(), |_, l| {
+    let options = CompileOptions { spill, ..strategy(Strategy::Spill) };
+    let per_loop = parallel_map(loops, jobs, |_, l| {
         let started = Instant::now();
-        let outcome = driver.run(&l.ddg, machine, regs);
+        let outcome = compile(&l.ddg, machine, regs, &options);
         (outcome, started.elapsed())
     });
     let mut agg = SuiteAggregate::default();
     for (l, (outcome, elapsed)) in loops.iter().zip(per_loop) {
         match outcome {
-            Ok(out) => {
-                agg.cycles += l.cycles(out.schedule.ii());
-                agg.memory_refs += u64::from(out.memory_ops()) * l.weight;
-                agg.reschedules += u64::from(out.reschedules);
-                agg.iis_explored += u64::from(out.iis_explored);
+            Ok(c) => {
+                agg.cycles += l.cycles(c.ii());
+                agg.memory_refs += u64::from(c.memory_ops()) * l.weight;
+                agg.reschedules += u64::from(c.reschedules());
+                agg.iis_explored += u64::from(c.iis_explored());
                 agg.sched_time += elapsed;
-                agg.spilled += u64::from(out.spilled);
+                agg.spilled += u64::from(c.spilled());
             }
             Err(_) => agg.failures += 1,
         }
@@ -195,8 +194,12 @@ pub fn run_spill_variant(
 }
 
 /// The ideal (infinite-register) aggregate for the same loops.
-pub fn run_ideal(loops: &[BenchLoop], machine: &MachineConfig) -> SuiteAggregate {
-    let per_loop = parallel_map(loops, harness_jobs(), |_, l| ideal(l, machine));
+pub fn run_ideal(
+    loops: &[BenchLoop],
+    machine: &MachineConfig,
+    jobs: NonZeroUsize,
+) -> SuiteAggregate {
+    let per_loop = parallel_map(loops, jobs, |_, l| ideal(l, machine));
     let mut agg = SuiteAggregate::default();
     for (l, (ii, _)) in loops.iter().zip(per_loop) {
         agg.cycles += l.cycles(ii);
@@ -214,14 +217,20 @@ pub struct Table1Row {
     pub cycle_share: f64,
 }
 
-/// Computes one Table 1 row.
-pub fn table1_row(loops: &[BenchLoop], machine: &MachineConfig, regs: u32) -> Table1Row {
-    let driver = IncreaseIiDriver::new();
-    let per_loop = parallel_map(loops, harness_jobs(), |_, l| {
+/// Computes one Table 1 row on `jobs` worker threads.
+pub fn table1_row(
+    loops: &[BenchLoop],
+    machine: &MachineConfig,
+    regs: u32,
+    jobs: NonZeroUsize,
+) -> Table1Row {
+    let increase_ii = strategy(Strategy::IncreaseIi);
+    let per_loop = parallel_map(loops, jobs, |_, l| {
         let (ii, ideal_regs) = ideal(l, machine);
         // Loops that fit outright converged at the first try; only the
-        // rest exercise the increase-II driver.
-        let converges = ideal_regs <= regs || driver.run(&l.ddg, machine, regs).is_ok();
+        // rest exercise the increase-II strategy.
+        let converges =
+            ideal_regs <= regs || compile(&l.ddg, machine, regs, &increase_ii).is_ok();
         (l.cycles(ii), converges)
     });
     let mut non_convergent = Vec::new();
@@ -260,24 +269,27 @@ pub struct Fig9Row {
     pub increase_ii_wins: u32,
 }
 
-/// Computes one Figure 9 row.
-pub fn fig9_row(loops: &[BenchLoop], machine: &MachineConfig, regs: u32) -> Fig9Row {
-    let ii_driver = IncreaseIiDriver::new();
-    let spill_driver = SpillDriver::new(SpillDriverOptions::default());
-    let best_driver = BestOfAllDriver::new(SpillDriverOptions::default());
+/// Computes one Figure 9 row on `jobs` worker threads.
+pub fn fig9_row(
+    loops: &[BenchLoop],
+    machine: &MachineConfig,
+    regs: u32,
+    jobs: NonZeroUsize,
+) -> Fig9Row {
     // Per loop: `(ii_of_increase_ii, ii_of_spill, ii_of_best)` for the
     // comparable subset, `None` for loops that need no reduction or are
     // non-convergent (excluded, as in the paper).
-    let per_loop = parallel_map(loops, harness_jobs(), |_, l| {
+    let per_loop = parallel_map(loops, jobs, |_, l| {
         let (_, ideal_regs) = ideal(l, machine);
         if ideal_regs <= regs {
             return None; // no reduction needed
         }
-        let by_ii = ii_driver.run(&l.ddg, machine, regs).ok()?;
-        let by_spill = spill_driver.run(&l.ddg, machine, regs).ok()?;
-        let by_best = best_driver.run(&l.ddg, machine, regs).ok()?;
-        debug_assert!(matches!(by_best.winner, Winner::Spill | Winner::IncreaseIi));
-        Some((by_ii.schedule.ii(), by_spill.schedule.ii(), by_best.schedule.ii()))
+        let ii_of = |s| compile(&l.ddg, machine, regs, &strategy(s)).ok().map(|c| c.ii());
+        Some((
+            ii_of(Strategy::IncreaseIi)?,
+            ii_of(Strategy::Spill)?,
+            ii_of(Strategy::BestOfAll)?,
+        ))
     });
     let mut row = Fig9Row::default();
     for (l, iis) in loops.iter().zip(per_loop) {
@@ -303,16 +315,47 @@ pub fn mcycles(c: u64) -> String {
 mod tests {
     use super::*;
 
+    const JOBS: NonZeroUsize = NonZeroUsize::new(2).unwrap();
+
     fn small_suite() -> Vec<BenchLoop> {
         suite(5, 40)
+    }
+
+    fn jobs_of(args: &[&str]) -> Result<NonZeroUsize, String> {
+        jobs_from_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn expt_arguments_are_at_most_one_jobs_flag() {
+        assert_eq!(jobs_of(&["--jobs", "3"]).unwrap().get(), 3);
+        assert!(jobs_of(&["--jobs", "0"]).unwrap_err().contains("--jobs"));
+        assert!(jobs_of(&["--jobs"]).unwrap_err().contains("needs a value"));
+        // No argument: REGPIPE_JOBS if set, else all cores.
+        if std::env::var("REGPIPE_JOBS").is_err() {
+            assert!(jobs_of(&[]).unwrap().get() >= 1);
+        }
+    }
+
+    #[test]
+    fn expt_arguments_other_than_jobs_are_named_errors() {
+        for (args, named) in [
+            (&["--jbos", "1"][..], "'--jbos'"),
+            (&["stray-arg"][..], "'stray-arg'"),
+            (&["--jobs", "2", "extra"][..], "'extra'"),
+            (&["--jobs", "2", "--jobs", "3"][..], "'--jobs'"),
+        ] {
+            let err = jobs_of(args).unwrap_err();
+            assert!(err.contains(named) && err.contains("[--jobs N]"), "{args:?}: {err}");
+        }
     }
 
     #[test]
     fn ideal_is_cheapest() {
         let loops = small_suite();
         let m = MachineConfig::p2l4();
-        let ideal_agg = run_ideal(&loops, &m);
-        let constrained = run_spill_variant(&loops, &m, 32, SpillDriverOptions::default());
+        let ideal_agg = run_ideal(&loops, &m, JOBS);
+        let constrained =
+            run_spill_variant(&loops, &m, 32, SpillDriverOptions::default(), JOBS);
         assert!(constrained.failures == 0, "all loops must fit after spilling");
         assert!(constrained.cycles >= ideal_agg.cycles);
         assert!(constrained.memory_refs >= ideal_agg.memory_refs);
@@ -322,8 +365,8 @@ mod tests {
     fn generous_budget_matches_ideal() {
         let loops = small_suite();
         let m = MachineConfig::p2l4();
-        let ideal_agg = run_ideal(&loops, &m);
-        let roomy = run_spill_variant(&loops, &m, 4096, SpillDriverOptions::default());
+        let ideal_agg = run_ideal(&loops, &m, JOBS);
+        let roomy = run_spill_variant(&loops, &m, 4096, SpillDriverOptions::default(), JOBS);
         assert_eq!(roomy.cycles, ideal_agg.cycles);
         assert_eq!(roomy.spilled, 0);
     }
@@ -333,8 +376,8 @@ mod tests {
         let loops = small_suite();
         let m = MachineConfig::p1l4();
         let variants = fig8_variants();
-        let slow = run_spill_variant(&loops, &m, 32, variants[1].options);
-        let fast = run_spill_variant(&loops, &m, 32, variants[3].options);
+        let slow = run_spill_variant(&loops, &m, 32, variants[1].options, JOBS);
+        let fast = run_spill_variant(&loops, &m, 32, variants[3].options, JOBS);
         assert!(fast.reschedules <= slow.reschedules);
         assert!(fast.iis_explored <= slow.iis_explored);
     }
@@ -343,10 +386,10 @@ mod tests {
     fn table1_row_is_consistent() {
         let loops = small_suite();
         let m = MachineConfig::p2l4();
-        let row = table1_row(&loops, &m, 32);
+        let row = table1_row(&loops, &m, 32, JOBS);
         assert!(row.cycle_share >= 0.0 && row.cycle_share <= 100.0);
         // 64 registers can only shrink the non-convergent set.
-        let row64 = table1_row(&loops, &m, 64);
+        let row64 = table1_row(&loops, &m, 64, JOBS);
         assert!(row64.non_convergent.len() <= row.non_convergent.len());
     }
 
@@ -354,7 +397,7 @@ mod tests {
     fn fig9_best_never_loses() {
         let loops = small_suite();
         let m = MachineConfig::p2l4();
-        let row = fig9_row(&loops, &m, 32);
+        let row = fig9_row(&loops, &m, 32, JOBS);
         assert!(row.best_cycles <= row.increase_ii_cycles.max(row.spill_cycles));
         if row.subset > 0 {
             assert!(row.best_cycles <= row.spill_cycles);

@@ -1,172 +1,75 @@
 //! Strategy 3: the "best of all" combination (paper Section 5).
 //!
 //! For a few loops increasing the II beats spilling. The paper proposes a
-//! cheap combination: run the spill driver first; its final II is an upper
-//! bound for an II-increase schedule worth having. Probe the *unspilled*
-//! loop by binary search between MII and that bound; if a fitting schedule
-//! exists there, it is better or equal (same or lower II, no extra memory
+//! cheap combination: spill first; the spilled loop's II is an upper bound
+//! for an II-increase schedule worth having. Probe the *unspilled* loop by
+//! binary search between MII and that bound; if a fitting schedule exists
+//! there, it is better or equal (same or lower II, no extra memory
 //! traffic), so keep it — otherwise keep the spilled schedule.
 
 use regpipe_ddg::Ddg;
-use regpipe_machine::MachineConfig;
-use regpipe_regalloc::AllocationResult;
-use regpipe_sched::{HrmsScheduler, LoopAnalysis, Schedule, Scheduler};
+use regpipe_sched::{LoopAnalysis, SchedRequest, Scheduler};
 
-use crate::increase_ii::IncreaseIiDriver;
-use crate::spill_driver::{SpillDriver, SpillDriverOptions, SpillFailure, SpillOutcome};
+use crate::compile::{FailureKind, Fit, Run, Strategy};
+use crate::spill_driver::SpillDriverOptions;
 
-/// Which strategy produced the final schedule.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Winner {
-    /// The spilled loop won (or the budget was met at MII outright).
-    Spill,
-    /// The unspilled loop at an increased II won.
-    IncreaseIi,
-}
-
-/// Outcome of the combined strategy.
-#[derive(Clone, Debug)]
-pub struct BestOfAllOutcome {
-    /// The final loop body (rewritten only if the spill schedule won).
-    pub ddg: Ddg,
-    /// The winning schedule.
-    pub schedule: Schedule,
-    /// Its allocation.
-    pub allocation: AllocationResult,
-    /// Which strategy won.
-    pub winner: Winner,
-    /// The spill run (kept for its statistics even when it loses).
-    pub spill: SpillOutcome,
-    /// Additional scheduling probes spent on the binary search.
-    pub probes: u32,
-}
-
-/// The combined driver.
-#[derive(Clone, Copy, Debug)]
-pub struct BestOfAllDriver<S = HrmsScheduler> {
-    scheduler: S,
-    options: SpillDriverOptions,
-}
-
-impl BestOfAllDriver<HrmsScheduler> {
-    /// Driver with the paper's HRMS core scheduler.
-    pub fn new(options: SpillDriverOptions) -> Self {
-        BestOfAllDriver { scheduler: HrmsScheduler::new(), options }
-    }
-}
-
-impl<S: Scheduler + Clone> BestOfAllDriver<S> {
-    /// Driver with a custom scheduler.
-    pub fn with_scheduler(scheduler: S, options: SpillDriverOptions) -> Self {
-        BestOfAllDriver { scheduler, options }
-    }
-
-    /// Runs spill-then-probe for a register budget of `regs`.
-    ///
-    /// # Errors
-    ///
-    /// Fails only if the spill strategy fails (the probe is best-effort).
-    pub fn run(
-        &self,
+impl<S: Scheduler> Run<'_, S> {
+    /// Spill, then probe. Fails only if spilling fails (the probe is
+    /// best-effort).
+    pub(crate) fn best_of_all(
+        &mut self,
         ddg: &Ddg,
-        machine: &MachineConfig,
-        regs: u32,
-    ) -> Result<BestOfAllOutcome, SpillFailure> {
-        let spill_driver = SpillDriver::with_scheduler(self.scheduler.clone(), self.options);
-        let spill_outcome = spill_driver.run(ddg, machine, regs)?;
-
-        if spill_outcome.spilled == 0 {
+        o: &SpillDriverOptions,
+    ) -> Result<Fit, FailureKind> {
+        let by_spill = self.spill(ddg, o)?;
+        if by_spill.spilled == 0 {
             // Fit at first try: nothing to compare.
-            return Ok(BestOfAllOutcome {
-                ddg: spill_outcome.ddg.clone(),
-                schedule: spill_outcome.schedule.clone(),
-                allocation: spill_outcome.allocation.clone(),
-                winner: Winner::Spill,
-                spill: spill_outcome,
-                probes: 0,
-            });
+            return Ok(by_spill);
         }
-
         // Binary search the unspilled loop in [MII, spill II]. Register
         // requirements are treated as monotonically non-increasing in II
-        // (true in the large; the paper makes the same assumption). All
-        // probes target the same unspilled graph, so they share one
-        // analysis context instead of paying for groups/recurrence
-        // bounds/reachability once per probe.
-        let prober = IncreaseIiDriver::with_scheduler(self.scheduler.clone());
-        let ctx = LoopAnalysis::new(ddg, machine);
-        let mut lo = ctx.mii();
-        let mut hi = spill_outcome.schedule.ii();
-        let mut probes = 0u32;
-        let mut best: Option<(Schedule, AllocationResult)> = None;
+        // (true in the large; the paper makes the same assumption). Every
+        // probe targets the same unspilled graph, so they share one
+        // analysis context.
+        let ctx = LoopAnalysis::new(ddg, self.machine);
+        let (mut lo, mut hi) = (ctx.mii(), by_spill.round.schedule.ii());
+        let mut probed = None;
         while lo <= hi {
-            // Cooperative deadline check-point: one per search probe.
-            regpipe_sched::deadline::check();
             let mid = lo + (hi - lo) / 2;
-            probes += 1;
-            match prober.probe_in(&ctx, mid) {
-                Ok((s, a)) if a.total() <= regs => {
-                    hi = s.ii().saturating_sub(1);
-                    best = Some((s, a));
+            match self.round(&ctx, &SchedRequest::exactly(mid), 0) {
+                Ok(round) if self.fits(&round) => {
+                    hi = round.schedule.ii().saturating_sub(1);
+                    probed = Some(round);
                 }
-                _ => {
-                    lo = mid + 1;
-                }
+                _ => lo = mid + 1,
             }
             if hi == 0 {
                 break;
             }
         }
-
-        match best {
-            Some((schedule, allocation)) if schedule.ii() <= spill_outcome.schedule.ii() => {
-                Ok(BestOfAllOutcome {
-                    ddg: ddg.clone(),
-                    schedule,
-                    allocation,
-                    winner: Winner::IncreaseIi,
-                    spill: spill_outcome,
-                    probes,
-                })
+        Ok(match probed {
+            Some(round) => {
+                Fit { ddg: ddg.clone(), round, spilled: 0, strategy: Strategy::IncreaseIi }
             }
-            _ => Ok(BestOfAllOutcome {
-                ddg: spill_outcome.ddg.clone(),
-                schedule: spill_outcome.schedule.clone(),
-                allocation: spill_outcome.allocation.clone(),
-                winner: Winner::Spill,
-                spill: spill_outcome,
-                probes,
-            }),
-        }
+            None => by_spill,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use regpipe_ddg::{DdgBuilder, OpKind};
+    use regpipe_machine::MachineConfig;
 
-    fn fig2() -> Ddg {
-        let mut b = DdgBuilder::new("fig2");
-        let ld = b.add_op(OpKind::Load, "Ld");
-        let mul = b.add_op(OpKind::Mul, "*");
-        let add = b.add_op(OpKind::Add, "+");
-        let st = b.add_op(OpKind::Store, "St");
-        b.reg(ld, mul);
-        b.reg_dist(ld, add, 3);
-        b.reg(mul, add);
-        b.reg(add, st);
-        b.build().unwrap()
-    }
+    use crate::compile::tests::{fig2, options};
+    use crate::compile::{compile, Strategy};
 
     #[test]
     fn generous_budget_short_circuits() {
-        let g = fig2();
         let m = MachineConfig::uniform(4, 2);
-        let out = BestOfAllDriver::new(SpillDriverOptions::default()).run(&g, &m, 32).unwrap();
-        assert_eq!(out.winner, Winner::Spill);
-        assert_eq!(out.probes, 0);
-        assert_eq!(out.schedule.ii(), 1);
+        let c = compile(&fig2(), &m, 32, &options(Strategy::BestOfAll)).unwrap();
+        assert_eq!(c.strategy_used(), Strategy::Spill);
+        assert_eq!(c.reschedules(), 1, "no probes");
+        assert_eq!(c.ii(), 1);
     }
 
     #[test]
@@ -174,18 +77,16 @@ mod tests {
         let g = fig2();
         let m = MachineConfig::uniform(4, 2);
         for budget in [4, 5, 6, 7, 8] {
-            let spill_only =
-                SpillDriver::new(SpillDriverOptions::default()).run(&g, &m, budget);
-            let combined =
-                BestOfAllDriver::new(SpillDriverOptions::default()).run(&g, &m, budget);
+            let spill_only = compile(&g, &m, budget, &options(Strategy::Spill));
+            let combined = compile(&g, &m, budget, &options(Strategy::BestOfAll));
             if let (Ok(s), Ok(c)) = (spill_only, combined) {
                 assert!(
-                    c.schedule.ii() <= s.schedule.ii(),
+                    c.ii() <= s.ii(),
                     "budget {budget}: combined II {} vs spill II {}",
-                    c.schedule.ii(),
-                    s.schedule.ii()
+                    c.ii(),
+                    s.ii()
                 );
-                assert!(c.allocation.total() <= budget);
+                assert!(c.registers_used() <= budget);
             }
         }
     }
@@ -197,11 +98,11 @@ mod tests {
         // tie — and the winner must never carry more memory ops.
         let g = fig2();
         let m = MachineConfig::uniform(4, 2);
-        let out = BestOfAllDriver::new(SpillDriverOptions::default()).run(&g, &m, 7).unwrap();
-        assert!(out.allocation.total() <= 7);
-        if out.winner == Winner::IncreaseIi {
-            assert_eq!(out.ddg.memory_ops(), g.memory_ops(), "no spill traffic");
+        let c = compile(&g, &m, 7, &options(Strategy::BestOfAll)).unwrap();
+        assert!(c.registers_used() <= 7);
+        if c.strategy_used() == Strategy::IncreaseIi {
+            assert_eq!(c.ddg().memory_ops(), g.memory_ops(), "no spill traffic");
         }
-        out.schedule.verify(&out.ddg, &m).unwrap();
+        c.schedule().verify(c.ddg(), &m).unwrap();
     }
 }

@@ -1,356 +1,105 @@
 //! Strategy 1: reschedule with an increased II (paper Section 3).
 
-use std::error::Error;
-use std::fmt;
-
 use regpipe_ddg::Ddg;
-use regpipe_machine::MachineConfig;
-use regpipe_regalloc::{allocate, AllocationResult, LifetimeAnalysis};
-use regpipe_sched::{
-    HrmsScheduler, LoopAnalysis, SchedError, SchedRequest, Schedule, Scheduler,
-};
+use regpipe_sched::{LoopAnalysis, SchedRequest, Scheduler};
 
-/// One measurement of the II sweep (a point of the paper's Figure 4).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct IiSweepPoint {
-    /// The initiation interval tried.
-    pub ii: u32,
-    /// Actual registers required by the schedule found at this II.
-    pub regs: u32,
-    /// Stage count of that schedule.
-    pub stage_count: u32,
-}
+use crate::compile::{FailureKind, Fit, Run, Strategy};
 
-/// Success: a schedule fitting the register budget.
-#[derive(Clone, Debug)]
-pub struct IncreaseIiOutcome {
-    /// The fitting schedule.
-    pub schedule: Schedule,
-    /// Its register allocation.
-    pub allocation: AllocationResult,
-    /// The minimum II of the loop (for slowdown accounting).
-    pub mii: u32,
-    /// The `(II, regs)` trail leading here.
-    pub trace: Vec<IiSweepPoint>,
-}
+/// Consecutive non-improving IIs after which the sweep gives up.
+const PLATEAU_WINDOW: u32 = 12;
 
-/// Failure: the sweep will never fit the budget.
-#[derive(Clone, Debug)]
-pub struct IncreaseIiFailure {
-    /// Why the sweep stopped.
-    pub kind: IncreaseIiFailureKind,
-    /// The smallest register requirement ever observed.
-    pub best_regs: u32,
-    /// The `(II, regs)` trail (the paper's Figure 4b when non-convergent).
-    pub trace: Vec<IiSweepPoint>,
-}
-
-/// Why an II sweep gave up.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum IncreaseIiFailureKind {
-    /// The schedule reached stage count 1 — no iteration overlap remains,
-    /// so larger IIs cannot reduce the requirement further (the register
-    /// floor of invariants + distance components + one iteration's values
-    /// is above the budget). This loop **never converges** (Section 3.1).
-    NeverConverges,
-    /// The requirement plateaued for the configured window without
-    /// improvement while still above budget (practical cutoff for the same
-    /// phenomenon).
-    Plateau,
-    /// The scheduler failed outright.
-    Sched(SchedError),
-}
-
-impl fmt::Display for IncreaseIiFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.kind {
-            IncreaseIiFailureKind::NeverConverges => {
-                write!(f, "increasing the II never converges (floor {} regs)", self.best_regs)
-            }
-            IncreaseIiFailureKind::Plateau => write!(
-                f,
-                "register requirement plateaued at {} regs above the budget",
-                self.best_regs
-            ),
-            IncreaseIiFailureKind::Sched(e) => write!(f, "scheduling failed: {e}"),
-        }
-    }
-}
-
-impl Error for IncreaseIiFailure {}
-
-/// The Figure 1a driver: schedule, allocate, and retry with `II + 1` until
-/// the allocation fits the register budget — detecting the loops for which
-/// this can never happen.
-#[derive(Clone, Copy, Debug)]
-pub struct IncreaseIiDriver<S = HrmsScheduler> {
-    scheduler: S,
-    /// Give up after this many consecutive IIs without improvement.
-    plateau_window: u32,
-}
-
-impl Default for IncreaseIiDriver<HrmsScheduler> {
-    fn default() -> Self {
-        IncreaseIiDriver { scheduler: HrmsScheduler::new(), plateau_window: 12 }
-    }
-}
-
-impl IncreaseIiDriver<HrmsScheduler> {
-    /// Driver with the paper's HRMS core scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<S: Scheduler> IncreaseIiDriver<S> {
-    /// Driver with a custom scheduler (the framework is scheduler-agnostic).
-    pub fn with_scheduler(scheduler: S) -> Self {
-        IncreaseIiDriver { scheduler, plateau_window: 12 }
-    }
-
-    /// Sets the plateau cutoff window (consecutive non-improving IIs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn plateau_window(mut self, window: u32) -> Self {
-        assert!(window > 0, "plateau window must be positive");
-        self.plateau_window = window;
-        self
-    }
-
-    /// Runs the sweep until the allocation fits in `regs`.
-    ///
-    /// # Errors
-    ///
-    /// [`IncreaseIiFailure`] with the sweep trace when the loop cannot fit:
-    /// either provably (stage count 1) or by plateau cutoff.
-    pub fn run(
-        &self,
-        ddg: &Ddg,
-        machine: &MachineConfig,
-        regs: u32,
-    ) -> Result<IncreaseIiOutcome, IncreaseIiFailure> {
-        // The graph never changes during a sweep: one analysis context
-        // serves every II probe.
-        let ctx = LoopAnalysis::new(ddg, machine);
-        let lower = ctx.mii();
-        let cap = ctx.fallback_max_ii().max(lower);
-        let mut trace = Vec::new();
-        let mut best = u32::MAX;
+impl<S: Scheduler> Run<'_, S> {
+    /// The Figure 1a sweep: schedule, allocate, and retry at `II + 1` until
+    /// the allocation fits, detecting the loops for which this can never
+    /// happen (stage count 1 or the II ceiling) or stops paying off (a
+    /// plateau). The graph never changes, so one analysis context serves
+    /// every round.
+    pub(crate) fn increase_ii(&mut self, ddg: &Ddg) -> Result<Fit, FailureKind> {
+        let ctx = LoopAnalysis::new(ddg, self.machine);
+        let cap = ctx.fallback_max_ii().max(ctx.mii());
         let mut since_improvement = 0u32;
-
-        let mut ii = lower;
+        let mut ii = ctx.mii();
         loop {
-            // Cooperative deadline check-point: one per II probe.
-            regpipe_sched::deadline::check();
-            let sched = match self
-                .scheduler
-                .schedule_in(&ctx, &SchedRequest { min_ii: Some(ii), max_ii: None })
-            {
-                Ok(s) => s,
-                Err(e) => {
-                    return Err(IncreaseIiFailure {
-                        kind: IncreaseIiFailureKind::Sched(e),
-                        best_regs: best,
-                        trace,
-                    })
-                }
-            };
-            // The scheduler may have skipped infeasible IIs; continue from
-            // what it actually found.
-            let found_ii = sched.ii();
-            let allocation = allocate(ddg, &sched);
-            let point = IiSweepPoint {
-                ii: found_ii,
-                regs: allocation.total(),
-                stage_count: sched.stage_count(),
-            };
-            trace.push(point.clone());
-
-            if allocation.total() <= regs {
-                return Ok(IncreaseIiOutcome {
-                    schedule: sched,
-                    allocation,
-                    mii: lower,
-                    trace,
+            let best = self.best_regs();
+            let round = self
+                .round(&ctx, &SchedRequest::starting_at(ii), 0)
+                .map_err(FailureKind::Sched)?;
+            if self.fits(&round) {
+                return Ok(Fit {
+                    ddg: ddg.clone(),
+                    round,
+                    spilled: 0,
+                    strategy: Strategy::IncreaseIi,
                 });
             }
-            if allocation.total() < best {
-                best = allocation.total();
+            if best.is_none_or(|b| round.allocation.total() < b) {
                 since_improvement = 0;
             } else {
                 since_improvement += 1;
             }
             // Stage count 1: no overlap left to remove. The remaining
             // requirement is the loop's floor; bigger IIs cannot help.
-            if sched.stage_count() == 1 {
-                return Err(IncreaseIiFailure {
-                    kind: IncreaseIiFailureKind::NeverConverges,
-                    best_regs: best,
-                    trace,
-                });
+            if round.schedule.stage_count() == 1 {
+                return Err(FailureKind::NeverConverges);
             }
-            if since_improvement >= self.plateau_window {
-                return Err(IncreaseIiFailure {
-                    kind: IncreaseIiFailureKind::Plateau,
-                    best_regs: best,
-                    trace,
-                });
+            if since_improvement >= PLATEAU_WINDOW {
+                return Err(FailureKind::Plateau);
             }
-            if found_ii >= cap {
-                return Err(IncreaseIiFailure {
-                    kind: IncreaseIiFailureKind::NeverConverges,
-                    best_regs: best,
-                    trace,
-                });
+            if round.schedule.ii() >= cap {
+                return Err(FailureKind::NeverConverges);
             }
-            ii = found_ii + 1;
+            // The scheduler may have skipped infeasible IIs; continue from
+            // what it actually found.
+            ii = round.schedule.ii() + 1;
         }
-    }
-
-    /// Probes one exact II: schedules at `ii` (exactly) and allocates.
-    ///
-    /// Used by the best-of-all combination's binary search.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the scheduler error when no schedule exists at `ii`.
-    pub fn probe(
-        &self,
-        ddg: &Ddg,
-        machine: &MachineConfig,
-        ii: u32,
-    ) -> Result<(Schedule, AllocationResult), SchedError> {
-        self.probe_in(&LoopAnalysis::new(ddg, machine), ii)
-    }
-
-    /// [`IncreaseIiDriver::probe`] within a prebuilt analysis context, so a
-    /// probe sequence over one loop (the best-of-all binary search) shares
-    /// the II-independent work across probes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the scheduler error when no schedule exists at `ii`.
-    pub fn probe_in(
-        &self,
-        ctx: &LoopAnalysis<'_>,
-        ii: u32,
-    ) -> Result<(Schedule, AllocationResult), SchedError> {
-        let sched = self.scheduler.schedule_in(ctx, &SchedRequest::exactly(ii))?;
-        let allocation = allocate(ctx.ddg(), &sched);
-        Ok((sched, allocation))
-    }
-
-    /// An II-independent lower bound on the loop's register requirement:
-    /// live invariants plus the distance-component registers of the current
-    /// schedule (Section 3.1's convergence predictor). When this exceeds
-    /// the budget, the sweep is doomed before it starts.
-    pub fn register_floor(&self, ddg: &Ddg, schedule: &Schedule) -> u32 {
-        let analysis = LifetimeAnalysis::new(ddg, schedule);
-        analysis.distance_component_regs() + analysis.live_invariants()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use regpipe_ddg::{DdgBuilder, OpKind};
+    use regpipe_machine::MachineConfig;
 
-    /// The paper's example loop (Figure 2).
-    fn fig2() -> Ddg {
-        let mut b = DdgBuilder::new("fig2");
-        let ld = b.add_op(OpKind::Load, "Ld");
-        let mul = b.add_op(OpKind::Mul, "*");
-        let add = b.add_op(OpKind::Add, "+");
-        let st = b.add_op(OpKind::Store, "St");
-        b.reg(ld, mul);
-        b.reg_dist(ld, add, 3);
-        b.reg(mul, add);
-        b.reg(add, st);
-        b.build().unwrap()
-    }
+    use crate::compile::tests::{fig2, options, taps};
+    use crate::compile::{compile, CompileError, FailureKind, Strategy};
 
     #[test]
     fn generous_budget_accepts_mii_schedule() {
-        let g = fig2();
         let m = MachineConfig::uniform(4, 2);
-        let out = IncreaseIiDriver::new().run(&g, &m, 32).unwrap();
-        assert_eq!(out.schedule.ii(), 1);
-        assert_eq!(out.trace.len(), 1);
+        let c = compile(&fig2(), &m, 32, &options(Strategy::IncreaseIi)).unwrap();
+        assert_eq!(c.ii(), 1);
+        assert_eq!(c.trace().len(), 1);
     }
 
     #[test]
     fn tight_budget_forces_larger_ii() {
-        let g = fig2();
         let m = MachineConfig::uniform(4, 2);
         // At II=1 the loop needs ~11 registers; at II=2, ~7 (Figure 3).
-        let out = IncreaseIiDriver::new().run(&g, &m, 7).unwrap();
-        assert!(out.schedule.ii() >= 2);
-        assert!(out.allocation.total() <= 7);
-        assert!(out.trace.len() >= 2, "at least one refusal then success");
+        let c = compile(&fig2(), &m, 7, &options(Strategy::IncreaseIi)).unwrap();
+        assert!(c.ii() >= 2);
+        assert!(c.registers_used() <= 7);
+        assert!(c.trace().len() >= 2, "at least one refusal then success");
     }
 
     #[test]
     fn distance_floor_makes_budget_unreachable() {
-        // Seven parallel long-distance taps, each pinned by a zero-distance
-        // use of the same value (so the consumer cannot be hoisted before
-        // the producer): every lifetime keeps a 5-iteration distance
-        // component, 7 x 5 = 35 registers at *any* II.
-        let mut b = DdgBuilder::new("floor");
-        for i in 0..7 {
-            let ld = b.add_op(OpKind::Load, format!("ld{i}"));
-            let add = b.add_op(OpKind::Add, format!("a{i}"));
-            let st = b.add_op(OpKind::Store, format!("s{i}"));
-            b.reg(ld, add);
-            b.reg_dist(ld, add, 5);
-            b.reg(add, st);
-        }
-        let g = b.build().unwrap();
         let m = MachineConfig::p2l4();
-        let err = IncreaseIiDriver::new().run(&g, &m, 16).unwrap_err();
+        let err = compile(&taps(), &m, 16, &options(Strategy::IncreaseIi)).unwrap_err();
+        let CompileError::IncreaseIi(f) = err else { panic!("expected increase-II failure") };
         assert!(
-            matches!(
-                err.kind,
-                IncreaseIiFailureKind::NeverConverges | IncreaseIiFailureKind::Plateau
-            ),
+            matches!(f.kind, FailureKind::NeverConverges | FailureKind::Plateau),
             "got {:?}",
-            err.kind
+            f.kind
         );
-        assert!(err.best_regs > 16);
-        assert!(err.trace.len() > 1);
+        assert!(f.best_regs.unwrap() > 16);
+        assert!(f.trace.len() > 1);
     }
 
     #[test]
     fn trace_iis_are_strictly_increasing() {
-        let g = fig2();
         let m = MachineConfig::uniform(4, 2);
-        let out = IncreaseIiDriver::new().run(&g, &m, 5).unwrap();
-        for w in out.trace.windows(2) {
+        let c = compile(&fig2(), &m, 5, &options(Strategy::IncreaseIi)).unwrap();
+        for w in c.trace().windows(2) {
             assert!(w[1].ii > w[0].ii);
         }
-    }
-
-    #[test]
-    fn probe_schedules_exact_ii() {
-        let g = fig2();
-        let m = MachineConfig::uniform(4, 2);
-        let (s, a) = IncreaseIiDriver::new().probe(&g, &m, 3).unwrap();
-        assert_eq!(s.ii(), 3);
-        assert!(a.total() > 0);
-    }
-
-    #[test]
-    fn register_floor_counts_distance_and_invariants() {
-        let mut b = DdgBuilder::new("f");
-        let ld = b.add_op(OpKind::Load, "ld");
-        let add = b.add_op(OpKind::Add, "a");
-        b.reg_dist(ld, add, 4);
-        b.invariant("k", &[add]);
-        let g = b.build().unwrap();
-        let m = MachineConfig::p2l4();
-        let driver = IncreaseIiDriver::new();
-        let (s, _) = driver.probe(&g, &m, regpipe_sched::mii(&g, &m)).unwrap();
-        assert_eq!(driver.register_floor(&g, &s), 5, "4 distance regs + 1 invariant");
     }
 }

@@ -1,32 +1,38 @@
 //! Register-constrained software pipelining.
 //!
 //! This crate is the paper's contribution proper: given a loop, a machine
-//! and a register budget `R`, produce a modulo schedule whose register
-//! requirement fits in `R`. Three strategies are provided:
+//! and a register budget `R`, [`compile`] produces a modulo schedule whose
+//! register requirement fits in `R`. Every [`Strategy`] repeats one round
+//! (schedule, analyse lifetimes, allocate the rotating file) and differs
+//! only in what it changes when the allocation exceeds `R`:
 //!
-//! * [`IncreaseIiDriver`] — reschedule with ever larger IIs until the
+//! * [`Strategy::IncreaseIi`] — reschedule at ever larger IIs until the
 //!   requirement fits (Figure 1a, the Cydra 5 approach). Cheap, but
 //!   performance decays quickly and — the paper's key negative result —
 //!   it **never converges** for some loops, because loop invariants and
 //!   the distance components of lifetimes put an II-independent floor
 //!   under the register requirement (Section 3.1).
-//! * [`SpillDriver`] — iteratively select lifetimes (Max(LT) or
-//!   Max(LT/Traf)), rewrite the graph with spill code, and reschedule until
-//!   the requirement fits (Figure 1b, Section 4). Optional accelerations
-//!   from Section 4.5: spilling *several lifetimes at once* driven by an
+//! * [`Strategy::Spill`] — select lifetimes with a [`SpillPolicyKind`]
+//!   (the paper's Max(LT) or Max(LT/Traf) by default), rewrite the graph
+//!   with spill code, and reschedule until the requirement fits (Figure 1b,
+//!   Section 4). [`SpillDriverOptions`] turns on Section 4.5's
+//!   accelerations: spilling *several lifetimes at once* driven by an
 //!   optimistic MaxLive estimate, and *II-search pruning* that restarts
 //!   each reschedule at `max(MII, previous II)`.
-//! * [`BestOfAllDriver`] — the Section 5 combination: spill first, then
-//!   probe the unspilled loop at IIs up to the spill result's II (binary
-//!   search); keep whichever schedule is better.
+//! * [`Strategy::BestOfAll`] — the Section 5 combination and the default:
+//!   spill first, then probe the unspilled loop at IIs up to the spill
+//!   result's II (binary search); keep whichever schedule is better.
 //!
-//! All three drivers are generic over the core modulo scheduler — the
-//! paper's framework "can be applied to any software pipelining
-//! technique" — and [`CompileOptions::scheduler`] selects one from the
-//! `regpipe_sched` registry (`SchedulerKind`: HRMS, SMS, or the ASAP
-//! baseline), making `strategy × scheduler` a full evaluation matrix.
+//! Each round leaves a [`TracePoint`] (MII, II, IIs tried, stage count,
+//! registers, memory traffic), so a [`CompiledLoop`] or a [`Failure`]
+//! explains itself: [`CompiledLoop::trace`] is the paper's Figure 4 or
+//! Figure 7 series for that loop.
 //!
-//! The one-call entry point is [`compile`].
+//! The strategies are scheduler-agnostic — the paper's framework "can be
+//! applied to any software pipelining technique". [`CompileOptions::scheduler`]
+//! selects one from the `regpipe_sched` registry ([`SchedulerKind`]: HRMS,
+//! SMS, the ASAP baseline or the exact oracle), and [`compile_with`] takes
+//! any other `Scheduler`.
 //!
 //! ```
 //! use regpipe_core::{compile, CompileOptions};
@@ -47,6 +53,9 @@
 //! let compiled = compile(&ddg, &machine, 4, &CompileOptions::default())
 //!     .expect("fits in 4 registers after spilling");
 //! assert!(compiled.registers_used() <= 4);
+//! // The first round scheduled the unspilled loop and did not fit.
+//! assert_eq!(compiled.trace()[0].spilled, 0);
+//! assert!(compiled.trace()[0].regs > 4);
 //! # Ok::<(), regpipe_ddg::DdgError>(())
 //! ```
 
@@ -58,16 +67,13 @@ mod compile;
 mod increase_ii;
 mod spill_driver;
 
-pub use best_of_all::{BestOfAllDriver, BestOfAllOutcome, Winner};
-pub use compile::{compile, CompileError, CompileOptions, CompiledLoop, Strategy};
-// Part of `CompileOptions`' public surface: downstream crates select the
-// scheduler axis without depending on `regpipe_sched` directly.
-pub use increase_ii::{IiSweepPoint, IncreaseIiDriver, IncreaseIiFailure, IncreaseIiOutcome};
-pub use regpipe_sched::SchedulerKind;
-// Part of `CompileOptions`' public surface, like the scheduler axis above:
-// downstream crates select the spill policy without depending on
-// `regpipe_spill` directly.
-pub use regpipe_spill::SpillPolicyKind;
-pub use spill_driver::{
-    SpillDriver, SpillDriverOptions, SpillFailure, SpillOutcome, SpillTracePoint,
+pub use compile::{
+    compile, compile_with, CompileError, CompileOptions, CompiledLoop, Failure, FailureKind,
+    Strategy, TracePoint,
 };
+// Part of `CompileOptions`' public surface: downstream crates select the
+// scheduler and spill-policy axes without depending on `regpipe_sched` or
+// `regpipe_spill` directly.
+pub use regpipe_sched::SchedulerKind;
+pub use regpipe_spill::SpillPolicyKind;
+pub use spill_driver::SpillDriverOptions;

@@ -1,4 +1,4 @@
-//! Worker-count policy and output-stability switches.
+//! Worker-count policy and the wall-time switch.
 
 use std::num::NonZeroUsize;
 
@@ -28,12 +28,12 @@ fn parse_jobs(source: &str, raw: &str) -> Result<NonZeroUsize, String> {
         .map_err(|_| format!("{source} must be a positive integer, got '{raw}'"))
 }
 
-/// Whether wall-clock fields should be suppressed from human-readable
-/// output (`REGPIPE_STABLE_OUTPUT=1`), so runs can be byte-compared across
-/// job counts and machines. Timings are the only non-deterministic part of
-/// a batch run; everything else is identical regardless of this switch.
-pub fn stable_output() -> bool {
-    std::env::var("REGPIPE_STABLE_OUTPUT").is_ok_and(|v| v == "1")
+/// Whether `REGPIPE_BENCH_TIMING=1` opts wall-clock time into reports and
+/// human output. Off by default: timings are the only non-deterministic
+/// part of a run, so without it every output byte-compares across job
+/// counts and machines.
+pub fn bench_timing() -> bool {
+    std::env::var("REGPIPE_BENCH_TIMING").is_ok_and(|v| v == "1")
 }
 
 #[cfg(test)]

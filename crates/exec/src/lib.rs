@@ -23,8 +23,8 @@
 //!   parallelism. Invalid values are hard errors, never silent fallbacks.
 //!
 //! Wall-clock times are the only non-deterministic fields; they are kept
-//! out of [`BatchReport::to_json`] unless timing is explicitly requested,
-//! and suppressed from human output when [`stable_output`] is on.
+//! out of [`BatchReport::to_json`] and human output unless timing is
+//! explicitly requested ([`bench_timing`]).
 //!
 //! The crate has no registry dependencies (the environment is offline);
 //! JSON support is a small vendored value model in [`json`].
@@ -63,5 +63,5 @@ pub use batch::{
     parse_strategy, run_batch, strategy_slug, BatchAggregate, BatchReport, BatchRequest,
     CellOutcome, CellStatus,
 };
-pub use jobs::{resolve_jobs, stable_output};
+pub use jobs::{bench_timing, resolve_jobs};
 pub use pmap::parallel_map;

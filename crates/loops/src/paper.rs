@@ -105,10 +105,14 @@ pub fn apsi50_like() -> Ddg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regpipe_core::{IncreaseIiDriver, SpillDriver, SpillDriverOptions};
+    use regpipe_core::{compile, CompileOptions, Strategy};
     use regpipe_machine::MachineConfig;
     use regpipe_regalloc::allocate;
     use regpipe_sched::{mii, HrmsScheduler, SchedRequest, Scheduler};
+
+    fn options(strategy: Strategy) -> CompileOptions {
+        CompileOptions { strategy, ..CompileOptions::default() }
+    }
 
     #[test]
     fn example_loop_matches_figure2() {
@@ -125,31 +129,31 @@ mod tests {
         let m = MachineConfig::p2l4();
         let lo = mii(&g, &m);
         assert_eq!(lo, 8, "15 multiplies on 2 units (paper's loop sits at 7)");
-        let driver = IncreaseIiDriver::new();
-        let (s, a) = driver.probe(&g, &m, lo).unwrap();
+        let s = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::exactly(lo)).unwrap();
+        let a = allocate(&g, &s);
         assert!(a.total() >= 45, "high pressure at MII: {}", a.total());
-        let _ = s;
         // Converges at both register budgets (Figure 4a).
-        let at32 = driver.run(&g, &m, 32).expect("fits 32 by increasing II");
-        assert!(at32.schedule.ii() > lo);
-        let at16 = driver.run(&g, &m, 16).expect("fits 16 by increasing II");
-        assert!(at16.schedule.ii() > at32.schedule.ii());
+        let increase_ii = options(Strategy::IncreaseIi);
+        let at32 = compile(&g, &m, 32, &increase_ii).expect("fits 32 by increasing II");
+        assert!(at32.ii() > lo);
+        let at16 = compile(&g, &m, 16, &increase_ii).expect("fits 16 by increasing II");
+        assert!(at16.ii() > at32.ii());
     }
 
     #[test]
     fn apsi50_never_converges_but_spills_fine() {
         let g = apsi50_like();
         let m = MachineConfig::p2l4();
-        let driver = IncreaseIiDriver::new();
-        let err = driver.run(&g, &m, 32).expect_err("Figure 4b: never converges to 32");
-        assert!(err.best_regs > 32);
+        let err = compile(&g, &m, 32, &options(Strategy::IncreaseIi))
+            .expect_err("Figure 4b: never converges to 32");
+        assert!(err.failure().best_regs.unwrap() > 32);
         // Spilling reaches 32 and even 16 registers (Figure 7b).
-        let spill = SpillDriver::new(SpillDriverOptions::default());
-        let at32 = spill.run(&g, &m, 32).expect("spill fits 32");
-        at32.schedule.verify(&at32.ddg, &m).unwrap();
-        let at16 = spill.run(&g, &m, 16).expect("spill fits 16");
-        assert!(at16.allocation.total() <= 16);
-        assert!(at16.spilled >= at32.spilled);
+        let spill = options(Strategy::Spill);
+        let at32 = compile(&g, &m, 32, &spill).expect("spill fits 32");
+        at32.schedule().verify(at32.ddg(), &m).unwrap();
+        let at16 = compile(&g, &m, 16, &spill).expect("spill fits 16");
+        assert!(at16.registers_used() <= 16);
+        assert!(at16.spilled() >= at32.spilled());
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //!
 //! A long-lived daemon cannot afford an unbounded compile: the exact
 //! scheduler's branch-and-bound can blow up, and even the heuristic
-//! drivers sweep many IIs on pathological loops. This module threads a
-//! *cooperative* check-budget through the schedulers and drivers without
-//! changing a single signature: [`arm`] installs a thread-local deadline
-//! for the current request, and the hot loops call [`check`] at their
-//! natural round boundaries (driver rounds, II probes, every 1024
-//! branch-and-bound nodes).
+//! strategies sweep many IIs on pathological loops. This module threads a
+//! *cooperative* check-budget through the schedulers without changing a
+//! single signature: [`arm`] installs a thread-local deadline for the
+//! current request, and the hot loops call [`check`] at their natural
+//! round boundaries (every `SchedulerKind` call, which each compile round
+//! and probe makes, and every 1024 branch-and-bound nodes).
 //!
 //! When the deadline has passed, [`check`] cancels the compile by
 //! unwinding with a dedicated [`DeadlineExceeded`] payload. All compile
 //! state is request-local (there is no shared mutable state below the
-//! driver layer), so the unwind simply discards the partial work; the
+//! compile layer), so the unwind simply discards the partial work; the
 //! caller catches it with `std::panic::catch_unwind`, recognizes the
 //! payload with [`is_deadline_panic`], and degrades gracefully — a
 //! structured `deadline` error instead of a hung worker.

@@ -1,7 +1,7 @@
 //! The per-loop analysis context: everything a modulo scheduler derives
 //! from a `(Ddg, MachineConfig)` pair that does *not* depend on the
 //! candidate II, computed once and shared across the whole II search — and,
-//! through the drivers in `regpipe-core`, across entire compile runs.
+//! through the rounds of `regpipe_core::compile`, across entire compile runs.
 //!
 //! Before this layer existed every II probe rebuilt the complex-operation
 //! groups, the group-level super graph, its SCCs, the per-recurrence RecMII
@@ -15,7 +15,7 @@
 //!
 //! A context is a pure function of the graph and machine it was built from
 //! and holds borrows of both, so it can never outlive them. The compile
-//! drivers must rebuild the context whenever the graph is *rewritten* —
+//! strategies must rebuild the context whenever the graph is *rewritten* —
 //! spill-code insertion (`regpipe_spill::spill` /
 //! `regpipe_spill::spill_batch`) is the only mutation point in the
 //! pipeline. [`LoopAnalysis::matches`] is a cheap guard for debug

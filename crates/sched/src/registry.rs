@@ -2,11 +2,12 @@
 //! runs a first-class, serializable axis of the evaluation matrix, next to
 //! the register-reduction strategy.
 //!
-//! The enum itself implements [`Scheduler`] by dispatch, so the generic
-//! drivers in `regpipe-core` (`SpillDriver::with_scheduler` and friends)
-//! accept it directly — no boxing, `Copy` options structs keep working, and
-//! a `SchedulerKind` travels through `CompileOptions`, `BatchRequest` and
-//! the `BENCH_*.json` reports as a plain slug (`hrms`, `sms`, `asap`).
+//! The enum itself implements [`Scheduler`] by dispatch, so
+//! `regpipe_core::compile` runs every round through it directly (and
+//! `regpipe_core::compile_with` accepts any other `Scheduler`) — no boxing,
+//! `Copy` options structs keep working, and a `SchedulerKind` travels
+//! through `CompileOptions`, `BatchRequest` and the `BENCH_*.json` reports
+//! as a plain slug (`hrms`, `sms`, `asap`, `exact`).
 
 use std::fmt;
 
@@ -90,8 +91,9 @@ impl Scheduler for SchedulerKind {
         ctx: &LoopAnalysis<'_>,
         request: &SchedRequest,
     ) -> Result<Schedule, SchedError> {
-        // Every driver round and II probe funnels through this dispatch,
-        // so one cooperative deadline check-point here bounds them all.
+        // Every compile round and best-of-all probe funnels through this
+        // dispatch, so one cooperative deadline check-point here bounds
+        // them all.
         crate::deadline::check();
         match self {
             SchedulerKind::Hrms => HrmsScheduler::new().schedule_in(ctx, request),

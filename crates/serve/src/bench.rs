@@ -16,10 +16,6 @@ use regpipe_exec::strategy_slug;
 use crate::replay::{base_requests, replay_in_process, IdPolicy, ReplayConfig, ReplaySource};
 use crate::server::{ServeOptions, Server};
 
-/// Environment variable that opts wall-clock fields into bench reports
-/// (same switch as the compile benchmark).
-pub const TIMING_ENV: &str = "REGPIPE_BENCH_TIMING";
-
 /// Configuration of one serve-benchmark run.
 #[derive(Clone, Debug)]
 pub struct ServeBenchConfig {

@@ -47,7 +47,7 @@ pub mod replay;
 mod server;
 pub mod store;
 
-pub use bench::{run_serve_bench, ServeBenchConfig, ServeBenchReport, ServeTiming, TIMING_ENV};
+pub use bench::{run_serve_bench, ServeBenchConfig, ServeBenchReport, ServeTiming};
 pub use cache::{CacheKey, ShardStats, ShardedCache};
 #[cfg(unix)]
 pub use chaos::{run_chaos, write_responses, ChaosConfig, ChaosReport};

@@ -9,7 +9,7 @@
 //! * lifetimes cross iteration boundaries (the spill store and its reloads
 //!   can be δ iterations apart);
 //! * the schedule is dense, so spill operations usually force a
-//!   *reschedule* (handled by the drivers in `regpipe-core`);
+//!   *reschedule* (handled by `regpipe_core::compile`);
 //! * naive rescheduling can move the reloads away from their consumers and
 //!   *increase* pressure, or re-select the fresh spill lifetimes and loop
 //!   forever.

@@ -10,9 +10,10 @@
 //! 3. **transform** — [`spill_batch`](crate::spill_batch) rewrites the graph
 //!    for the chosen victims.
 //!
-//! The drivers in `regpipe-core` never rank candidates themselves; they hand
-//! the pool to whichever [`SpillPolicyKind`] the compile options carry, in
-//! the same registry shape as `regpipe_sched::SchedulerKind`.
+//! `regpipe_core::compile` never ranks candidates itself: each spill round
+//! builds the pool from that round's own lifetime analysis and hands it to
+//! whichever [`SpillPolicyKind`] the compile options carry, in the same
+//! registry shape as `regpipe_sched::SchedulerKind`.
 
 use std::fmt;
 
@@ -44,7 +45,7 @@ pub enum SpillPolicyKind {
     FurthestNextUse,
     /// Stress policy: a deterministic rotation over the identity-ordered
     /// pool, advanced by the reschedule round. Exists to exercise the
-    /// drivers' convergence safeguards with adversarial victim choices,
+    /// spill strategy's convergence safeguards with adversarial victim choices,
     /// not to produce good schedules.
     RoundRobin,
 }
@@ -178,7 +179,7 @@ pub trait SpillPolicy {
         pool
     }
 
-    /// Picks the single best victim (the non-accelerated driver path).
+    /// Picks the single best victim (the non-accelerated spill path).
     fn select<'a>(
         &self,
         candidates: &'a [SpillCandidate],

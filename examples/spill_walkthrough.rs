@@ -4,11 +4,10 @@
 //!
 //! Run with `cargo run --example spill_walkthrough`.
 
-use regpipe::core::{SpillDriver, SpillDriverOptions};
 use regpipe::loops::paper::example_loop;
 use regpipe::prelude::*;
 use regpipe::regalloc::LifetimeAnalysis;
-use regpipe::sched::{Kernel, SchedRequest};
+use regpipe::sched::SchedRequest;
 use regpipe::spill::SelectHeuristic;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,27 +42,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Step 3 — Figures 5/6: spill the long lifetime V1 instead.
-    let driver = SpillDriver::new(SpillDriverOptions {
-        heuristic: SelectHeuristic::MaxLt,
-        multi_spill: false,
-        last_ii_pruning: false,
-        ii_relief: true,
-        max_rounds: 16,
-        ..SpillDriverOptions::default()
-    });
-    let out = driver.run(&g, &m, 6)?; // 5 variant regs + the invariant a
+    let options = CompileOptions {
+        strategy: Strategy::Spill,
+        spill: SpillDriverOptions {
+            max_rounds: 16,
+            ..SpillDriverOptions::unaccelerated(SelectHeuristic::MaxLt)
+        },
+        ..CompileOptions::default()
+    };
+    let out = compile(&g, &m, 6, &options)?; // 5 variant regs + the invariant a
     println!(
         "\nafter spilling {} lifetime(s): II = {}, {} variant registers (paper: 5)",
-        out.spilled,
-        out.schedule.ii(),
-        out.allocation.variant_regs()
+        out.spilled(),
+        out.ii(),
+        out.allocation().variant_regs()
     );
     println!(
         "memory traffic rose from {} to {} operations per iteration — the \
          price of freeing registers",
         g.memory_ops(),
-        out.ddg.memory_ops()
+        out.ddg().memory_ops()
     );
-    println!("\nfinal kernel:\n{}", Kernel::new(&out.ddg, &out.schedule));
+    println!("\nfinal kernel:\n{}", out.kernel());
     Ok(())
 }

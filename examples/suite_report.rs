@@ -5,7 +5,6 @@
 
 use std::collections::BTreeMap;
 
-use regpipe::core::{SpillDriver, SpillDriverOptions};
 use regpipe::loops::suite;
 use regpipe::prelude::*;
 use regpipe::sched::SchedRequest;
@@ -13,7 +12,7 @@ use regpipe::sched::SchedRequest;
 fn main() {
     let loops = suite(2026, 100);
     let machine = MachineConfig::p2l4();
-    let driver = SpillDriver::new(SpillDriverOptions::default());
+    let spill = CompileOptions { strategy: Strategy::Spill, ..CompileOptions::default() };
     let scheduler = HrmsScheduler::new();
 
     // (loops, ideal cycles, constrained cycles, spills) per archetype.
@@ -23,12 +22,13 @@ fn main() {
         let ideal = scheduler
             .schedule(&l.ddg, &machine, &SchedRequest::default())
             .expect("suite loops are schedulable");
-        let constrained = driver.run(&l.ddg, &machine, 32).expect("spilling always fits 32");
+        let constrained =
+            compile(&l.ddg, &machine, 32, &spill).expect("spilling always fits 32");
         let entry = per_kind.entry(kind).or_default();
         entry.0 += 1;
         entry.1 += l.cycles(ideal.ii());
-        entry.2 += l.cycles(constrained.schedule.ii());
-        entry.3 += u64::from(constrained.spilled);
+        entry.2 += l.cycles(constrained.ii());
+        entry.3 += u64::from(constrained.spilled());
     }
 
     println!("=== 100-loop suite on {machine} with 32 registers ===\n");

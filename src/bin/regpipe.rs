@@ -20,7 +20,9 @@ use std::str::FromStr;
 use regpipe::bench::{CompileBenchConfig, GapConfig, DEFAULT_SPILL_BUDGET};
 use regpipe::core::{compile, CompileOptions, SpillPolicyKind, Strategy};
 use regpipe::ddg::{textfmt, to_dot, Ddg};
-use regpipe::exec::{parse_strategy, resolve_jobs, run_batch, strategy_slug, BatchRequest};
+use regpipe::exec::{
+    bench_timing, parse_strategy, resolve_jobs, run_batch, strategy_slug, BatchRequest,
+};
 use regpipe::loops::{
     generate, load_corpus, suite, suite_size_from_env, write_corpus, BenchLoop, GenParams,
     WeightDist,
@@ -30,7 +32,7 @@ use regpipe::regalloc::allocate;
 use regpipe::sched::{mii, rec_mii, PipelinedLoop, SchedRequest, Scheduler, SchedulerKind};
 use regpipe::serve::{
     base_requests, replay_in_process, run_serve_bench, serve_stdin, IdPolicy, ReplayConfig,
-    ReplaySource, RetryPolicy, ServeBenchConfig, ServeOptions, Server, TIMING_ENV,
+    ReplaySource, RetryPolicy, ServeBenchConfig, ServeOptions, Server,
 };
 #[cfg(unix)]
 use regpipe::serve::{replay_socket, request_once, run_chaos, write_responses, ChaosConfig};
@@ -516,12 +518,6 @@ impl Args {
     }
 }
 
-/// Whether `REGPIPE_BENCH_TIMING=1` opts wall-clock fields into reports
-/// that otherwise hold only fields that byte-compare across `--jobs`.
-fn timed() -> bool {
-    std::env::var(TIMING_ENV).is_ok_and(|v| v == "1")
-}
-
 fn load(path: &str) -> Result<Ddg, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     textfmt::parse_named(&text, path).map_err(|e| e.to_string())
@@ -647,7 +643,7 @@ fn cmd_suite(args: &Args) -> Result<(), String> {
         );
     }
     // Timing for humans goes to stderr, off the byte-comparable stream.
-    args.write_report("BENCH_suite.json", &report.to_json(timed()))?;
+    args.write_report("BENCH_suite.json", &report.to_json(bench_timing()))?;
     eprintln!(
         "compiled {} cells with {} jobs in {:.2}s",
         report.cells.len(),
@@ -723,7 +719,7 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
         scheduler: args.scheduler()?,
         spill_policy: args.spill_policy()?,
         machine: args.machine()?,
-        timed: timed(),
+        timed: bench_timing(),
     };
     let before = args.get("--before").map(|path| {
         let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -1010,7 +1006,7 @@ fn cmd_bench_serve(args: &Args) -> Result<(), String> {
         replay: args.replay_config(&defaults.replay.budgets)?,
         jobs: args.jobs()?,
         cache: !args.has("--no-cache"),
-        timed: timed(),
+        timed: bench_timing(),
     };
     let report = run_serve_bench(&config).map_err(|e| format!("bench-serve: {e}"))?;
     let replay = &config.replay;

@@ -18,9 +18,11 @@
 //!   modulo-variable-expansion register allocation.
 //! * [`spill`] — spill-code insertion into the dependence graph with the
 //!   paper's redundancy optimizations and convergence safeguards.
-//! * [`core`] — the register-constrained drivers: increase-II, iterative
-//!   spilling (with the Max(LT) / Max(LT/Traf) heuristics and the two
-//!   scheduling-time accelerations), and their "best of all" combination.
+//! * [`core`] — register-constrained compilation: `compile` runs one
+//!   schedule-and-allocate round repeatedly under a `Strategy` —
+//!   increase-II, iterative spilling (with the Max(LT) / Max(LT/Traf)
+//!   heuristics and the two scheduling-time accelerations), or their
+//!   "best of all" combination — and records a `TracePoint` per round.
 //! * [`loops`] — the synthetic benchmark suite standing in for the paper's
 //!   1258 Perfect Club loops, replicas of the paper's named loops, the
 //!   seeded synthetic-kernel generator (`regpipe gen`), and on-disk corpus
@@ -74,8 +76,7 @@ pub use regpipe_spill as spill;
 /// Convenience re-exports for the common workflow.
 pub mod prelude {
     pub use regpipe_core::{
-        compile, BestOfAllDriver, CompileOptions, CompiledLoop, IncreaseIiDriver, SpillDriver,
-        SpillDriverOptions, Strategy,
+        compile, CompileOptions, CompiledLoop, SpillDriverOptions, Strategy, TracePoint,
     };
     pub use regpipe_ddg::{Ddg, DdgBuilder, EdgeKind, OpId, OpKind};
     pub use regpipe_exec::{parallel_map, run_batch, BatchReport, BatchRequest};

@@ -112,6 +112,35 @@ fn suite_emits_a_parseable_deterministic_corpus() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Regression: when the fully spilled loop still exceeds the budget, the
+/// spill strategy's II relief stops at the scheduler's II ceiling and
+/// reports the loop's register floor. It used to keep asking for the next
+/// II past the ceiling and fail with "requested II range [56, 55] is
+/// empty".
+#[test]
+fn spill_relief_stops_at_the_ii_ceiling_and_reports_the_floor() {
+    let dir = scratch_dir("relief");
+    run_ok({
+        let mut c = bin();
+        c.args(["gen", "--seed", "7", "--count", "2", "--min-ops", "12", "--max-ops", "12"]);
+        c.arg("--out").arg(&dir);
+        c
+    });
+    let out = bin()
+        .arg("compile")
+        .arg(dir.join("gen_00001.ddg"))
+        .args(["--regs", "4", "--strategy", "spill"])
+        .output()
+        .expect("spawn regpipe");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("no spillable lifetime left; loop floor is 5 registers"),
+        "{stderr}"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn unknown_commands_and_bad_inputs_fail_cleanly() {
     let out = bin().arg("frobnicate").output().expect("spawn regpipe");

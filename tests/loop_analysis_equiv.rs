@@ -1,19 +1,22 @@
-//! Equivalence gate for the `LoopAnalysis` caching layer.
+//! Equivalence gate for the `LoopAnalysis` caching layer, and the trace
+//! contract of `compile`.
 //!
 //! The per-loop analysis context must be a pure optimization: every
-//! schedule, allocation, spill decision and provenance counter has to be
-//! byte-identical whether the drivers share one context across probes and
-//! rounds (the production path) or rebuild everything from scratch on every
-//! scheduler call (the reference path, a wrapper scheduler whose
-//! `schedule_in` ignores the context it is handed). A second family of
-//! properties checks cache *invalidation*: after each spill rewrite, a
-//! context rebuilt on the mutated graph agrees with the standalone
-//! computations (groups, MII, RecMII, ordering, schedules) on that graph.
+//! schedule, allocation, spill decision, provenance counter and trace
+//! point has to be byte-identical whether `compile` shares one context
+//! across probes and rounds (the production path) or `compile_with`
+//! rebuilds everything from scratch on every scheduler call (the reference
+//! path, a wrapper scheduler whose `schedule_in` ignores the context it is
+//! handed). A second family of properties checks cache *invalidation*:
+//! after each spill rewrite, a context rebuilt on the mutated graph agrees
+//! with the standalone computations (groups, MII, RecMII, ordering,
+//! schedules) on that graph.
 
 use proptest::prelude::*;
 
-use regpipe::core::{BestOfAllDriver, IncreaseIiDriver, SpillDriver, SpillDriverOptions};
+use regpipe::core::{compile_with, CompileError, CompiledLoop, Strategy};
 use regpipe::ddg::Ddg;
+use regpipe::loops::paper::example_loop;
 use regpipe::loops::{generate, GenParams};
 use regpipe::machine::MachineConfig;
 use regpipe::prelude::*;
@@ -25,7 +28,7 @@ use regpipe::spill::{candidates, select, spill_batch, SelectHeuristic};
 
 /// Reference scheduler: delegates to HRMS but rebuilds the loop's context
 /// on every `schedule_in` call instead of using the one it is handed.
-/// Drivers built over this wrapper redo all II-independent analysis per
+/// Compiles run over this wrapper redo all II-independent analysis per
 /// scheduler call — the pre-cache behaviour.
 #[derive(Clone, Copy, Debug, Default)]
 struct UncachedHrms(HrmsScheduler);
@@ -55,13 +58,46 @@ fn kernel(seed: u64, ops: usize) -> Ddg {
     generate(seed, 1, &params).expect("valid knobs").remove(0).ddg
 }
 
+const STRATEGIES: [Strategy; 3] = [Strategy::IncreaseIi, Strategy::Spill, Strategy::BestOfAll];
+
+/// Asserts two compile results are the same in every observable field.
+fn assert_same_compile(
+    cached: &Result<CompiledLoop, CompileError>,
+    reference: &Result<CompiledLoop, CompileError>,
+) {
+    match (cached, reference) {
+        (Ok(c), Ok(r)) => {
+            assert_eq!(
+                regpipe::ddg::textfmt::format(c.ddg()),
+                regpipe::ddg::textfmt::format(r.ddg())
+            );
+            assert_eq!(c.schedule(), r.schedule());
+            assert_eq!(c.allocation(), r.allocation());
+            assert_eq!(c.strategy_used(), r.strategy_used());
+            assert_eq!(c.spilled(), r.spilled());
+            assert_eq!(c.reschedules(), r.reschedules());
+            assert_eq!(c.trace(), r.trace());
+        }
+        (Err(c), Err(r)) => {
+            let (cf, rf) = (c.failure(), r.failure());
+            assert_eq!(cf.kind, rf.kind);
+            assert_eq!(cf.best_regs, rf.best_regs);
+            assert_eq!(cf.trace, rf.trace);
+            assert_eq!(c.to_string(), r.to_string());
+        }
+        (c, r) => {
+            panic!("outcomes diverged: cached ok={} reference ok={}", c.is_ok(), r.is_ok())
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Cached and uncached compiles are identical across all three
     /// strategies and all paper machines: same DDG text, same schedule
     /// (II + starts + iis_tried), same allocation, same spill/reschedule
-    /// provenance, and same error on failure.
+    /// provenance, same trace, and the same error on failure.
     #[test]
     fn cached_and_uncached_compiles_are_identical(
         seed in 0u64..10_000,
@@ -69,84 +105,13 @@ proptest! {
         budget in prop::sample::select(vec![8u32, 16, 32, 64]),
     ) {
         let g = kernel(seed, ops);
-        let options = SpillDriverOptions::default();
         for machine in &paper_machines() {
-            // Strategy::Spill arm.
-            let cached = SpillDriver::new(options).run(&g, machine, budget);
-            let reference = SpillDriver::with_scheduler(UncachedHrms::default(), options)
-                .run(&g, machine, budget);
-            match (cached, reference) {
-                (Ok(c), Ok(r)) => {
-                    prop_assert_eq!(c.schedule, r.schedule);
-                    prop_assert_eq!(c.allocation, r.allocation);
-                    prop_assert_eq!(c.spilled, r.spilled);
-                    prop_assert_eq!(c.reschedules, r.reschedules);
-                    prop_assert_eq!(c.iis_explored, r.iis_explored);
-                    prop_assert_eq!(
-                        regpipe::ddg::textfmt::format(&c.ddg),
-                        regpipe::ddg::textfmt::format(&r.ddg)
-                    );
-                    prop_assert_eq!(c.trace, r.trace);
-                }
-                (Err(c), Err(r)) => {
-                    prop_assert_eq!(c.kind, r.kind);
-                    prop_assert_eq!(c.best_regs, r.best_regs);
-                    prop_assert_eq!(c.trace, r.trace);
-                }
-                (c, r) => prop_assert!(
-                    false,
-                    "spill outcomes diverged: cached ok={} reference ok={}",
-                    c.is_ok(),
-                    r.is_ok()
-                ),
-            }
-
-            // Strategy::IncreaseIi arm.
-            let cached = IncreaseIiDriver::new().run(&g, machine, budget);
-            let reference = IncreaseIiDriver::with_scheduler(UncachedHrms::default())
-                .run(&g, machine, budget);
-            match (cached, reference) {
-                (Ok(c), Ok(r)) => {
-                    prop_assert_eq!(c.schedule, r.schedule);
-                    prop_assert_eq!(c.allocation, r.allocation);
-                    prop_assert_eq!(c.mii, r.mii);
-                    prop_assert_eq!(c.trace, r.trace);
-                }
-                (Err(c), Err(r)) => {
-                    prop_assert_eq!(c.kind, r.kind);
-                    prop_assert_eq!(c.best_regs, r.best_regs);
-                    prop_assert_eq!(c.trace, r.trace);
-                }
-                (c, r) => prop_assert!(
-                    false,
-                    "increase-II outcomes diverged: cached ok={} reference ok={}",
-                    c.is_ok(),
-                    r.is_ok()
-                ),
-            }
-
-            // Strategy::BestOfAll arm.
-            let cached = BestOfAllDriver::new(options).run(&g, machine, budget);
-            let reference = BestOfAllDriver::with_scheduler(UncachedHrms::default(), options)
-                .run(&g, machine, budget);
-            match (cached, reference) {
-                (Ok(c), Ok(r)) => {
-                    prop_assert_eq!(c.schedule, r.schedule);
-                    prop_assert_eq!(c.allocation, r.allocation);
-                    prop_assert_eq!(c.winner, r.winner);
-                    prop_assert_eq!(c.probes, r.probes);
-                    prop_assert_eq!(
-                        regpipe::ddg::textfmt::format(&c.ddg),
-                        regpipe::ddg::textfmt::format(&r.ddg)
-                    );
-                }
-                (Err(c), Err(r)) => prop_assert_eq!(c.kind, r.kind),
-                (c, r) => prop_assert!(
-                    false,
-                    "best-of-all outcomes diverged: cached ok={} reference ok={}",
-                    c.is_ok(),
-                    r.is_ok()
-                ),
+            for strategy in STRATEGIES {
+                let options = CompileOptions { strategy, ..CompileOptions::default() };
+                let cached = compile(&g, machine, budget, &options);
+                let reference =
+                    compile_with(&UncachedHrms::default(), &g, machine, budget, &options);
+                assert_same_compile(&cached, &reference);
             }
         }
     }
@@ -208,6 +173,45 @@ proptest! {
                     c.is_ok(),
                     f.is_ok()
                 ),
+            }
+        }
+    }
+}
+
+/// The trace contract on the paper's Figure 2 loop: one point per
+/// scheduler call for increase-II and spill (best-of-all's probes that
+/// find no schedule record none), the effort counter is the trace's sum,
+/// and the last point of increase-II and spill is the returned schedule.
+/// A failure's `best_regs` is its trace's minimum.
+#[test]
+fn trace_has_one_point_per_round_and_sums_to_the_effort_counter() {
+    let g = example_loop();
+    for machine in &paper_machines() {
+        for budget in [5, 7] {
+            for strategy in STRATEGIES {
+                let options = CompileOptions { strategy, ..CompileOptions::default() };
+                let cell = format!("{} @ {budget}, {strategy:?}", machine.name());
+                match compile(&g, machine, budget, &options) {
+                    Ok(c) => {
+                        let points = c.trace().len() as u32;
+                        if strategy == Strategy::BestOfAll {
+                            assert!(points <= c.reschedules(), "{cell}");
+                        } else {
+                            assert_eq!(points, c.reschedules(), "{cell}");
+                            let last = c.trace().last().expect("at least one round");
+                            assert_eq!(last.regs, c.registers_used(), "{cell}");
+                            assert_eq!(last.ii, c.ii(), "{cell}");
+                        }
+                        let iis: u32 = c.trace().iter().map(|p| p.iis_tried).sum();
+                        assert_eq!(c.iis_explored(), iis, "{cell}");
+                    }
+                    Err(e) => {
+                        let f = e.failure();
+                        assert!(!f.trace.is_empty(), "{cell}");
+                        assert_eq!(f.best_regs, f.trace.iter().map(|p| p.regs).min(), "{cell}");
+                        assert!(f.trace.iter().all(|p| p.regs > budget), "{cell}");
+                    }
+                }
             }
         }
     }

@@ -4,7 +4,7 @@
 //! *shapes* that make the paper's conclusions: who wins, and where the
 //! technique breaks.
 
-use regpipe::core::{IncreaseIiDriver, SpillDriver, SpillDriverOptions};
+use regpipe::core::CompiledLoop;
 use regpipe::loops::{suite, BenchLoop};
 use regpipe::prelude::*;
 use regpipe::sched::SchedRequest;
@@ -12,6 +12,29 @@ use regpipe::spill::SelectHeuristic;
 
 fn reduced_suite() -> Vec<BenchLoop> {
     suite(0xC1DA, 200)
+}
+
+/// Compiles `l` at 32 registers with `strategy` and `spill`.
+fn at_32(
+    l: &BenchLoop,
+    m: &MachineConfig,
+    strategy: Strategy,
+    spill: SpillDriverOptions,
+) -> Option<CompiledLoop> {
+    let options = CompileOptions { strategy, spill, ..CompileOptions::default() };
+    compile(&l.ddg, m, 32, &options).ok()
+}
+
+fn increase_ii(l: &BenchLoop, m: &MachineConfig) -> Option<CompiledLoop> {
+    at_32(l, m, Strategy::IncreaseIi, SpillDriverOptions::default())
+}
+
+fn spill(
+    l: &BenchLoop,
+    m: &MachineConfig,
+    options: SpillDriverOptions,
+) -> Option<CompiledLoop> {
+    at_32(l, m, Strategy::Spill, options)
 }
 
 fn ideal(l: &BenchLoop, m: &MachineConfig) -> (u32, u32) {
@@ -26,14 +49,13 @@ fn ideal(l: &BenchLoop, m: &MachineConfig) -> (u32, u32) {
 fn claim_non_convergent_loops_are_few_but_heavy() {
     let loops = reduced_suite();
     let m = MachineConfig::p2l4();
-    let driver = IncreaseIiDriver::new();
     let mut bad = 0u32;
     let mut bad_cycles = 0u64;
     let mut total_cycles = 0u64;
     for l in &loops {
         let (ii, regs) = ideal(l, &m);
         total_cycles += l.cycles(ii);
-        if regs > 32 && driver.run(&l.ddg, &m, 32).is_err() {
+        if regs > 32 && increase_ii(l, &m).is_none() {
             bad += 1;
             bad_cycles += l.cycles(ii);
         }
@@ -53,18 +75,15 @@ fn claim_non_convergent_loops_are_few_but_heavy() {
 fn claim_spilling_succeeds_where_increase_ii_fails() {
     let loops = reduced_suite();
     let m = MachineConfig::p2l4();
-    let ii_driver = IncreaseIiDriver::new();
-    let spill_driver = SpillDriver::new(SpillDriverOptions::default());
     for l in &loops {
         let (_, regs) = ideal(l, &m);
-        if regs <= 32 || ii_driver.run(&l.ddg, &m, 32).is_ok() {
+        if regs <= 32 || increase_ii(l, &m).is_some() {
             continue;
         }
-        let out = spill_driver
-            .run(&l.ddg, &m, 32)
-            .unwrap_or_else(|e| panic!("{}: spilling must rescue this loop: {e}", l.name));
-        assert!(out.allocation.total() <= 32);
-        out.schedule.verify(&out.ddg, &m).unwrap();
+        let out = spill(l, &m, SpillDriverOptions::default())
+            .unwrap_or_else(|| panic!("{}: spilling must rescue this loop", l.name));
+        assert!(out.registers_used() <= 32);
+        out.schedule().verify(out.ddg(), &m).unwrap();
     }
 }
 
@@ -75,12 +94,12 @@ fn claim_traffic_aware_heuristic_wins_at_32_regs() {
     let loops = reduced_suite();
     let m = MachineConfig::p1l4();
     let run = |heuristic| {
-        let driver = SpillDriver::new(SpillDriverOptions::unaccelerated(heuristic));
         let mut cycles = 0u64;
         let mut refs = 0u64;
         for l in &loops {
-            let out = driver.run(&l.ddg, &m, 32).expect("fits after spilling");
-            cycles += l.cycles(out.schedule.ii());
+            let options = SpillDriverOptions::unaccelerated(heuristic);
+            let out = spill(l, &m, options).expect("fits after spilling");
+            cycles += l.cycles(out.ii());
             refs += u64::from(out.memory_ops()) * l.weight;
         }
         (cycles, refs)
@@ -101,13 +120,12 @@ fn claim_accelerations_cut_effort_cheaply() {
     let loops = reduced_suite();
     let m = MachineConfig::p1l4();
     let run = |options: SpillDriverOptions| {
-        let driver = SpillDriver::new(options);
         let mut cycles = 0u64;
         let mut effort = 0u64;
         for l in &loops {
-            let out = driver.run(&l.ddg, &m, 32).expect("fits");
-            cycles += l.cycles(out.schedule.ii());
-            effort += u64::from(out.iis_explored);
+            let out = spill(l, &m, options).expect("fits");
+            cycles += l.cycles(out.ii());
+            effort += u64::from(out.iis_explored());
         }
         (cycles, effort)
     };
@@ -130,8 +148,6 @@ fn claim_accelerations_cut_effort_cheaply() {
 fn claim_spill_beats_increase_ii_and_64_regs_are_roomy() {
     let loops = reduced_suite();
     let m = MachineConfig::p2l4();
-    let ii_driver = IncreaseIiDriver::new();
-    let spill_driver = SpillDriver::new(SpillDriverOptions::default());
     let mut ii_cycles = 0u64;
     let mut spill_cycles = 0u64;
     let mut needed_64 = 0u32;
@@ -143,12 +159,13 @@ fn claim_spill_beats_increase_ii_and_64_regs_are_roomy() {
         if regs <= 32 {
             continue;
         }
-        let (Ok(a), Ok(b)) = (ii_driver.run(&l.ddg, &m, 32), spill_driver.run(&l.ddg, &m, 32))
+        let (Some(a), Some(b)) =
+            (increase_ii(l, &m), spill(l, &m, SpillDriverOptions::default()))
         else {
             continue;
         };
-        ii_cycles += l.cycles(a.schedule.ii());
-        spill_cycles += l.cycles(b.schedule.ii());
+        ii_cycles += l.cycles(a.ii());
+        spill_cycles += l.cycles(b.ii());
     }
     assert!(spill_cycles < ii_cycles, "spill {spill_cycles} vs increase-II {ii_cycles}");
     assert!(

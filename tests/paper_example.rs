@@ -1,7 +1,6 @@
 //! Golden tests replaying the paper's worked example (Figures 2, 3, 5, 6)
 //! end to end across the whole crate stack.
 
-use regpipe::core::{SpillDriver, SpillDriverOptions};
 use regpipe::loops::paper::example_loop;
 use regpipe::prelude::*;
 use regpipe::regalloc::LifetimeAnalysis;
@@ -65,22 +64,22 @@ fn hrms_matches_or_beats_the_hand_schedules() {
 fn figure6_spilling_v1_reaches_5_variant_registers_at_ii_2() {
     let g = example_loop();
     let m = machine();
-    let driver = SpillDriver::new(SpillDriverOptions {
-        heuristic: SelectHeuristic::MaxLt,
-        multi_spill: false,
-        last_ii_pruning: false,
-        ii_relief: true,
-        max_rounds: 16,
-        ..SpillDriverOptions::default()
-    });
+    let options = CompileOptions {
+        strategy: Strategy::Spill,
+        spill: SpillDriverOptions {
+            max_rounds: 16,
+            ..SpillDriverOptions::unaccelerated(SelectHeuristic::MaxLt)
+        },
+        ..CompileOptions::default()
+    };
     // Budget 6 = the paper's 5 variant registers + the invariant `a`.
-    let out = driver.run(&g, &m, 6).expect("Figure 6 is reachable");
-    out.schedule.verify(&out.ddg, &m).expect("valid");
-    assert_eq!(out.spilled, 1, "only V1 is spilled");
-    assert_eq!(out.schedule.ii(), 2, "the paper's spilled loop also runs at II 2");
-    assert_eq!(out.allocation.variant_regs(), 5, "Figure 6d");
+    let out = compile(&g, &m, 6, &options).expect("Figure 6 is reachable");
+    out.schedule().verify(out.ddg(), &m).expect("valid");
+    assert_eq!(out.spilled(), 1, "only V1 is spilled");
+    assert_eq!(out.ii(), 2, "the paper's spilled loop also runs at II 2");
+    assert_eq!(out.allocation().variant_regs(), 5, "Figure 6d");
     // Producer-is-load optimization: no store added, two reloads.
-    assert_eq!(out.ddg.memory_ops(), 4, "Ld + St + two reloads");
+    assert_eq!(out.ddg().memory_ops(), 4, "Ld + St + two reloads");
 }
 
 #[test]

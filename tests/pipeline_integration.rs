@@ -1,14 +1,16 @@
 //! End-to-end integration across all crates: suite loops through every
 //! strategy on every machine, with full verification of the results.
 
-use regpipe::core::{
-    BestOfAllDriver, IncreaseIiDriver, SpillDriver, SpillDriverOptions, Strategy,
-};
+use regpipe::core::{compile_with, CompileError};
 use regpipe::loops::{paper, suite};
 use regpipe::prelude::*;
 use regpipe::regalloc::LifetimeAnalysis;
 use regpipe::sched::{AsapScheduler, SchedRequest};
 use regpipe::spill::SelectHeuristic;
+
+fn options(strategy: Strategy) -> CompileOptions {
+    CompileOptions { strategy, ..CompileOptions::default() }
+}
 
 #[test]
 fn whole_suite_compiles_under_32_registers_on_every_machine() {
@@ -56,14 +58,13 @@ fn strategies_rank_consistently() {
 #[test]
 fn spill_framework_works_with_the_register_insensitive_scheduler() {
     // "The techniques presented can also be used with other scheduling
-    // techniques": run the drivers over the ASAP baseline.
+    // techniques": run the strategies over the ASAP baseline.
     let g = paper::apsi50_like();
     let m = MachineConfig::p2l4();
-    let driver =
-        SpillDriver::with_scheduler(AsapScheduler::new(), SpillDriverOptions::default());
-    let out = driver.run(&g, &m, 32).expect("spilling converges under ASAP too");
-    out.schedule.verify(&out.ddg, &m).unwrap();
-    assert!(out.allocation.total() <= 32);
+    let out = compile_with(&AsapScheduler::new(), &g, &m, 32, &options(Strategy::Spill))
+        .expect("spilling converges under ASAP too");
+    out.schedule().verify(out.ddg(), &m).unwrap();
+    assert!(out.registers_used() <= 32);
 }
 
 #[test]
@@ -92,39 +93,45 @@ fn register_insensitive_scheduling_needs_more_registers() {
 #[test]
 fn increase_ii_failures_are_exactly_the_floor_bound_loops() {
     let m = MachineConfig::p2l4();
-    let driver = IncreaseIiDriver::new();
+    let run = |g, regs| compile(&g, &m, regs, &options(Strategy::IncreaseIi));
     // The convergent paper loop fits, the floor-bound one does not.
-    assert!(driver.run(&paper::apsi47_like(), &m, 32).is_ok());
-    assert!(driver.run(&paper::apsi50_like(), &m, 32).is_err());
+    assert!(run(paper::apsi47_like(), 32).is_ok());
+    assert!(matches!(run(paper::apsi50_like(), 32), Err(CompileError::IncreaseIi(_))));
     // With a file as large as the floor, it fits again.
-    assert!(driver.run(&paper::apsi50_like(), &m, 64).is_ok());
+    assert!(run(paper::apsi50_like(), 64).is_ok());
 }
 
 #[test]
 fn spilling_monotonically_extends_the_graph() {
     let g = paper::apsi50_like();
     let m = MachineConfig::p2l4();
-    let out = SpillDriver::new(SpillDriverOptions::unaccelerated(SelectHeuristic::MaxLt))
-        .run(&g, &m, 16)
-        .unwrap();
+    let options = CompileOptions {
+        spill: SpillDriverOptions::unaccelerated(SelectHeuristic::MaxLt),
+        ..options(Strategy::Spill)
+    };
+    let out = compile(&g, &m, 16, &options).unwrap();
     // Nodes are append-only; every original op survives the rewrites.
-    assert!(out.ddg.num_ops() >= g.num_ops());
+    assert!(out.ddg().num_ops() >= g.num_ops());
     for (id, node) in g.ops() {
-        assert_eq!(out.ddg.op(id).kind(), node.kind());
-        assert_eq!(out.ddg.op(id).name(), node.name());
+        assert_eq!(out.ddg().op(id).kind(), node.kind());
+        assert_eq!(out.ddg().op(id).name(), node.name());
     }
     // Traffic grows exactly by the added loads/stores.
-    assert!(out.ddg.memory_ops() > g.memory_ops());
+    assert!(out.ddg().memory_ops() > g.memory_ops());
 }
 
 #[test]
 fn best_of_all_reports_spill_statistics_even_when_increase_ii_wins() {
     let g = paper::example_loop();
     let m = MachineConfig::uniform(4, 2);
-    let out = BestOfAllDriver::new(SpillDriverOptions::default()).run(&g, &m, 7).unwrap();
-    assert!(out.spill.reschedules >= 1);
-    out.schedule.verify(&out.ddg, &m).unwrap();
-    assert!(out.allocation.total() <= 7);
+    let out = compile(&g, &m, 7, &options(Strategy::BestOfAll)).unwrap();
+    // The spill run leads the trace whichever strategy won: it started over
+    // budget and spilled at least once before the probes.
+    assert!(out.trace()[0].regs > 7);
+    assert!(out.trace().iter().any(|p| p.spilled > 0));
+    assert!(out.reschedules() as usize >= out.trace().len());
+    out.schedule().verify(out.ddg(), &m).unwrap();
+    assert!(out.registers_used() <= 7);
 }
 
 #[test]

@@ -2,7 +2,6 @@
 //! every suite loop, every named kernel, and spilled graphs (which exercise
 //! bonds, staggers, order edges and non-spillable marks).
 
-use regpipe::core::{SpillDriver, SpillDriverOptions};
 use regpipe::ddg::textfmt;
 use regpipe::loops::{kernels, paper, suite};
 use regpipe::prelude::*;
@@ -50,14 +49,15 @@ fn named_kernels_round_trip() {
 fn spilled_graphs_round_trip_with_bonds_intact() {
     let g = paper::apsi50_like();
     let m = MachineConfig::p2l4();
-    let out = SpillDriver::new(SpillDriverOptions::default()).run(&g, &m, 24).unwrap();
-    let text = textfmt::format(&out.ddg);
+    let spill = CompileOptions { strategy: Strategy::Spill, ..CompileOptions::default() };
+    let out = compile(&g, &m, 24, &spill).unwrap();
+    let text = textfmt::format(out.ddg());
     let back = textfmt::parse(&text).unwrap();
-    assert_equivalent(&out.ddg, &back);
+    assert_equivalent(out.ddg(), &back);
     // The parsed graph schedules to the same II.
     let s = HrmsScheduler::new().schedule(&back, &m, &SchedRequest::default()).unwrap();
     s.verify(&back, &m).unwrap();
-    assert_eq!(s.ii(), out.schedule.ii());
+    assert_eq!(s.ii(), out.ii());
 }
 
 #[test]
