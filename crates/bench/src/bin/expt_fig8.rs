@@ -36,7 +36,7 @@ fn main() {
                 // Wall time is the one non-deterministic column: shown only
                 // under REGPIPE_BENCH_TIMING=1, so default runs byte-compare.
                 let time = if bench_timing() {
-                    format!("{:>9.2}s", agg.sched_time.as_secs_f64())
+                    format!("{:>9.2}s", agg.wall.as_secs_f64())
                 } else {
                     "         -".to_string()
                 };

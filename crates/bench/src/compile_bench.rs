@@ -1,21 +1,23 @@
 //! The `regpipe bench` harness: wall-times the full `compile` path over
 //! seeded synthetic corpora at several kernel sizes and renders
-//! `BENCH_compile.json` (schema `regpipe-bench-compile/v1`).
+//! `BENCH_compile.json` (schema `regpipe-bench-compile/v3`).
 //!
-//! The timing loop is the criterion-compat sampling plan
-//! ([`criterion::measure`]) so numbers are comparable with the `cargo
-//! bench` micro-benchmarks. As with `BENCH_suite.json`, the emitted file
-//! contains only deterministic work counters unless timing is explicitly
-//! requested (`REGPIPE_BENCH_TIMING=1` via the CLI), so smoke runs
-//! byte-compare across machines and job counts; a previous timed report can
-//! be threaded back in (`regpipe bench --before <file>`) to record
-//! before/after speedups in one artifact.
+//! Each size point is one [`run_batch`] over its corpus on one worker, so
+//! the work counters are the batch engine's own aggregates; the timing
+//! loop is the ~200 ms sampling plan of [`criterion::measure`]. As with
+//! `BENCH_suite.json`, the emitted file contains only deterministic work
+//! counters unless timing is explicitly requested (`REGPIPE_BENCH_TIMING=1`
+//! via the CLI), so smoke runs byte-compare across machines and job
+//! counts; a previous timed report can be threaded back in (`regpipe bench
+//! --before <file>`) to record before/after speedups in one artifact.
+
+use std::num::NonZeroUsize;
 
 use criterion::{measure, Measurement};
-use regpipe_core::{compile, CompileOptions, SpillPolicyKind, Strategy};
-use regpipe_exec::json::Value;
-use regpipe_exec::strategy_slug;
-use regpipe_loops::{generate, BenchLoop, GenParams};
+use regpipe_core::{CompileOptions, SpillPolicyKind, Strategy};
+use regpipe_exec::json::{self, round2, Value};
+use regpipe_exec::{run_batch, strategy_slug, BatchAggregate, BatchRequest};
+use regpipe_loops::{generate, GenParams};
 use regpipe_machine::MachineConfig;
 use regpipe_sched::SchedulerKind;
 
@@ -70,16 +72,9 @@ pub struct SizePoint {
     pub loops: usize,
     /// `loops × budgets × strategies` compile calls per sweep.
     pub cells: usize,
-    /// Cells that fit their budget.
-    pub fitted: u32,
-    /// Cells whose strategy failed (deterministic, counted not summed).
-    pub failures: u32,
-    /// Σ II·weight over fitted cells.
-    pub cycles: u64,
-    /// Σ lifetimes spilled over fitted cells.
-    pub spilled: u64,
-    /// Σ scheduling rounds over fitted cells.
-    pub reschedules: u64,
+    /// The sweep's work counters: its batch aggregates summed (fitted and
+    /// failed cells, cycles, spills, reschedules).
+    pub work: BatchAggregate,
     /// Wall measurement of one full sweep (present when timed).
     pub measurement: Option<Measurement>,
 }
@@ -93,58 +88,33 @@ pub struct CompileBenchReport {
     pub points: Vec<SizePoint>,
 }
 
-/// One full sweep: compiles every `loop × budget × strategy` cell and
-/// returns `(fitted, failures, cycles, spilled, reschedules)`.
-fn sweep(loops: &[BenchLoop], cfg: &CompileBenchConfig) -> (u32, u32, u64, u64, u64) {
-    let (mut fitted, mut failures) = (0u32, 0u32);
-    let (mut cycles, mut spilled, mut reschedules) = (0u64, 0u64, 0u64);
-    for l in loops {
-        for &budget in &cfg.budgets {
-            for &strategy in &cfg.strategies {
-                let mut options = CompileOptions {
-                    strategy,
-                    scheduler: cfg.scheduler,
-                    ..CompileOptions::default()
-                };
-                options.spill.policy = cfg.spill_policy;
-                match compile(&l.ddg, &cfg.machine, budget, &options) {
-                    Ok(c) => {
-                        fitted += 1;
-                        cycles += u64::from(c.ii()) * l.weight;
-                        spilled += u64::from(c.spilled());
-                        reschedules += u64::from(c.reschedules());
-                    }
-                    Err(_) => failures += 1,
-                }
-            }
-        }
-    }
-    (fitted, failures, cycles, spilled, reschedules)
-}
-
-/// Runs the bench: one generated corpus and one (optionally sampled) sweep
-/// per size.
+/// Runs the bench: one generated corpus and one (optionally sampled)
+/// batch sweep per size.
 ///
 /// # Errors
 ///
 /// Propagates generator knob validation errors.
 pub fn run_compile_bench(cfg: &CompileBenchConfig) -> Result<CompileBenchReport, String> {
+    let mut options = CompileOptions { scheduler: cfg.scheduler, ..CompileOptions::default() };
+    options.spill.policy = cfg.spill_policy;
+    let request = BatchRequest {
+        machine: cfg.machine.clone(),
+        budgets: cfg.budgets.clone(),
+        strategies: cfg.strategies.clone(),
+        options,
+        jobs: NonZeroUsize::MIN,
+    };
     let mut points = Vec::with_capacity(cfg.sizes.len());
     for &ops in &cfg.sizes {
         let params = GenParams { min_ops: ops, max_ops: ops, ..GenParams::default() };
         let loops = generate(cfg.seed, cfg.count, &params)?;
-        let (fitted, failures, cycles, spilled, reschedules) = sweep(&loops, cfg);
-        let measurement =
-            cfg.timed.then(|| measure(true, || std::hint::black_box(sweep(&loops, cfg))));
+        let report = run_batch(&loops, &request);
+        let measurement = cfg.timed.then(|| measure(|| run_batch(&loops, &request)));
         points.push(SizePoint {
             ops,
             loops: loops.len(),
-            cells: loops.len() * cfg.budgets.len() * cfg.strategies.len(),
-            fitted,
-            failures,
-            cycles,
-            spilled,
-            reschedules,
+            cells: report.cells.len(),
+            work: report.total(),
             measurement,
         });
     }
@@ -180,7 +150,6 @@ impl CompileBenchReport {
             .unwrap_or_default();
 
         let mut top = vec![
-            ("schema".to_string(), Value::Str("regpipe-bench-compile/v3".into())),
             ("machine".to_string(), Value::Str(self.config.machine.name().to_string())),
             ("scheduler".to_string(), Value::Str(self.config.scheduler.slug().into())),
             ("spill_policy".to_string(), Value::Str(self.config.spill_policy.slug().into())),
@@ -211,11 +180,11 @@ impl CompileBenchReport {
                     ("ops".to_string(), Value::uint(p.ops as u64)),
                     ("loops".to_string(), Value::uint(p.loops as u64)),
                     ("cells".to_string(), Value::uint(p.cells as u64)),
-                    ("fitted".to_string(), Value::uint(u64::from(p.fitted))),
-                    ("failures".to_string(), Value::uint(u64::from(p.failures))),
-                    ("cycles".to_string(), Value::uint(p.cycles)),
-                    ("spilled".to_string(), Value::uint(p.spilled)),
-                    ("reschedules".to_string(), Value::uint(p.reschedules)),
+                    ("fitted".to_string(), Value::uint(u64::from(p.work.fitted))),
+                    ("failures".to_string(), Value::uint(u64::from(p.work.failures))),
+                    ("cycles".to_string(), Value::uint(p.work.cycles)),
+                    ("spilled".to_string(), Value::uint(p.work.spilled)),
+                    ("reschedules".to_string(), Value::uint(p.work.reschedules)),
                 ];
                 if let Some(m) = p.measurement {
                     let mean_us = m.mean_nanos() as f64 / 1e3;
@@ -237,15 +206,8 @@ impl CompileBenchReport {
             })
             .collect();
         top.push(("sizes".into(), Value::Array(sizes)));
-        let mut text = Value::Object(top).render();
-        text.push('\n');
-        text
+        json::report("regpipe-bench-compile/v3", top)
     }
-}
-
-/// Two-decimal rounding for report floats (stable rendering).
-fn round2(x: f64) -> f64 {
-    (x * 100.0).round() / 100.0
 }
 
 #[cfg(test)]
@@ -318,7 +280,8 @@ mod tests {
         let untimed = run_compile_bench(&tiny()).unwrap();
         let timed = run_compile_bench(&CompileBenchConfig { timed: true, ..tiny() }).unwrap();
         for (u, t) in untimed.points.iter().zip(&timed.points) {
-            assert_eq!((u.fitted, u.failures, u.cycles), (t.fitted, t.failures, t.cycles));
+            let counters = |p: &SizePoint| (p.work.fitted, p.work.failures, p.work.cycles);
+            assert_eq!(counters(u), counters(t));
             assert!(t.measurement.is_some() && u.measurement.is_none());
         }
     }

@@ -25,7 +25,7 @@
 use std::num::NonZeroUsize;
 
 use regpipe_core::{compile, CompileOptions, SpillPolicyKind};
-use regpipe_exec::json::Value;
+use regpipe_exec::json::{self, Value};
 use regpipe_exec::parallel_map;
 use regpipe_loops::BenchLoop;
 use regpipe_machine::MachineConfig;
@@ -352,8 +352,7 @@ impl GapReport {
                 ])
             })
             .collect();
-        let top = Value::Object(vec![
-            ("schema".into(), Value::Str("regpipe-bench-gap/v2".into())),
+        let top = vec![
             ("machine".into(), Value::Str(self.config.machine.name().to_string())),
             ("source".into(), Value::Str(self.config.source.clone())),
             ("node_budget".into(), Value::uint(self.config.node_budget)),
@@ -367,10 +366,8 @@ impl GapReport {
             ("spill_policies".into(), Value::Array(spill_policies)),
             ("aggregate".into(), Value::Array(aggregate)),
             ("per_loop".into(), Value::Array(per_loop)),
-        ]);
-        let mut text = top.render();
-        text.push('\n');
-        text
+        ];
+        json::report("regpipe-bench-gap/v2", top)
     }
 }
 

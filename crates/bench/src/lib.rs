@@ -11,6 +11,11 @@
 //! | `expt_fig8`    | Figure 8 — cycles / traffic / scheduling time          |
 //! | `expt_fig9`    | Figure 9 — increase-II vs spill vs best-of-all         |
 //!
+//! Every count in Table 1 and Figures 8 and 9 comes from
+//! `regpipe_exec::run_batch`, the engine behind `regpipe suite`; the
+//! ideal (infinite-register) schedule is the increase-II cell at budget
+//! `u32::MAX`.
+//!
 //! Beyond the paper figures, [`run_gap`] backs the `regpipe gap` verb:
 //! it schedules a corpus under the exact branch-and-bound oracle and
 //! every registered heuristic and reports the optimality gaps, plus a
@@ -39,14 +44,13 @@ pub use gap::{
 };
 
 use std::num::NonZeroUsize;
-use std::time::{Duration, Instant};
 
-use regpipe_core::{compile, CompileOptions, SpillDriverOptions, Strategy};
-use regpipe_exec::{parallel_map, resolve_jobs};
+use regpipe_core::{CompileOptions, SpillDriverOptions, Strategy};
+use regpipe_exec::{
+    resolve_jobs, run_batch, BatchAggregate, BatchReport, BatchRequest, CellOutcome, CellStatus,
+};
 use regpipe_loops::{suite, suite_size_from_env, BenchLoop};
 use regpipe_machine::MachineConfig;
-use regpipe_regalloc::allocate;
-use regpipe_sched::{HrmsScheduler, SchedRequest, Scheduler};
 use regpipe_spill::SelectHeuristic;
 
 /// The suite size, honouring `REGPIPE_SUITE_SIZE` (default 1258).
@@ -93,15 +97,6 @@ pub fn evaluation_suite() -> Vec<BenchLoop> {
 /// The register budgets of the paper's evaluation.
 pub const REGISTER_BUDGETS: [u32; 2] = [64, 32];
 
-/// Ideal (infinite registers) schedule: `(ii, regs)`.
-pub fn ideal(l: &BenchLoop, machine: &MachineConfig) -> (u32, u32) {
-    let s = HrmsScheduler::new()
-        .schedule(&l.ddg, machine, &SchedRequest::default())
-        .expect("suite loops are schedulable");
-    let a = allocate(&l.ddg, &s);
-    (s.ii(), a.total())
-}
-
 /// One spilling-heuristic variant of Figure 8.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Fig8Variant {
@@ -135,62 +130,57 @@ pub fn fig8_variants() -> Vec<Fig8Variant> {
     ]
 }
 
-/// Default compile options with `strategy`.
-fn strategy(strategy: Strategy) -> CompileOptions {
-    CompileOptions { strategy, ..CompileOptions::default() }
+/// Compiles every loop at `budget` under each of `strategies` on `jobs`
+/// workers: the batch engine behind every figure. Cells come back
+/// loop-major, `strategies.len()` consecutive cells per loop.
+fn batch(
+    loops: &[BenchLoop],
+    machine: &MachineConfig,
+    budget: u32,
+    strategies: &[Strategy],
+    options: CompileOptions,
+    jobs: NonZeroUsize,
+) -> BatchReport {
+    let request = BatchRequest {
+        machine: machine.clone(),
+        budgets: vec![budget],
+        strategies: strategies.to_vec(),
+        options,
+        jobs,
+    };
+    run_batch(loops, &request)
 }
 
-/// Aggregates of one (variant × machine × budget) run over the whole suite.
-#[derive(Clone, Debug, Default)]
-pub struct SuiteAggregate {
-    /// Σ II·weight over all loops (execution cycles).
-    pub cycles: u64,
-    /// Σ memory-ops·weight (dynamic memory references).
-    pub memory_refs: u64,
-    /// Loops that could not be fitted (counted, excluded from sums).
-    pub failures: u32,
-    /// Σ reschedules.
-    pub reschedules: u64,
-    /// Σ candidate IIs explored by the scheduler.
-    pub iis_explored: u64,
-    /// Wall-clock time spent scheduling.
-    pub sched_time: Duration,
-    /// Σ lifetimes spilled.
-    pub spilled: u64,
+/// The ideal (infinite-register) cell of every loop: at an unbounded
+/// budget increase-II keeps its first round, the unconstrained schedule
+/// at the MII.
+fn ideal_batch(
+    loops: &[BenchLoop],
+    machine: &MachineConfig,
+    jobs: NonZeroUsize,
+) -> BatchReport {
+    batch(loops, machine, u32::MAX, &[Strategy::IncreaseIi], CompileOptions::default(), jobs)
 }
 
-/// Runs one spill variant over the suite on `jobs` worker threads. Loops
-/// are independent, so the fold below visits per-loop outcomes in suite
-/// order and the aggregate is identical for any worker count (wall-clock
-/// `sched_time` aside).
+/// The `(ii, regs)` of a fitted cell.
+fn fitted(cell: &CellOutcome) -> Option<(u32, u32)> {
+    match cell.status {
+        CellStatus::Fitted { ii, regs, .. } => Some((ii, regs)),
+        CellStatus::Failed { .. } => None,
+    }
+}
+
+/// Runs one spill variant over the suite on `jobs` worker threads. The
+/// aggregate is identical for any worker count (its `wall` aside).
 pub fn run_spill_variant(
     loops: &[BenchLoop],
     machine: &MachineConfig,
     regs: u32,
     spill: SpillDriverOptions,
     jobs: NonZeroUsize,
-) -> SuiteAggregate {
-    let options = CompileOptions { spill, ..strategy(Strategy::Spill) };
-    let per_loop = parallel_map(loops, jobs, |_, l| {
-        let started = Instant::now();
-        let outcome = compile(&l.ddg, machine, regs, &options);
-        (outcome, started.elapsed())
-    });
-    let mut agg = SuiteAggregate::default();
-    for (l, (outcome, elapsed)) in loops.iter().zip(per_loop) {
-        match outcome {
-            Ok(c) => {
-                agg.cycles += l.cycles(c.ii());
-                agg.memory_refs += u64::from(c.memory_ops()) * l.weight;
-                agg.reschedules += u64::from(c.reschedules());
-                agg.iis_explored += u64::from(c.iis_explored());
-                agg.sched_time += elapsed;
-                agg.spilled += u64::from(c.spilled());
-            }
-            Err(_) => agg.failures += 1,
-        }
-    }
-    agg
+) -> BatchAggregate {
+    let options = CompileOptions { spill, ..CompileOptions::default() };
+    batch(loops, machine, regs, &[Strategy::Spill], options, jobs).total()
 }
 
 /// The ideal (infinite-register) aggregate for the same loops.
@@ -198,14 +188,8 @@ pub fn run_ideal(
     loops: &[BenchLoop],
     machine: &MachineConfig,
     jobs: NonZeroUsize,
-) -> SuiteAggregate {
-    let per_loop = parallel_map(loops, jobs, |_, l| ideal(l, machine));
-    let mut agg = SuiteAggregate::default();
-    for (l, (ii, _)) in loops.iter().zip(per_loop) {
-        agg.cycles += l.cycles(ii);
-        agg.memory_refs += u64::from(l.ddg.memory_ops() as u32) * l.weight;
-    }
-    agg
+) -> BatchAggregate {
+    ideal_batch(loops, machine, jobs).total()
 }
 
 /// Table 1 numbers for one machine/budget: which loops never converge by
@@ -224,25 +208,26 @@ pub fn table1_row(
     regs: u32,
     jobs: NonZeroUsize,
 ) -> Table1Row {
-    let increase_ii = strategy(Strategy::IncreaseIi);
-    let per_loop = parallel_map(loops, jobs, |_, l| {
-        let (ii, ideal_regs) = ideal(l, machine);
-        // Loops that fit outright converged at the first try; only the
-        // rest exercise the increase-II strategy.
-        let converges =
-            ideal_regs <= regs || compile(&l.ddg, machine, regs, &increase_ii).is_ok();
-        (l.cycles(ii), converges)
-    });
+    // Loops whose ideal schedule fits converge at increase-II's first
+    // round; only the rest are compiled with increase-II.
+    let ideal = ideal_batch(loops, machine, jobs);
+    let (over, over_ideal): (Vec<BenchLoop>, Vec<&CellOutcome>) = loops
+        .iter()
+        .zip(&ideal.cells)
+        .filter(|(_, cell)| fitted(cell).is_some_and(|(_, ideal_regs)| ideal_regs > regs))
+        .map(|(l, cell)| (l.clone(), cell))
+        .unzip();
+    let options = CompileOptions::default();
+    let report = batch(&over, machine, regs, &[Strategy::IncreaseIi], options, jobs);
     let mut non_convergent = Vec::new();
     let mut bad_cycles = 0u64;
-    let mut total_cycles = 0u64;
-    for (l, (cycles, converges)) in loops.iter().zip(per_loop) {
-        total_cycles += cycles;
-        if !converges {
-            non_convergent.push(l.name.clone());
-            bad_cycles += cycles;
+    for (ideal, cell) in over_ideal.into_iter().zip(&report.cells) {
+        if fitted(cell).is_none() {
+            non_convergent.push(cell.loop_name.clone());
+            bad_cycles += ideal.cycles();
         }
     }
+    let total_cycles = ideal.total().cycles;
     Table1Row {
         non_convergent,
         cycle_share: if total_cycles == 0 {
@@ -276,29 +261,35 @@ pub fn fig9_row(
     regs: u32,
     jobs: NonZeroUsize,
 ) -> Fig9Row {
-    // Per loop: `(ii_of_increase_ii, ii_of_spill, ii_of_best)` for the
-    // comparable subset, `None` for loops that need no reduction or are
-    // non-convergent (excluded, as in the paper).
-    let per_loop = parallel_map(loops, jobs, |_, l| {
-        let (_, ideal_regs) = ideal(l, machine);
-        if ideal_regs <= regs {
-            return None; // no reduction needed
-        }
-        let ii_of = |s| compile(&l.ddg, machine, regs, &strategy(s)).ok().map(|c| c.ii());
-        Some((
-            ii_of(Strategy::IncreaseIi)?,
-            ii_of(Strategy::Spill)?,
-            ii_of(Strategy::BestOfAll)?,
-        ))
-    });
+    // Increase-II's first round is the ideal schedule, so a cell fitted in
+    // one round needs no register reduction, and a failed one never
+    // converges. Both are excluded, as in the paper; only the rest are
+    // compiled with spill and best-of-all.
+    let options = CompileOptions::default();
+    let report = batch(loops, machine, regs, &[Strategy::IncreaseIi], options, jobs);
+    let (subset, increase_ii): (Vec<BenchLoop>, Vec<&CellOutcome>) = loops
+        .iter()
+        .zip(&report.cells)
+        .filter(|(_, cell)| {
+            matches!(cell.status, CellStatus::Fitted { reschedules, .. } if reschedules > 1)
+        })
+        .map(|(l, cell)| (l.clone(), cell))
+        .unzip();
+    let strategies = [Strategy::Spill, Strategy::BestOfAll];
+    let report = batch(&subset, machine, regs, &strategies, options, jobs);
     let mut row = Fig9Row::default();
-    for (l, iis) in loops.iter().zip(per_loop) {
-        let Some((ii_ii, spill_ii, best_ii)) = iis else { continue };
+    for (increase_ii, cells) in increase_ii.into_iter().zip(report.cells.chunks(2)) {
+        let (spill, best) = (&cells[0], &cells[1]);
+        let (Some((ii, _)), Some((spill_ii, _)), Some(_)) =
+            (fitted(increase_ii), fitted(spill), fitted(best))
+        else {
+            continue;
+        };
         row.subset += 1;
-        row.increase_ii_cycles += l.cycles(ii_ii);
-        row.spill_cycles += l.cycles(spill_ii);
-        row.best_cycles += l.cycles(best_ii);
-        if ii_ii < spill_ii {
+        row.increase_ii_cycles += increase_ii.cycles();
+        row.spill_cycles += spill.cycles();
+        row.best_cycles += best.cycles();
+        if ii < spill_ii {
             row.increase_ii_wins += 1;
         }
     }

@@ -1,156 +1,15 @@
-//! Offline stand-in for the `criterion` crate.
+//! Offline stand-in for the `criterion` crate, cut down to the one
+//! sampling plan `regpipe bench` times its size points with.
 //!
-//! The build environment cannot reach crates.io, so the bench harness is
-//! vendored: the same `criterion_group!`/`criterion_main!` sources compile
-//! unchanged, and running them reports a mean wall-clock ns/iter per
-//! benchmark instead of criterion's full statistical analysis.
-//!
-//! Outside `cargo bench` (i.e. without a `--bench` argument) every benchmark
-//! body runs exactly once, so bench binaries double as smoke tests.
+//! The build environment cannot reach crates.io, so the timing loop is
+//! vendored: [`measure`] reports a mean wall-clock time per iteration
+//! instead of criterion's full statistical analysis.
 
 // Every public item of this crate is documented; CI turns gaps into errors.
 #![warn(missing_docs)]
 
-use std::fmt::Display;
+use std::hint::black_box;
 use std::time::Instant;
-
-/// Re-export so sources written against criterion's `black_box` still work.
-pub use std::hint::black_box;
-
-/// Top-level driver handed to each benchmark function.
-pub struct Criterion {
-    /// One quick iteration per bench (test mode) instead of a timed run.
-    quick: bool,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        let bench_mode = std::env::args().any(|a| a == "--bench");
-        Criterion { quick: !bench_mode }
-    }
-}
-
-impl Criterion {
-    /// Runs one named benchmark body, reporting mean ns/iter.
-    pub fn bench_function<F>(&mut self, id: &str, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher::new(self.quick);
-        f(&mut b);
-        b.report(id);
-        self
-    }
-
-    /// Opens a named group; its benchmarks report as `group/id`.
-    pub fn benchmark_group(&mut self, name: impl Display) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { criterion: self, name: name.to_string() }
-    }
-}
-
-/// A named group of related benchmarks.
-pub struct BenchmarkGroup<'c> {
-    criterion: &'c mut Criterion,
-    name: String,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Runs one benchmark within the group.
-    pub fn bench_function<F>(&mut self, id: impl Display, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let full = format!("{}/{}", self.name, id);
-        self.criterion.bench_function(&full, f);
-        self
-    }
-
-    /// Runs one parameterized benchmark within the group.
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
-    where
-        I: ?Sized,
-        F: FnMut(&mut Bencher, &I),
-    {
-        let full = format!("{}/{}", self.name, id.repr);
-        let mut b = Bencher::new(self.criterion.quick);
-        f(&mut b, input);
-        b.report(&full);
-        self
-    }
-
-    /// Accepted for source compatibility; the stub has no sampling plan.
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Ends the group (a no-op here, as in criterion's API contract).
-    pub fn finish(self) {}
-}
-
-/// Identifier combining a function name and a parameter, as in criterion.
-pub struct BenchmarkId {
-    repr: String,
-}
-
-impl BenchmarkId {
-    /// An id rendered as `function/parameter`.
-    pub fn new(function: impl Display, parameter: impl Display) -> Self {
-        BenchmarkId { repr: format!("{function}/{parameter}") }
-    }
-
-    /// An id rendered as the parameter alone.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId { repr: parameter.to_string() }
-    }
-}
-
-/// Timing loop handed to each benchmark body.
-pub struct Bencher {
-    quick: bool,
-    iters: u64,
-    nanos: u128,
-}
-
-impl Bencher {
-    fn new(quick: bool) -> Self {
-        Bencher { quick, iters: 0, nanos: 0 }
-    }
-
-    /// Times `f`: one pass in test mode, a ~200ms sampling loop under
-    /// `cargo bench`.
-    pub fn iter<O, F>(&mut self, mut f: F)
-    where
-        F: FnMut() -> O,
-    {
-        // Warm-up pass, also the only pass in quick (test) mode.
-        let start = Instant::now();
-        black_box(f());
-        let first = start.elapsed().as_nanos();
-        if self.quick {
-            self.iters = 1;
-            self.nanos = first;
-            return;
-        }
-        // Aim for ~200ms of measurement, between 10 and 10_000 iterations.
-        let per_iter = first.max(1);
-        let target = (200_000_000 / per_iter).clamp(10, 10_000) as u64;
-        let start = Instant::now();
-        for _ in 0..target {
-            black_box(f());
-        }
-        self.iters = target;
-        self.nanos = start.elapsed().as_nanos();
-    }
-
-    fn report(&self, id: &str) {
-        if self.iters == 0 {
-            println!("{id:<48} (no measurement)");
-        } else {
-            let per = self.nanos / u128::from(self.iters);
-            println!("{id:<48} {per:>12} ns/iter ({} iters)", self.iters);
-        }
-    }
-}
 
 /// One timing result from [`measure`]: how many iterations ran and how long
 /// they took in total.
@@ -169,40 +28,16 @@ impl Measurement {
     }
 }
 
-/// Runs `f` through the harness's sampling loop and returns the measurement
-/// instead of printing it.
-///
-/// With `timed = false` the body runs exactly once (the quick mode bench
-/// binaries use under `cargo test`); with `timed = true` it runs the same
-/// ~200 ms sampling plan as [`Bencher::iter`]. This is the entry point for
-/// callers that consume timings programmatically — e.g. the `regpipe bench`
-/// subcommand building `BENCH_compile.json`.
-pub fn measure<O, F>(timed: bool, mut f: F) -> Measurement
-where
-    F: FnMut() -> O,
-{
-    let mut b = Bencher::new(!timed);
-    b.iter(&mut f);
-    Measurement { iters: b.iters, total_nanos: b.nanos }
-}
-
-/// Collect benchmark functions into a runnable group, as in criterion.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-/// Emit `main` running the named groups, as in criterion.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
+/// Times `f`: one warm-up pass sizes a ~200 ms sampling loop of between 10
+/// and 10 000 iterations, whose total is the measurement.
+pub fn measure<O>(mut f: impl FnMut() -> O) -> Measurement {
+    let start = Instant::now();
+    black_box(f());
+    let per_iter = start.elapsed().as_nanos().max(1);
+    let iters = (200_000_000 / per_iter).clamp(10, 10_000) as u64;
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    Measurement { iters, total_nanos: start.elapsed().as_nanos() }
 }

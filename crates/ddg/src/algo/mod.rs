@@ -11,6 +11,6 @@ mod scc;
 mod topo;
 
 pub use circuits::{elementary_circuits, Circuit};
-pub use reach::{sccs_of, BitClosure, Reachability};
+pub use reach::{sccs_of, BitClosure};
 pub use scc::{recurrences, sccs, Scc};
-pub use topo::{condensation_order, topo_order_ignoring_back_edges};
+pub use topo::topo_order_ignoring_back_edges;

@@ -1,8 +1,5 @@
 //! Reachability queries.
 
-use crate::graph::Ddg;
-use crate::op::OpId;
-
 /// Word-packed transitive closure over an arbitrary adjacency-list graph
 /// (node = index into the list).
 ///
@@ -179,44 +176,20 @@ pub fn sccs_of(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Precomputed all-pairs reachability (transitive closure) over a graph.
-///
-/// A thin [`OpId`]-typed facade over [`BitClosure`]: built once, queried in
-/// O(1), following all edge kinds and distances — reachability is about
-/// graph topology, not timing.
-#[derive(Clone, Debug)]
-pub struct Reachability {
-    closure: BitClosure,
-}
-
-impl Reachability {
-    /// Builds the transitive closure of `g`.
-    pub fn new(g: &Ddg) -> Self {
-        let adj: Vec<Vec<usize>> = (0..g.num_ops())
-            .map(|v| g.successors(OpId::new(v)).map(|s| s.index()).collect())
-            .collect();
-        Reachability { closure: BitClosure::new(&adj) }
-    }
-
-    /// Whether `to` is reachable from `from` (every node reaches itself).
-    pub fn reaches(&self, from: OpId, to: OpId) -> bool {
-        self.closure.reaches(from.index(), to.index())
-    }
-
-    /// All nodes reachable from `from` (including itself).
-    pub fn reachable_from(&self, from: OpId) -> Vec<OpId> {
-        (0..self.closure.len())
-            .filter(|&t| self.closure.reaches(from.index(), t))
-            .map(OpId::new)
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::DdgBuilder;
-    use crate::op::OpKind;
+    use crate::op::{OpId, OpKind};
+    use crate::Ddg;
+
+    /// The transitive closure of `g`'s edges, all kinds and distances.
+    fn closure(g: &Ddg) -> BitClosure {
+        let adj: Vec<Vec<usize>> = (0..g.num_ops())
+            .map(|v| g.successors(OpId::new(v)).map(|s| s.index()).collect())
+            .collect();
+        BitClosure::new(&adj)
+    }
 
     #[test]
     fn chain_reachability() {
@@ -227,11 +200,11 @@ mod tests {
         b.reg(x, y);
         b.reg(y, z);
         let g = b.build().unwrap();
-        let r = Reachability::new(&g);
-        assert!(r.reaches(x, z));
-        assert!(!r.reaches(z, x));
-        assert!(r.reaches(y, y));
-        assert_eq!(r.reachable_from(x).len(), 3);
+        let r = closure(&g);
+        assert!(r.reaches(x.index(), z.index()));
+        assert!(!r.reaches(z.index(), x.index()));
+        assert!(r.reaches(y.index(), y.index()));
+        assert_eq!(r.row(x.index())[0].count_ones(), 3);
     }
 
     #[test]
@@ -242,9 +215,9 @@ mod tests {
         b.reg(x, y);
         b.reg_dist(y, x, 1);
         let g = b.build().unwrap();
-        let r = Reachability::new(&g);
-        assert!(r.reaches(x, y));
-        assert!(r.reaches(y, x));
+        let r = closure(&g);
+        assert!(r.reaches(x.index(), y.index()));
+        assert!(r.reaches(y.index(), x.index()));
     }
 
     #[test]
@@ -253,9 +226,9 @@ mod tests {
         let x = b.add_op(OpKind::Add, "x");
         let y = b.add_op(OpKind::Add, "y");
         let g = b.build().unwrap();
-        let r = Reachability::new(&g);
-        assert!(!r.reaches(x, y));
-        assert!(!r.reaches(y, x));
+        let r = closure(&g);
+        assert!(!r.reaches(x.index(), y.index()));
+        assert!(!r.reaches(y.index(), x.index()));
     }
 
     /// Reference BFS reachability, for cross-checking the bitset closure.
@@ -350,10 +323,10 @@ mod tests {
             srcs.push(s);
         }
         let g = b.build().unwrap();
-        let r = Reachability::new(&g);
+        let r = closure(&g);
         for &s in &srcs {
-            assert!(r.reaches(s, sink));
-            assert!(!r.reaches(sink, s));
+            assert!(r.reaches(s.index(), sink.index()));
+            assert!(!r.reaches(sink.index(), s.index()));
         }
     }
 }

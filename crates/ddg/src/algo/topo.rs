@@ -2,25 +2,8 @@
 
 use std::collections::VecDeque;
 
-use crate::algo::scc::sccs;
 use crate::graph::Ddg;
 use crate::op::OpId;
-
-/// A topological order of the graph's *condensation*: operations appear so
-/// that every edge that is not internal to a recurrence points forward.
-///
-/// Operations inside the same recurrence appear contiguously. This is the
-/// skeleton order the schedulers start from.
-pub fn condensation_order(g: &Ddg) -> Vec<OpId> {
-    // Tarjan emits SCCs in reverse topological order; reversing gives a
-    // forward topological order of components.
-    let comps = sccs(g);
-    let mut out = Vec::with_capacity(g.num_ops());
-    for comp in comps.iter().rev() {
-        out.extend_from_slice(comp.ops());
-    }
-    out
-}
 
 /// Kahn topological order that ignores loop-carried (distance > 0) edges.
 ///
@@ -58,23 +41,6 @@ mod tests {
     use super::*;
     use crate::builder::DdgBuilder;
     use crate::op::OpKind;
-
-    #[test]
-    fn condensation_order_respects_cross_edges() {
-        let mut b = DdgBuilder::new("g");
-        let a = b.add_op(OpKind::Add, "a");
-        let c = b.add_op(OpKind::Add, "b");
-        let d = b.add_op(OpKind::Add, "c");
-        b.reg(a, c);
-        b.reg_dist(c, a, 1); // recurrence {a, b}
-        b.reg(c, d);
-        let g = b.build().unwrap();
-        let order = condensation_order(&g);
-        let pos = |x: OpId| order.iter().position(|&v| v == x).unwrap();
-        assert!(pos(a) < pos(d));
-        assert!(pos(c) < pos(d));
-        assert_eq!(order.len(), 3);
-    }
 
     #[test]
     fn kahn_order_is_complete_and_forward() {

@@ -55,12 +55,6 @@ pub enum EdgeKind {
 impl EdgeKind {
     /// All edge kinds.
     pub const ALL: [EdgeKind; 3] = [EdgeKind::RegFlow, EdgeKind::Mem, EdgeKind::Order];
-
-    /// Whether the dependence carries a register value (and therefore
-    /// defines a lifetime segment for the source's loop variant).
-    pub fn carries_value(self) -> bool {
-        matches!(self, EdgeKind::RegFlow)
-    }
 }
 
 impl fmt::Display for EdgeKind {
@@ -155,11 +149,6 @@ impl Edge {
     pub fn stagger(&self) -> u32 {
         self.stagger
     }
-
-    /// Whether the edge is loop-carried (δ > 0).
-    pub fn is_loop_carried(&self) -> bool {
-        self.distance > 0
-    }
 }
 
 impl fmt::Display for Edge {
@@ -187,7 +176,6 @@ mod tests {
         assert_eq!(e.kind(), EdgeKind::Mem);
         assert_eq!(e.distance(), 3);
         assert!(!e.is_fixed());
-        assert!(e.is_loop_carried());
     }
 
     #[test]
@@ -197,7 +185,6 @@ mod tests {
         assert_eq!(e.kind(), EdgeKind::RegFlow);
         assert_eq!(e.distance(), 0);
         assert_eq!(e.stagger(), 0);
-        assert!(!e.is_loop_carried());
     }
 
     #[test]
@@ -205,13 +192,6 @@ mod tests {
         let e = Edge::fixed_staggered(OpId::new(0), OpId::new(1), 2);
         assert!(e.is_fixed());
         assert_eq!(e.stagger(), 2);
-    }
-
-    #[test]
-    fn only_reg_edges_carry_values() {
-        assert!(EdgeKind::RegFlow.carries_value());
-        assert!(!EdgeKind::Mem.carries_value());
-        assert!(!EdgeKind::Order.carries_value());
     }
 
     #[test]

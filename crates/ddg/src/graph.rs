@@ -136,11 +136,6 @@ impl Ddg {
         self.out_edges(v).map(|e| e.to())
     }
 
-    /// Predecessor operations of `v` (may repeat if parallel edges exist).
-    pub fn predecessors(&self, v: OpId) -> impl Iterator<Item = OpId> + '_ {
-        self.in_edges(v).map(|e| e.from())
-    }
-
     /// Adds a dependence edge.
     ///
     /// # Panics
@@ -361,7 +356,7 @@ mod tests {
         let ld = OpId::new(0);
         let st = OpId::new(3);
         assert_eq!(g.successors(ld).count(), 2);
-        assert_eq!(g.predecessors(st).count(), 2);
+        assert_eq!(g.in_edges(st).count(), 2);
         assert_eq!(g.in_edges(ld).count(), 0);
         assert_eq!(g.out_edges(st).count(), 0);
     }
@@ -392,7 +387,7 @@ mod tests {
         assert_eq!(g.successors(OpId::new(0)).count(), 0);
         assert_eq!(g.num_edges(), 2);
         // Remaining edges still reachable through adjacency.
-        assert_eq!(g.predecessors(OpId::new(3)).count(), 2);
+        assert_eq!(g.in_edges(OpId::new(3)).count(), 2);
     }
 
     #[test]

@@ -48,12 +48,6 @@ pub fn content_hash(ddg: &Ddg) -> u64 {
     fnv1a(textfmt::format(ddg).as_bytes())
 }
 
-/// [`content_hash`] as the fixed-width lowercase hex string used in wire
-/// responses and log lines (16 digits, zero-padded).
-pub fn content_hash_hex(ddg: &Ddg) -> String {
-    format!("{:016x}", content_hash(ddg))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,13 +76,6 @@ mod tests {
         assert_eq!(content_hash(&sample("l", 3)), content_hash(&sample("l", 3)));
         assert_ne!(content_hash(&sample("l", 3)), content_hash(&sample("l", 4)));
         assert_ne!(content_hash(&sample("l", 3)), content_hash(&sample("m", 3)));
-    }
-
-    #[test]
-    fn hex_form_is_fixed_width() {
-        let h = content_hash_hex(&sample("l", 3));
-        assert_eq!(h.len(), 16);
-        assert!(h.chars().all(|c| c.is_ascii_hexdigit() && !c.is_ascii_uppercase()));
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use builder::DdgBuilder;
 pub use dot::to_dot;
 pub use edge::{Edge, EdgeId, EdgeKind};
 pub use graph::Ddg;
-pub use hash::{content_hash, content_hash_hex, fnv1a};
+pub use hash::{content_hash, fnv1a};
 pub use invariant::{Invariant, InvariantId};
 pub use node::Node;
 pub use op::{OpId, OpKind};

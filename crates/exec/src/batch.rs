@@ -7,7 +7,7 @@ use regpipe_core::{compile, CompileOptions, Strategy};
 use regpipe_loops::BenchLoop;
 use regpipe_machine::MachineConfig;
 
-use crate::json::Value;
+use crate::json::{self, Value};
 use crate::pmap::parallel_map;
 
 /// One batch run: every loop of a suite, at every register budget, under
@@ -68,6 +68,9 @@ pub struct CellOutcome {
     pub strategy: Strategy,
     /// Result of the compile call.
     pub status: CellStatus,
+    /// Candidate IIs the scheduler explored across the compile's rounds
+    /// (`CompiledLoop::iis_explored`; 0 for a failed cell).
+    pub iis_explored: u32,
     /// Wall-clock time of the compile call. The only non-deterministic
     /// field; excluded from [`BatchReport::to_json`] unless asked for.
     pub wall: Duration,
@@ -110,8 +113,29 @@ pub struct BatchAggregate {
     pub spilled: u64,
     /// Σ scheduling rounds.
     pub reschedules: u64,
-    /// Σ wall-clock compile time (non-deterministic).
+    /// Σ candidate IIs explored over fitted cells (the paper's
+    /// scheduling-effort measure; not rendered in `BENCH_suite.json`).
+    pub iis_explored: u64,
+    /// Σ wall-clock compile time over all cells (non-deterministic).
     pub wall: Duration,
+}
+
+impl BatchAggregate {
+    /// Tallies one cell.
+    fn add(&mut self, cell: &CellOutcome) {
+        self.wall += cell.wall;
+        match cell.status {
+            CellStatus::Fitted { spilled, reschedules, .. } => {
+                self.fitted += 1;
+                self.cycles += cell.cycles();
+                self.memory_refs += cell.memory_refs();
+                self.spilled += u64::from(spilled);
+                self.reschedules += u64::from(reschedules);
+                self.iis_explored += u64::from(cell.iis_explored);
+            }
+            CellStatus::Failed { .. } => self.failures += 1,
+        }
+    }
 }
 
 /// The collected outcomes of a batch run, in deterministic cell order:
@@ -142,33 +166,29 @@ impl BatchReport {
     pub fn aggregates(&self) -> Vec<BatchAggregate> {
         let mut groups: Vec<BatchAggregate> = Vec::new();
         for cell in &self.cells {
-            let agg = match groups
-                .iter_mut()
-                .find(|a| a.budget == cell.budget && a.strategy == Some(cell.strategy))
-            {
-                Some(a) => a,
-                None => {
-                    groups.push(BatchAggregate {
-                        budget: cell.budget,
-                        strategy: Some(cell.strategy),
-                        ..BatchAggregate::default()
-                    });
-                    groups.last_mut().unwrap()
-                }
+            let group = |a: &BatchAggregate| {
+                a.budget == cell.budget && a.strategy == Some(cell.strategy)
             };
-            agg.wall += cell.wall;
-            match cell.status {
-                CellStatus::Fitted { spilled, reschedules, .. } => {
-                    agg.fitted += 1;
-                    agg.cycles += cell.cycles();
-                    agg.memory_refs += cell.memory_refs();
-                    agg.spilled += u64::from(spilled);
-                    agg.reschedules += u64::from(reschedules);
-                }
-                CellStatus::Failed { .. } => agg.failures += 1,
-            }
+            let at = groups.iter().position(group).unwrap_or_else(|| {
+                groups.push(BatchAggregate {
+                    budget: cell.budget,
+                    strategy: Some(cell.strategy),
+                    ..BatchAggregate::default()
+                });
+                groups.len() - 1
+            });
+            groups[at].add(cell);
         }
         groups
+    }
+
+    /// Every cell tallied into one aggregate (budget 0, no strategy).
+    pub fn total(&self) -> BatchAggregate {
+        let mut total = BatchAggregate::default();
+        for cell in &self.cells {
+            total.add(cell);
+        }
+        total
     }
 
     /// Renders the report as `BENCH_suite.json` (schema
@@ -182,7 +202,6 @@ impl BatchReport {
     /// and aggregate plus `total_wall_us` and `jobs` at the top level.
     pub fn to_json(&self, include_timing: bool) -> String {
         let mut top = vec![
-            ("schema".to_string(), Value::Str("regpipe-bench-suite/v3".into())),
             ("machine".to_string(), Value::Str(self.machine.clone())),
             ("scheduler".to_string(), Value::Str(self.scheduler.clone())),
             ("spill_policy".to_string(), Value::Str(self.spill_policy.clone())),
@@ -262,9 +281,7 @@ impl BatchReport {
             })
             .collect();
         top.push(("cells".into(), Value::Array(cells)));
-        let mut text = Value::Object(top).render();
-        text.push('\n');
-        text
+        json::report("regpipe-bench-suite/v3", top)
     }
 }
 
@@ -312,16 +329,19 @@ pub fn run_batch(loops: &[BenchLoop], req: &BatchRequest) -> BatchReport {
         let l = &loops[index];
         let options = CompileOptions { strategy, ..req.options };
         let cell_started = Instant::now();
-        let status = match compile(&l.ddg, &req.machine, budget, &options) {
-            Ok(c) => CellStatus::Fitted {
-                ii: c.ii(),
-                regs: c.registers_used(),
-                spilled: c.spilled(),
-                reschedules: c.reschedules(),
-                memory_ops: c.memory_ops(),
-                strategy_used: c.strategy_used(),
-            },
-            Err(e) => CellStatus::Failed { error: e.to_string() },
+        let (status, iis_explored) = match compile(&l.ddg, &req.machine, budget, &options) {
+            Ok(c) => (
+                CellStatus::Fitted {
+                    ii: c.ii(),
+                    regs: c.registers_used(),
+                    spilled: c.spilled(),
+                    reschedules: c.reschedules(),
+                    memory_ops: c.memory_ops(),
+                    strategy_used: c.strategy_used(),
+                },
+                c.iis_explored(),
+            ),
+            Err(e) => (CellStatus::Failed { error: e.to_string() }, 0),
         };
         CellOutcome {
             loop_index: index,
@@ -330,6 +350,7 @@ pub fn run_batch(loops: &[BenchLoop], req: &BatchRequest) -> BatchReport {
             budget,
             strategy,
             status,
+            iis_explored,
             wall: cell_started.elapsed(),
         }
     });
@@ -382,6 +403,26 @@ mod tests {
         for a in &aggs {
             assert_eq!(a.fitted + a.failures, 4);
         }
+    }
+
+    /// The effort tally sums `compile`'s own `iis_explored` over the fitted
+    /// cells; failed cells add nothing.
+    #[test]
+    fn aggregate_iis_explored_sums_the_fitted_compiles() {
+        let loops = suite(3, 4);
+        let req = BatchRequest { budgets: vec![32, 8], ..request(2) };
+        let report = run_batch(&loops, &req);
+        assert!(report.total().failures > 0, "budget 8 must fail some cells");
+        for agg in report.aggregates() {
+            let options = CompileOptions { strategy: agg.strategy.unwrap(), ..req.options };
+            let fitted = loops
+                .iter()
+                .filter_map(|l| compile(&l.ddg, &req.machine, agg.budget, &options).ok());
+            let expected: u64 = fitted.map(|c| u64::from(c.iis_explored())).sum();
+            assert_eq!(agg.iis_explored, expected, "budget {}", agg.budget);
+        }
+        let summed: u64 = report.aggregates().iter().map(|a| a.iis_explored).sum();
+        assert_eq!(report.total().iis_explored, summed);
     }
 
     #[test]

@@ -180,6 +180,22 @@ impl Value {
     }
 }
 
+/// Renders a `BENCH_*.json` report: one object whose first key is
+/// `schema`, then `fields` in order, and a trailing newline. Every report
+/// writer goes through here, so the envelope lives in one place.
+pub fn report(schema: &str, fields: Vec<(String, Value)>) -> String {
+    let mut pairs = vec![("schema".to_string(), Value::Str(schema.to_string()))];
+    pairs.extend(fields);
+    let mut text = Value::Object(pairs).render();
+    text.push('\n');
+    text
+}
+
+/// A report float rounded to two decimals, so it renders stably.
+pub fn round2(x: f64) -> f64 {
+    (x * 100.0).round() / 100.0
+}
+
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

@@ -3,8 +3,7 @@
 //! The paper evaluates on 1258 innermost DO-loops from the Perfect Club,
 //! extracted with the ICTINEO compiler — neither of which is available.
 //! This crate substitutes a **seeded synthetic suite** with the same
-//! observable properties the algorithms care about (see `DESIGN.md` for the
-//! substitution argument):
+//! observable properties the algorithms care about:
 //!
 //! * realistic operation mixes (loads/stores dominate, adds and multiplies
 //!   in rough balance, a sprinkle of divides and square roots);

@@ -305,11 +305,6 @@ impl MachineConfig {
             self.latency(kind)
         }
     }
-
-    /// Total number of functional units (the machine's issue width).
-    pub fn total_units(&self) -> u32 {
-        self.units.iter().sum()
-    }
 }
 
 impl fmt::Display for MachineConfig {
@@ -371,7 +366,6 @@ mod tests {
             assert_eq!(m.latency(kind), 2);
             assert_eq!(m.occupancy(kind), 1);
         }
-        assert_eq!(m.total_units(), 4);
         assert_eq!(m.classes().count(), 1);
     }
 

@@ -149,12 +149,6 @@ impl TimeAnalysis {
     pub fn mobility(&self, op: OpId) -> i64 {
         self.alap[op.index()] - self.asap[op.index()]
     }
-
-    /// Length of the critical path (maximum `asap + latency` over all
-    /// operations); useful as a schedule-span estimate.
-    pub fn critical_path(&self) -> i64 {
-        self.horizon
-    }
 }
 
 #[cfg(test)]

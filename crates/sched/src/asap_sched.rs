@@ -27,10 +27,6 @@ impl AsapScheduler {
 }
 
 impl Scheduler for AsapScheduler {
-    fn name(&self) -> &'static str {
-        "asap"
-    }
-
     fn schedule_in(
         &self,
         ctx: &LoopAnalysis<'_>,

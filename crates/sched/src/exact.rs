@@ -270,10 +270,6 @@ impl ExactScheduler {
 }
 
 impl Scheduler for ExactScheduler {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
     fn schedule_in(
         &self,
         ctx: &LoopAnalysis<'_>,

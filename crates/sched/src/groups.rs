@@ -170,11 +170,6 @@ impl ComplexGroups {
     pub fn leader(&self, g: usize) -> OpId {
         self.leaders[g]
     }
-
-    /// Whether `op` belongs to a multi-operation (complex) group.
-    pub fn is_complex(&self, op: OpId) -> bool {
-        self.members_of(op).len() > 1
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +186,7 @@ mod tests {
         let g = b.build().unwrap();
         let groups = ComplexGroups::new(&g, &MachineConfig::p1l4());
         assert_eq!(groups.len(), 2);
-        assert!(!groups.is_complex(a));
+        assert_eq!(groups.members_of(a), &[a]);
         assert_eq!(groups.offset(c), 0);
     }
 
@@ -206,7 +201,7 @@ mod tests {
         let m = MachineConfig::p1l4();
         let groups = ComplexGroups::new(&g, &m);
         assert_eq!(groups.len(), 1);
-        assert!(groups.is_complex(p));
+        assert_eq!(groups.members_of(p), &[p, s]);
         assert_eq!(groups.leader(0), p);
         assert_eq!(groups.offset(p), 0);
         assert_eq!(groups.offset(s), 4, "store exactly lat(add) after producer");
@@ -258,7 +253,7 @@ mod tests {
         let g = b.build().unwrap();
         let groups = ComplexGroups::new(&g, &MachineConfig::p1l4());
         assert_eq!(groups.members_of(l1).len(), 2);
-        assert!(!groups.is_complex(l2));
+        assert_eq!(groups.members_of(l2), &[l2]);
     }
 
     #[test]

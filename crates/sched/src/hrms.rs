@@ -72,10 +72,6 @@ impl HrmsScheduler {
 }
 
 impl Scheduler for HrmsScheduler {
-    fn name(&self) -> &'static str {
-        "hrms"
-    }
-
     fn schedule_in(
         &self,
         ctx: &LoopAnalysis<'_>,

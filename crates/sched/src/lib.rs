@@ -184,9 +184,6 @@ impl Error for SchedError {}
 /// plug-in point the paper insists on: the spilling framework "can be
 /// applied to any software pipelining technique".
 pub trait Scheduler {
-    /// A short human-readable name (for reports).
-    fn name(&self) -> &'static str;
-
     /// Schedules within a prebuilt [`LoopAnalysis`] context, letting
     /// repeated calls on the same loop (II sweeps, best-of-all probes,
     /// spill rounds between graph rewrites) share every II-independent

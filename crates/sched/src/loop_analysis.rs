@@ -18,8 +18,7 @@
 //! strategies must rebuild the context whenever the graph is *rewritten* —
 //! spill-code insertion (`regpipe_spill::spill` /
 //! `regpipe_spill::spill_batch`) is the only mutation point in the
-//! pipeline. [`LoopAnalysis::matches`] is a cheap guard for debug
-//! assertions at those boundaries.
+//! pipeline.
 
 use regpipe_ddg::algo::BitClosure;
 use regpipe_ddg::{Ddg, OpId};
@@ -141,8 +140,7 @@ pub(crate) struct IntraFreeEdge {
 ///
 /// The context borrows its graph and machine and is a pure function of
 /// them; it must be rebuilt whenever the graph is rewritten (spill-code
-/// insertion is the pipeline's only mutation point). [`LoopAnalysis::matches`]
-/// is a cheap debug guard for that contract.
+/// insertion is the pipeline's only mutation point).
 pub struct LoopAnalysis<'a> {
     ddg: &'a Ddg,
     machine: &'a MachineConfig,
@@ -268,16 +266,6 @@ impl<'a> LoopAnalysis<'a> {
     /// ([`fallback_max_ii`](crate::fallback_max_ii)).
     pub fn fallback_max_ii(&self) -> u32 {
         self.fallback_max_ii
-    }
-
-    /// Whether this context still describes `ddg`.
-    ///
-    /// Cheap (pointer + shape) guard for the invalidation contract: any
-    /// graph rewrite — in this pipeline, spill-code insertion — requires a
-    /// fresh context. Intended for `debug_assert!` at driver boundaries.
-    pub fn matches(&self, ddg: &Ddg) -> bool {
-        std::ptr::eq(self.ddg, ddg)
-            || (self.ddg.num_ops() == ddg.num_ops() && self.ddg.num_edges() == ddg.num_edges())
     }
 
     /// Timing analysis at `ii`, warm-started from `prev` (the solution at a
@@ -411,7 +399,6 @@ mod tests {
         assert_eq!(ctx.rec_mii(), crate::rec_mii(&g, &m));
         assert_eq!(ctx.res_mii(), res_mii(&m, &g));
         assert_eq!(ctx.fallback_max_ii(), fallback_max_ii(&g, &m));
-        assert!(ctx.matches(&g));
     }
 
     #[test]
@@ -432,19 +419,5 @@ mod tests {
             assert_eq!(via_ctx.asap(op), direct.asap(op));
             assert_eq!(via_ctx.alap(op), direct.alap(op));
         }
-    }
-
-    #[test]
-    fn matches_rejects_a_differently_shaped_graph() {
-        let mut b = DdgBuilder::new("a");
-        b.add_op(OpKind::Add, "x");
-        let g = b.build().unwrap();
-        let mut b2 = DdgBuilder::new("b");
-        b2.add_op(OpKind::Add, "x");
-        b2.add_op(OpKind::Add, "y");
-        let g2 = b2.build().unwrap();
-        let m = MachineConfig::p1l4();
-        let ctx = LoopAnalysis::new(&g, &m);
-        assert!(!ctx.matches(&g2));
     }
 }

@@ -82,10 +82,6 @@ impl fmt::Display for SchedulerKind {
 }
 
 impl Scheduler for SchedulerKind {
-    fn name(&self) -> &'static str {
-        self.slug()
-    }
-
     fn schedule_in(
         &self,
         ctx: &LoopAnalysis<'_>,

@@ -78,10 +78,6 @@ impl SmsScheduler {
 }
 
 impl Scheduler for SmsScheduler {
-    fn name(&self) -> &'static str {
-        "sms"
-    }
-
     fn schedule_in(
         &self,
         ctx: &LoopAnalysis<'_>,

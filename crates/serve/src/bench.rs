@@ -2,15 +2,16 @@
 //! [`Server`] and reports throughput, hit rate, and latency percentiles
 //! as `BENCH_serve.json` (schema `regpipe-bench-serve/v2`).
 //!
-//! Like every report in this workspace, the default output contains only
-//! deterministic fields (request counts, hit/miss/eviction totals, the
-//! configuration); wall-clock numbers — throughput and percentiles —
-//! appear only when `REGPIPE_BENCH_TIMING=1`, so committed reports diff
+//! Like every report in this workspace, the default rendering contains
+//! only deterministic fields (request counts, hit/miss/eviction totals,
+//! the configuration); wall-clock numbers — throughput and percentiles —
+//! are always measured but rendered only on request
+//! (`REGPIPE_BENCH_TIMING=1` via the CLI), so committed reports diff
 //! cleanly run to run.
 
 use std::num::NonZeroUsize;
 
-use regpipe_exec::json::Value;
+use regpipe_exec::json::{self, round2, Value};
 use regpipe_exec::strategy_slug;
 
 use crate::replay::{base_requests, replay_in_process, IdPolicy, ReplayConfig, ReplaySource};
@@ -33,8 +34,6 @@ pub struct ServeBenchConfig {
     pub jobs: NonZeroUsize,
     /// Whether the daemon cache is enabled.
     pub cache: bool,
-    /// Whether to include wall-clock fields in the report.
-    pub timed: bool,
 }
 
 impl Default for ServeBenchConfig {
@@ -50,12 +49,11 @@ impl Default for ServeBenchConfig {
             },
             jobs: NonZeroUsize::new(1).unwrap(),
             cache: true,
-            timed: false,
         }
     }
 }
 
-/// Wall-clock results (only present when timing is opted in).
+/// Wall-clock results (rendered only when timing is opted in).
 #[derive(Clone, Copy, Debug)]
 pub struct ServeTiming {
     /// Total wall time of all passes, microseconds.
@@ -87,8 +85,8 @@ pub struct ServeBenchReport {
     pub evictions: u64,
     /// `hits / requests` (0 when no requests ran).
     pub hit_rate: f64,
-    /// Wall-clock results, when opted in.
-    pub timing: Option<ServeTiming>,
+    /// Wall-clock results.
+    pub timing: ServeTiming,
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice.
@@ -120,19 +118,14 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, St
         outcome.responses.iter().filter(|r| r.contains("\"status\":\"failed\"")).count() as u64;
     let totals = server.cache_totals();
     let hit_rate = if requests > 0 { totals.hits as f64 / requests as f64 } else { 0.0 };
-    let timing = if config.timed {
-        let mut sorted = outcome.latencies_us.clone();
-        sorted.sort_unstable();
-        let wall_secs = outcome.wall_us as f64 / 1e6;
-        ServeTiming {
-            total_wall_us: outcome.wall_us,
-            compiles_per_sec: if wall_secs > 0.0 { requests as f64 / wall_secs } else { 0.0 },
-            p50_us: percentile(&sorted, 0.50),
-            p99_us: percentile(&sorted, 0.99),
-        }
-        .into()
-    } else {
-        None
+    let mut sorted = outcome.latencies_us;
+    sorted.sort_unstable();
+    let wall_secs = outcome.wall_us as f64 / 1e6;
+    let timing = ServeTiming {
+        total_wall_us: outcome.wall_us,
+        compiles_per_sec: if wall_secs > 0.0 { requests as f64 / wall_secs } else { 0.0 },
+        p50_us: percentile(&sorted, 0.50),
+        p99_us: percentile(&sorted, 0.99),
     };
     Ok(ServeBenchReport {
         config: config.clone(),
@@ -147,10 +140,6 @@ pub fn run_serve_bench(config: &ServeBenchConfig) -> Result<ServeBenchReport, St
     })
 }
 
-fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
-}
-
 fn round4(v: f64) -> f64 {
     (v * 10_000.0).round() / 10_000.0
 }
@@ -158,11 +147,14 @@ fn round4(v: f64) -> f64 {
 impl ServeBenchReport {
     /// Renders the report as the `BENCH_serve.json` document (schema
     /// `regpipe-bench-serve/v2`; v2 added the `spill_policy` field).
-    pub fn to_json(&self) -> String {
+    ///
+    /// With `include_timing = false` the rendering contains only
+    /// deterministic fields; `include_timing = true` adds `jobs`,
+    /// `total_wall_us`, `compiles_per_sec` and the latency percentiles.
+    pub fn to_json(&self, include_timing: bool) -> String {
         let c = &self.config;
         let r = &c.replay;
         let mut pairs = vec![
-            ("schema".to_string(), Value::Str("regpipe-bench-serve/v2".into())),
             ("seed".to_string(), Value::uint(c.seed)),
             ("count".to_string(), Value::uint(c.count as u64)),
             ("repeat".to_string(), Value::uint(c.repeat as u64)),
@@ -186,7 +178,8 @@ impl ServeBenchReport {
                 Value::finite(round4(self.hit_rate)).expect("hit rate is finite"),
             ),
         ];
-        if let Some(t) = &self.timing {
+        if include_timing {
+            let t = &self.timing;
             pairs.push(("jobs".to_string(), Value::uint(c.jobs.get() as u64)));
             pairs.push(("total_wall_us".to_string(), Value::uint(t.total_wall_us)));
             pairs.push((
@@ -196,7 +189,7 @@ impl ServeBenchReport {
             pairs.push(("p50_latency_us".to_string(), Value::uint(t.p50_us)));
             pairs.push(("p99_latency_us".to_string(), Value::uint(t.p99_us)));
         }
-        Value::Object(pairs).render()
+        json::report("regpipe-bench-serve/v2", pairs)
     }
 }
 
@@ -215,25 +208,24 @@ mod tests {
     fn untimed_reports_are_deterministic_and_account_for_every_request() {
         let a = run_serve_bench(&small()).unwrap();
         let b = run_serve_bench(&small()).unwrap();
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.to_json(false), b.to_json(false));
         assert_eq!(a.requests, 16, "8 kernels x 1 budget x 2 passes");
         assert_eq!(a.fitted + a.failed, a.requests);
         assert_eq!(a.hits + a.misses, a.requests);
         assert_eq!(a.misses, 8, "pass 1 misses once per key");
         assert_eq!(a.hit_rate, 0.5);
-        assert!(!a.to_json().contains("total_wall_us"));
-        parse_json(&a.to_json()).expect("report is valid JSON");
+        assert!(!a.to_json(false).contains("total_wall_us"));
+        parse_json(&a.to_json(false)).expect("report is valid JSON");
     }
 
     #[test]
     fn timed_reports_add_wall_fields() {
-        let report = run_serve_bench(&ServeBenchConfig { timed: true, ..small() }).unwrap();
-        let doc = parse_json(&report.to_json()).unwrap();
+        let report = run_serve_bench(&small()).unwrap();
+        let doc = parse_json(&report.to_json(true)).unwrap();
         assert!(doc.get("compiles_per_sec").is_some());
         assert!(doc.get("p50_latency_us").is_some());
         assert!(doc.get("p99_latency_us").is_some());
-        let t = report.timing.unwrap();
-        assert!(t.p50_us <= t.p99_us);
+        assert!(report.timing.p50_us <= report.timing.p99_us);
     }
 
     #[test]

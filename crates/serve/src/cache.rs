@@ -32,7 +32,7 @@ pub struct CacheKey {
     pub ddg_hash: u64,
     /// Canonical machine identity string.
     pub machine: String,
-    /// Scheduler registry slug (`hrms`/`sms`/`asap`).
+    /// Scheduler registry slug (`hrms`/`sms`/`asap`/`exact`).
     pub scheduler: String,
     /// Strategy slug (`best`/`spill`/`increase-ii`).
     pub strategy: String,
@@ -299,11 +299,6 @@ impl ShardedCache {
             shard.lock().expect("cache shard poisoned").dump(&mut out);
         }
         out
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 }
 

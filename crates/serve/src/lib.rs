@@ -9,7 +9,8 @@
 //! ([`cache::ShardedCache`]).
 //!
 //! The cache is keyed by *what is being compiled* — `(ddg content hash,
-//! canonical machine identity, scheduler, strategy, budget)` — and stores
+//! canonical machine identity, scheduler, strategy, spill policy,
+//! budget)` — and stores
 //! fully rendered response payloads, so a hit returns byte-for-byte what
 //! a miss would compute. That makes the daemon's observable behaviour
 //! independent of cache state, client concurrency, and transport; the
@@ -31,8 +32,7 @@
 //! * [`bench`](mod@bench) — `regpipe bench-serve`, emitting `BENCH_serve.json`
 //!   (wall-clock fields behind `REGPIPE_BENCH_TIMING=1`).
 //!
-//! `docs/serve.md` specifies the wire protocol; `docs/benchmarks.md`
-//! covers the report discipline.
+//! `docs/serve.md` specifies the wire protocol.
 
 // Every public item of this crate is documented; CI turns gaps into errors.
 #![warn(missing_docs)]

@@ -148,36 +148,6 @@ fn spill_cost(ddg: &Ddg, producer: OpId, uses: u32) -> u32 {
     }
 }
 
-/// Picks the best candidate under `heuristic` (deterministic tie-breaks:
-/// longer lifetime, then lower cost, then identity order).
-pub fn select(
-    candidates: &[SpillCandidate],
-    heuristic: SelectHeuristic,
-) -> Option<&SpillCandidate> {
-    candidates.iter().min_by(|a, b| paper_order(a, b, heuristic))
-}
-
-/// Greedy batch selection for the *multiple lifetimes at once* acceleration
-/// (Section 4.5): keeps taking the best remaining candidate while the
-/// optimistic `MaxLive`-based estimate stays at or above the register
-/// budget.
-///
-/// The estimate subtracts each selected lifetime's concurrent-instance count
-/// from `MaxLive`; it is deliberately optimistic (the added spill code
-/// introduces new short lifetimes that are ignored), which "ensures that
-/// spill code is not added in excess".
-pub fn select_batch(
-    candidates: &[SpillCandidate],
-    heuristic: SelectHeuristic,
-    max_live: u32,
-    available: u32,
-    ii: u32,
-) -> Vec<&SpillCandidate> {
-    let mut pool: Vec<&SpillCandidate> = candidates.iter().collect();
-    pool.sort_by(|a, b| paper_order(a, b, heuristic));
-    take_while_over_budget(pool, max_live, available, ii)
-}
-
 /// The Section 4.1 ranking as a best-first comparator: the higher
 /// `heuristic` rank first, then the longer lifetime, then the lower cost,
 /// then identity order, so the order is total.
@@ -230,6 +200,7 @@ pub(crate) fn key(c: &SpillCandidate) -> (u8, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{RankContext, SpillPolicy, SpillPolicyKind};
     use regpipe_ddg::DdgBuilder;
     use regpipe_sched::Schedule;
 
@@ -249,6 +220,11 @@ mod tests {
         let s = Schedule::new(1, vec![0, 2, 4, 6]);
         let analysis = LifetimeAnalysis::new(&g, &s);
         (g, analysis)
+    }
+
+    /// The paper policy's ranking context under `heuristic`.
+    fn paper(analysis: &LifetimeAnalysis, heuristic: SelectHeuristic) -> RankContext<'_> {
+        RankContext { analysis, heuristic, round: 0 }
     }
 
     #[test]
@@ -282,7 +258,9 @@ mod tests {
     fn max_lt_picks_v1() {
         let (g, analysis) = fig2();
         let cands = candidates(&g, &analysis);
-        let best = select(&cands, SelectHeuristic::MaxLt).unwrap();
+        let best =
+            SpillPolicyKind::Paper.select(&cands, &paper(&analysis, SelectHeuristic::MaxLt));
+        let best = best.unwrap();
         assert!(
             matches!(best, SpillCandidate::Variant { producer, .. } if producer.index() == 0),
             "V1 has the longest lifetime (7)"
@@ -293,7 +271,8 @@ mod tests {
     fn ratio_prefers_cheap_spills() {
         let (g, analysis) = fig2();
         let cands = candidates(&g, &analysis);
-        let best = select(&cands, SelectHeuristic::MaxLtOverTraffic).unwrap();
+        let ctx = paper(&analysis, SelectHeuristic::MaxLtOverTraffic);
+        let best = SpillPolicyKind::Paper.select(&cands, &ctx).unwrap();
         // V3 costs nothing (its consumer is the store): infinite ratio.
         assert!(
             matches!(best, SpillCandidate::Variant { producer, .. } if producer.index() == 2)
@@ -314,12 +293,13 @@ mod tests {
     fn batch_selection_stops_at_budget() {
         let (g, analysis) = fig2();
         let cands = candidates(&g, &analysis);
+        let ctx = paper(&analysis, SelectHeuristic::MaxLt);
         // MaxLive (with invariant) is 12; budget 9 -> estimate must drop
         // below 9: V1 alone frees 7.
-        let batch = select_batch(&cands, SelectHeuristic::MaxLt, analysis.max_live(), 9, 1);
+        let batch = SpillPolicyKind::Paper.select_batch(&cands, &ctx, 9);
         assert_eq!(batch.len(), 1);
         // Budget 2 needs more victims.
-        let batch = select_batch(&cands, SelectHeuristic::MaxLt, analysis.max_live(), 2, 1);
+        let batch = SpillPolicyKind::Paper.select_batch(&cands, &ctx, 2);
         assert!(batch.len() >= 3, "got {}", batch.len());
     }
 
@@ -327,12 +307,14 @@ mod tests {
     fn batch_selection_empty_when_under_budget() {
         let (g, analysis) = fig2();
         let cands = candidates(&g, &analysis);
-        let batch = select_batch(&cands, SelectHeuristic::MaxLt, analysis.max_live(), 32, 1);
-        assert!(batch.is_empty());
+        let ctx = paper(&analysis, SelectHeuristic::MaxLt);
+        assert!(SpillPolicyKind::Paper.select_batch(&cands, &ctx, 32).is_empty());
     }
 
     #[test]
     fn select_on_empty_is_none() {
-        assert!(select(&[], SelectHeuristic::MaxLt).is_none());
+        let (_, analysis) = fig2();
+        let ctx = paper(&analysis, SelectHeuristic::MaxLt);
+        assert!(SpillPolicyKind::Paper.select(&[], &ctx).is_none());
     }
 }

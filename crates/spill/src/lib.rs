@@ -41,7 +41,7 @@
 //! use regpipe_ddg::{DdgBuilder, OpKind};
 //! use regpipe_sched::Schedule;
 //! use regpipe_regalloc::LifetimeAnalysis;
-//! use regpipe_spill::{candidates, select, spill, SelectHeuristic};
+//! use regpipe_spill::{candidates, spill, RankContext, SelectHeuristic, SpillPolicy, SpillPolicyKind};
 //!
 //! // Figure 2 loop at II=1: V1 (the load's value) is the longest lifetime.
 //! let mut b = DdgBuilder::new("fig2");
@@ -58,7 +58,8 @@
 //! let analysis = LifetimeAnalysis::new(&g, &schedule);
 //!
 //! let cands = candidates(&g, &analysis);
-//! let victim = select(&cands, SelectHeuristic::MaxLt).unwrap().clone();
+//! let ctx = RankContext { analysis: &analysis, heuristic: SelectHeuristic::MaxLt, round: 0 };
+//! let victim = SpillPolicyKind::Paper.select(&cands, &ctx).unwrap().clone();
 //! let report = spill(&mut g, &victim);
 //! assert_eq!(report.stores_added, 0, "producer is a load: no store needed");
 //! assert_eq!(report.loads_added, 2, "one reload per use");
@@ -74,7 +75,7 @@ mod dce;
 mod policy;
 mod rewrite;
 
-pub use candidate::{candidates, select, select_batch, SelectHeuristic, SpillCandidate};
+pub use candidate::{candidates, SelectHeuristic, SpillCandidate};
 pub use dce::{eliminate_dead_ops, DceReport};
 pub use policy::{RankContext, SpillPolicy, SpillPolicyKind};
 pub use rewrite::{spill, spill_batch, SpillOptimization, SpillReport};

@@ -256,7 +256,7 @@ fn next_use_distance(c: &SpillCandidate, ctx: &RankContext<'_>) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::{candidates, select, select_batch};
+    use crate::candidate::candidates;
     use regpipe_ddg::{Ddg, DdgBuilder, OpKind};
     use regpipe_sched::Schedule;
 
@@ -297,30 +297,6 @@ mod tests {
     #[test]
     fn default_is_the_paper_policy() {
         assert_eq!(SpillPolicyKind::default(), SpillPolicyKind::Paper);
-    }
-
-    /// The registry's `Paper` entry must agree with the legacy free
-    /// functions candidate-for-candidate — that equivalence is what keeps
-    /// the refactored driver byte-identical for default options.
-    #[test]
-    fn paper_policy_matches_legacy_select_functions() {
-        let (g, analysis) = fig2();
-        let pool = candidates(&g, &analysis);
-        for heuristic in [SelectHeuristic::MaxLt, SelectHeuristic::MaxLtOverTraffic] {
-            let ctx = RankContext { analysis: &analysis, heuristic, round: 3 };
-            assert_eq!(
-                SpillPolicyKind::Paper.select(&pool, &ctx),
-                select(&pool, heuristic),
-                "single victim under {heuristic}"
-            );
-            for budget in [0, 2, 5, 9, 32] {
-                assert_eq!(
-                    SpillPolicyKind::Paper.select_batch(&pool, &ctx, budget),
-                    select_batch(&pool, heuristic, analysis.max_live(), budget, analysis.ii()),
-                    "batch under {heuristic} at budget {budget}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -48,13 +48,6 @@ pub struct SpillReport {
     pub optimization: SpillOptimization,
 }
 
-impl SpillReport {
-    /// Total memory operations added to the loop body.
-    pub fn memory_ops_added(&self) -> u32 {
-        self.stores_added + self.loads_added
-    }
-}
-
 /// Spills `candidate` by rewriting the dependence graph in place.
 ///
 /// The rewrite follows Section 4.2: the value's register edges are removed;
@@ -214,7 +207,8 @@ fn attach_reload(ddg: &mut Ddg, load: OpId, consumer: OpId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidate::{candidates, select, SelectHeuristic};
+    use crate::candidate::{candidates, SelectHeuristic, SpillCandidate};
+    use crate::policy::{RankContext, SpillPolicy, SpillPolicyKind};
     use regpipe_ddg::DdgBuilder;
     use regpipe_regalloc::LifetimeAnalysis;
     use regpipe_sched::Schedule;
@@ -299,7 +293,7 @@ mod tests {
         let v3 = candidate_for(&g, OpId::new(2));
         let report = spill(&mut g, &v3);
         assert_eq!(report.optimization, SpillOptimization::ReuseStoreConsumer);
-        assert_eq!(report.memory_ops_added(), 0);
+        assert_eq!((report.stores_added, report.loads_added), (0, 0));
         g.validate().unwrap();
         // The producer is now bonded to the pre-existing store.
         assert!(g.out_edges(OpId::new(2)).any(|e| e.is_fixed() && e.to() == OpId::new(3)));
@@ -322,6 +316,16 @@ mod tests {
         g.validate().unwrap();
     }
 
+    /// The paper policy's victim under `heuristic`.
+    fn paper_pick(
+        pool: &[SpillCandidate],
+        analysis: &LifetimeAnalysis,
+        heuristic: SelectHeuristic,
+    ) -> Option<SpillCandidate> {
+        let ctx = RankContext { analysis, heuristic, round: 0 };
+        SpillPolicyKind::Paper.select(pool, &ctx).cloned()
+    }
+
     #[test]
     fn spilled_values_never_reselected() {
         let mut g = fig2();
@@ -329,7 +333,7 @@ mod tests {
         let analysis = LifetimeAnalysis::new(&g, &s);
         let all = candidates(&g, &analysis);
         let n_before = all.len();
-        let best = select(&all, SelectHeuristic::MaxLt).unwrap().clone();
+        let best = paper_pick(&all, &analysis, SelectHeuristic::MaxLt).unwrap();
         spill(&mut g, &best);
         // Re-analyse: the fresh spill lifetimes are non-spillable, so the
         // candidate pool can only shrink (deadlock avoidance, Section 4.3).
@@ -349,10 +353,10 @@ mod tests {
             let s = Schedule::new(1, (0..g.num_ops() as i64).map(|i| 2 * i).collect());
             let analysis = LifetimeAnalysis::new(&g, &s);
             let cands = candidates(&g, &analysis);
-            let Some(best) = select(&cands, SelectHeuristic::MaxLtOverTraffic) else {
+            let heuristic = SelectHeuristic::MaxLtOverTraffic;
+            let Some(best) = paper_pick(&cands, &analysis, heuristic) else {
                 break;
             };
-            let best = best.clone();
             spill(&mut g, &best);
             g.validate().unwrap();
             rounds += 1;

@@ -113,9 +113,6 @@ regpipe info <file.ddg> [--machine M] [--scheduler S]
   Facts about a loop: op mix, MII/RecMII, recurrences, and the
   unconstrained schedule's II and register requirement.
   --scheduler hrms|sms|asap|exact                      (default hrms)
-  --spill-policy paper|min-next-use|furthest-next-use|round-robin
-                    accepted for interface uniformity; the unconstrained
-                    schedule never spills                (default paper)
 ";
 const COMPILE: &str = "\
 regpipe compile <file.ddg> [options]
@@ -527,9 +524,6 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     let g = load(args.operand()?)?;
     let machine = args.machine()?;
     let scheduler = args.scheduler()?;
-    // Accepted for interface uniformity and validated against the
-    // registry; the unconstrained schedule below never spills.
-    args.spill_policy()?;
 
     println!(
         "loop '{}': {} ops, {} edges, {} invariants",
@@ -745,9 +739,10 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
             || "(untimed)".to_string(),
             |m| format!("{:.2} ms x{}", m.mean_nanos() as f64 / 1e6, m.iters),
         );
+        let w = &p.work;
         println!(
             "{:<6} {:>6} {:>7} {:>7} {:>12} {:>9} {:>9}  {wall}",
-            p.ops, p.cells, p.fitted, p.failures, p.cycles, p.spilled, p.reschedules
+            p.ops, p.cells, w.fitted, w.failures, w.cycles, w.spilled, w.reschedules
         );
     }
     args.write_report("BENCH_compile.json", &report.to_json(before.as_ref()))
@@ -1006,7 +1001,6 @@ fn cmd_bench_serve(args: &Args) -> Result<(), String> {
         replay: args.replay_config(&defaults.replay.budgets)?,
         jobs: args.jobs()?,
         cache: !args.has("--no-cache"),
-        timed: bench_timing(),
     };
     let report = run_serve_bench(&config).map_err(|e| format!("bench-serve: {e}"))?;
     let replay = &config.replay;
@@ -1028,7 +1022,9 @@ fn cmd_bench_serve(args: &Args) -> Result<(), String> {
         report.evictions,
         report.hit_rate * 100.0
     );
-    if let Some(t) = &report.timing {
+    let timed = bench_timing();
+    if timed {
+        let t = &report.timing;
         eprintln!(
             "wall {:.2}s, {:.0} compiles/sec, p50 {} us, p99 {} us ({} jobs)",
             t.total_wall_us as f64 / 1e6,
@@ -1038,5 +1034,5 @@ fn cmd_bench_serve(args: &Args) -> Result<(), String> {
             config.jobs
         );
     }
-    args.write_report("BENCH_serve.json", &format!("{}\n", report.to_json()))
+    args.write_report("BENCH_serve.json", &report.to_json(timed))
 }

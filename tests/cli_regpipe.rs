@@ -214,7 +214,7 @@ fn scheduler_flag_is_documented_and_strictly_validated() {
 /// policy names are a hard error on stderr with exit 1.
 #[test]
 fn spill_policy_flag_is_documented_and_strictly_validated() {
-    for topic in ["suite", "bench", "compile", "info", "gap"] {
+    for topic in ["suite", "bench", "compile", "gap"] {
         let out = bin().args(["help", topic]).output().expect("spawn regpipe");
         assert!(out.status.success(), "help {topic} must exit 0");
         let stdout = String::from_utf8(out.stdout).unwrap();
@@ -228,7 +228,6 @@ fn spill_policy_flag_is_documented_and_strictly_validated() {
         &["suite", "--size", "3", "--spill-policy", "warp"][..],
         &["bench", "--sizes", "4", "--count", "1", "--spill-policy", "warp"],
         &["compile", ddg_str, "--spill-policy", "warp"],
-        &["info", ddg_str, "--spill-policy", "warp"],
         &["gap", "--count", "2", "--spill-policy", "warp"],
     ] {
         let out = bin().args(args).output().expect("spawn regpipe");
@@ -237,6 +236,44 @@ fn spill_policy_flag_is_documented_and_strictly_validated() {
         assert!(stderr.contains("unknown spill policy 'warp'"), "{args:?}: {stderr}");
         assert!(stderr.contains("min-next-use"), "{args:?} must name the registry: {stderr}");
     }
+    // `info` never spills, so it takes no policy: the flag is unknown there.
+    let out = bin().args(["info", ddg_str, "--spill-policy", "paper"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "info --spill-policy must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--spill-policy"), "info must name the flag: {stderr}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `bench` and `suite` run one batch engine: a bench size point and
+/// `suite --corpus` over the same generated kernels report the same work
+/// totals.
+#[test]
+fn bench_size_point_matches_suite_on_the_same_corpus() {
+    let dir = scratch_dir("one-engine");
+    let run_to = |args: &[&str], out: &str| {
+        let path = dir.join(out);
+        run_ok({
+            let mut c = bin();
+            c.args(args).arg("--out").arg(&path);
+            c
+        });
+        path
+    };
+    let gen = ["gen", "--seed", "49626", "--count", "6", "--min-ops", "48", "--max-ops", "48"];
+    let corpus = run_to(&gen, "corpus");
+    let report = |args: &[&str], out: &str| {
+        regpipe::exec::json::parse(&fs::read_to_string(run_to(args, out)).unwrap()).unwrap()
+    };
+    let fields = ["fitted", "failures", "cycles", "spilled", "reschedules"];
+    let totals = |objects: &[regpipe::exec::json::Value]| {
+        fields.map(|f| objects.iter().map(|o| o.get(f).unwrap().as_i64().unwrap()).sum::<i64>())
+    };
+    let bench = report(&["bench", "--sizes", "48", "--count", "6"], "bench.json");
+    let corpus_arg = corpus.to_str().unwrap();
+    let suite = report(&["suite", "--corpus", corpus_arg], "suite.json");
+    let bench_totals = totals(bench.get("sizes").unwrap().as_array().unwrap());
+    assert_eq!(bench_totals, totals(suite.get("aggregates").unwrap().as_array().unwrap()));
+    assert_eq!(bench_totals, [35, 1, 1_069_542, 24, 64]);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -84,11 +84,12 @@ fn figure6_spilling_v1_reaches_5_variant_registers_at_ii_2() {
 
 #[test]
 fn figure5_spill_graph_structure() {
-    use regpipe::spill::{candidates, select, spill};
+    use regpipe::spill::{candidates, spill, RankContext};
     let g = example_loop();
     let analysis = LifetimeAnalysis::new(&g, &hand_schedule(1));
     let pool = candidates(&g, &analysis);
-    let v1 = select(&pool, SelectHeuristic::MaxLt).unwrap().clone();
+    let ctx = RankContext { analysis: &analysis, heuristic: SelectHeuristic::MaxLt, round: 0 };
+    let v1 = SpillPolicyKind::Paper.select(&pool, &ctx).unwrap().clone();
     let mut rewritten = g.clone();
     let report = spill(&mut rewritten, &v1);
     rewritten.validate().unwrap();
