@@ -18,7 +18,7 @@
 //! identical loop sets.
 //!
 //! The report carries no wall-clock fields at all — unlike `BENCH_suite`
-//! and `BENCH_compile` there is no timing opt-in — so runs byte-compare
+//! there is no timing opt-in — so runs byte-compare
 //! across machines and `--jobs` values unconditionally (per-loop work is
 //! fanned out with [`parallel_map`] and folded in loop order).
 

@@ -34,10 +34,8 @@
 // Every public item of this crate is documented; CI turns gaps into errors.
 #![warn(missing_docs)]
 
-mod compile_bench;
 mod gap;
 
-pub use compile_bench::{run_compile_bench, CompileBenchConfig, CompileBenchReport, SizePoint};
 pub use gap::{
     gap_heuristics, run_gap, GapConfig, GapReport, LoopGap, SchedPoint, SchedulerAggregate,
     SpillOutcome, SpillPolicyAggregate, DEFAULT_SPILL_BUDGET,

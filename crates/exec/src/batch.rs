@@ -145,7 +145,7 @@ pub struct BatchReport {
     /// Machine name (e.g. `P2L4`).
     pub machine: String,
     /// Canonical slug of the core scheduler every cell ran
-    /// (`hrms`/`sms`/`asap`, from [`CompileOptions::scheduler`]).
+    /// (`hrms`/`sms`/`asap`/`exact`, from [`CompileOptions::scheduler`]).
     pub scheduler: String,
     /// Canonical slug of the spill policy every cell ranked victims with
     /// (from `CompileOptions::spill.policy`).

@@ -191,11 +191,6 @@ pub fn report(schema: &str, fields: Vec<(String, Value)>) -> String {
     text
 }
 
-/// A report float rounded to two decimals, so it renders stably.
-pub fn round2(x: f64) -> f64 {
-    (x * 100.0).round() / 100.0
-}
-
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {

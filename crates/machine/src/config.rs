@@ -156,9 +156,9 @@ impl MachineConfig {
 
     /// Parses the CLI/wire machine spelling: `p1l4`, `p2l4`, `p2l6`, or
     /// `uniform:<units>,<latency>`. This is the one spec grammar shared by
-    /// every frontend (`regpipe compile --machine`, suite/bench flags, and
-    /// the `machine` field of `regpipe serve` requests), so a spelling
-    /// accepted anywhere is accepted everywhere.
+    /// every frontend (`regpipe compile --machine`, the suite/gap/replay
+    /// flags, and the `machine` field of `regpipe serve` requests), so a
+    /// spelling accepted anywhere is accepted everywhere.
     ///
     /// ```
     /// use regpipe_machine::MachineConfig;

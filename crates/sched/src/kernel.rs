@@ -87,25 +87,6 @@ impl Kernel {
     pub fn prologue_cycles(&self) -> u32 {
         (self.stage_count - 1) * self.ii
     }
-
-    /// Total cycles to execute the loop for `iterations` iterations:
-    /// prologue + steady state + epilogue.
-    ///
-    /// For fewer iterations than stages the loop never reaches steady state;
-    /// the estimate degrades to the sequential span.
-    pub fn total_cycles(&self, iterations: u64) -> u64 {
-        let ii = u64::from(self.ii);
-        let sc = u64::from(self.stage_count);
-        if iterations == 0 {
-            return 0;
-        }
-        if iterations < sc {
-            return (iterations + sc - 1) * ii;
-        }
-        // (SC-1)·II ramp-up + iterations·II + (SC-1)·II ramp-down, counting
-        // the conventional single-issue of the final stages.
-        (iterations + 2 * (sc - 1)) * ii
-    }
 }
 
 impl fmt::Display for Kernel {
@@ -165,16 +146,6 @@ mod tests {
         assert_eq!(k.slots().count(), 4);
         assert_eq!(k.row(0).len(), 4, "all starts are even");
         assert_eq!(k.row(1).len(), 0);
-    }
-
-    #[test]
-    fn total_cycles_accounts_for_ramp() {
-        let (g, s) = fig2_like();
-        let k = Kernel::new(&g, &s);
-        // II=1, SC=7: N iterations take N + 12 cycles.
-        assert_eq!(k.total_cycles(100), 112);
-        assert_eq!(k.total_cycles(0), 0);
-        assert!(k.total_cycles(3) >= 3);
     }
 
     #[test]

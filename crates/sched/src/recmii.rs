@@ -163,10 +163,6 @@ impl CycleScratch {
 /// recurrence sets; II-independent, so [`crate::LoopAnalysis`] computes it
 /// once per loop).
 pub(crate) fn subset_rec_bound(ddg: &Ddg, machine: &MachineConfig, members: &[OpId]) -> u32 {
-    let k = members.len();
-    if k == 0 {
-        return 1;
-    }
     let mut pos = vec![usize::MAX; ddg.num_ops()];
     for (i, m) in members.iter().enumerate() {
         pos[m.index()] = i;
@@ -181,18 +177,7 @@ pub(crate) fn subset_rec_bound(ddg: &Ddg, machine: &MachineConfig, members: &[Op
             dist: i64::from(e.distance()),
         })
         .collect();
-    let hi_bound: i64 = edges.iter().map(|e| e.lat.max(0)).sum::<i64>().max(1);
-    let mut scratch = CycleScratch::new(k);
-    let mut lo = 1u32;
-    let mut hi = u32::try_from(hi_bound).unwrap_or(u32::MAX);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        match scratch.positive_cycle(&edges, mid) {
-            Some(circuit) => lo = circuit.bound().max(mid + 1).min(hi),
-            None => hi = mid,
-        }
-    }
-    lo
+    rec_mii_over(members.len(), &edges, true)
 }
 
 /// The II bound contributed by one recurrence.

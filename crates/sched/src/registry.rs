@@ -19,10 +19,12 @@ use crate::{
 /// Which modulo scheduler to run — the scheduler axis of the evaluation
 /// matrix (`--scheduler` on the CLI).
 ///
-/// All three share the per-loop [`LoopAnalysis`] context and the
-/// warm-started timing analysis; they differ in how the ordering phase
-/// arranges operations and hence in how register-sensitive the resulting
-/// schedules are. `docs/algorithms.md` walks the orderings side by side.
+/// All four share the per-loop [`LoopAnalysis`] context. The three
+/// heuristics also share the warm-started timing analysis and differ in
+/// how the ordering phase arranges operations, and hence in how
+/// register-sensitive the resulting schedules are; the exact oracle
+/// searches start cycles by branch and bound instead.
+/// `docs/algorithms.md` walks the orderings side by side.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum SchedulerKind {
     /// Hypernode Reduction Modulo Scheduling: the paper's core

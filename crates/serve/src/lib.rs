@@ -1,4 +1,4 @@
-//! The compile daemon: `regpipe serve` and its load/benchmark drivers.
+//! The compile daemon: `regpipe serve`, its load driver and its crash gate.
 //!
 //! Batch compilation (`regpipe suite`, `regpipe check`) pays full
 //! process-startup and analysis cost per invocation. This crate keeps a
@@ -29,15 +29,12 @@
 //! * [`replay`] — the `regpipe replay` load-driver: deterministic request
 //!   streams from the generator/suite/a file, driven in-process or over
 //!   the socket with client-side concurrency.
-//! * [`bench`](mod@bench) — `regpipe bench-serve`, emitting `BENCH_serve.json`
-//!   (wall-clock fields behind `REGPIPE_BENCH_TIMING=1`).
 //!
 //! `docs/serve.md` specifies the wire protocol.
 
 // Every public item of this crate is documented; CI turns gaps into errors.
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cache;
 #[cfg(unix)]
 pub mod chaos;
@@ -47,7 +44,6 @@ pub mod replay;
 mod server;
 pub mod store;
 
-pub use bench::{run_serve_bench, ServeBenchConfig, ServeBenchReport, ServeTiming};
 pub use cache::{CacheKey, ShardStats, ShardedCache};
 #[cfg(unix)]
 pub use chaos::{run_chaos, write_responses, ChaosConfig, ChaosReport};

@@ -55,14 +55,6 @@ impl Default for ReplayConfig {
     }
 }
 
-impl ReplayConfig {
-    /// The machine spec every request targets: the one sent, or else the
-    /// daemon's default.
-    pub fn machine(&self) -> &str {
-        self.machine_spec.as_deref().unwrap_or("p2l4")
-    }
-}
-
 /// Where the replayed workload comes from.
 #[derive(Clone, Debug)]
 pub enum ReplaySource {
@@ -190,9 +182,6 @@ pub enum IdPolicy {
 pub struct ReplayOutcome {
     /// Response lines in request-stream order (pass-major).
     pub responses: Vec<String>,
-    /// Per-request round-trip latencies in microseconds, same order.
-    /// Wall-clock derived — report only behind the timing opt-in.
-    pub latencies_us: Vec<u64>,
     /// Total wall time of the driven passes, microseconds.
     pub wall_us: u64,
 }
@@ -215,24 +204,12 @@ pub fn replay_in_process(
 ) -> ReplayOutcome {
     let started = Instant::now();
     let mut responses = Vec::with_capacity(base.len() * repeat);
-    let mut latencies = Vec::with_capacity(base.len() * repeat);
     for pass in 0..repeat {
-        let answered = parallel_map(base, jobs, |index, _line| {
-            let line = request_line(base, ids, pass, index);
-            let t0 = Instant::now();
-            let response = server.handle_line(&line);
-            (response.line, t0.elapsed().as_micros() as u64)
-        });
-        for (line, us) in answered {
-            responses.push(line);
-            latencies.push(us);
-        }
+        responses.extend(parallel_map(base, jobs, |index, _line| {
+            server.handle_line(&request_line(base, ids, pass, index)).line
+        }));
     }
-    ReplayOutcome {
-        responses,
-        latencies_us: latencies,
-        wall_us: started.elapsed().as_micros() as u64,
-    }
+    ReplayOutcome { responses, wall_us: started.elapsed().as_micros() as u64 }
 }
 
 /// Replays `base` against the daemon listening on the unix socket at
@@ -265,10 +242,9 @@ pub fn replay_socket(
     let jobs = jobs.get();
     let total = base.len() * repeat;
     let mut responses = vec![String::new(); total];
-    let mut latencies = vec![0u64; total];
     let started = Instant::now();
     for pass in 0..repeat {
-        let worker_results: Vec<io::Result<Vec<(usize, String, u64)>>> =
+        let worker_results: Vec<io::Result<Vec<(usize, String)>>> =
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..jobs)
                     .map(|w| {
@@ -280,7 +256,7 @@ pub fn replay_socket(
                                 let line = request_line(base, ids, pass, index);
                                 let global = pass * base.len() + index;
                                 let mut attempt = 0u32;
-                                let (reply, us) = loop {
+                                let reply = loop {
                                     attempt += 1;
                                     let result = send_one(path, &mut conn, &line);
                                     match result {
@@ -296,7 +272,7 @@ pub fn replay_socket(
                                         }
                                     }
                                 };
-                                out.push((global, reply, us));
+                                out.push((global, reply));
                                 index += jobs;
                             }
                             Ok(out)
@@ -306,17 +282,12 @@ pub fn replay_socket(
                 handles.into_iter().map(|h| h.join().expect("replay worker panicked")).collect()
             });
         for result in worker_results {
-            for (slot, line, us) in result? {
+            for (slot, line) in result? {
                 responses[slot] = line;
-                latencies[slot] = us;
             }
         }
     }
-    Ok(ReplayOutcome {
-        responses,
-        latencies_us: latencies,
-        wall_us: started.elapsed().as_micros() as u64,
-    })
+    Ok(ReplayOutcome { responses, wall_us: started.elapsed().as_micros() as u64 })
 }
 
 /// One send/receive round-trip, (re)connecting if `conn` is empty.
@@ -325,14 +296,13 @@ fn send_one(
     path: &Path,
     conn: &mut Option<(UnixStream, BufReader<UnixStream>)>,
     line: &str,
-) -> io::Result<(String, u64)> {
+) -> io::Result<String> {
     if conn.is_none() {
         let stream = UnixStream::connect(path)?;
         let reader = BufReader::new(stream.try_clone()?);
         *conn = Some((stream, reader));
     }
     let (stream, reader) = conn.as_mut().expect("connection just established");
-    let t0 = Instant::now();
     stream.write_all(line.as_bytes())?;
     stream.write_all(b"\n")?;
     let mut reply = String::new();
@@ -342,7 +312,7 @@ fn send_one(
             "daemon closed the connection mid-replay",
         ));
     }
-    Ok((reply.trim_end_matches('\n').to_string(), t0.elapsed().as_micros() as u64))
+    Ok(reply.trim_end_matches('\n').to_string())
 }
 
 /// Sends one request line over the socket and returns the response line

@@ -271,11 +271,6 @@ impl Server {
         self.active_connections.load(Ordering::SeqCst)
     }
 
-    /// Summed cache counters (the `totals` object of a `stats` response).
-    pub fn cache_totals(&self) -> crate::cache::ShardStats {
-        self.cache.totals()
-    }
-
     /// Answers one request line. Never panics on malformed input: every
     /// protocol problem becomes a structured `{"ok":false,...}` response.
     pub fn handle_line(&self, line: &str) -> Response {

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use regpipe::bench::{CompileBenchConfig, GapConfig, DEFAULT_SPILL_BUDGET};
+use regpipe::bench::{GapConfig, DEFAULT_SPILL_BUDGET};
 use regpipe::core::{compile, CompileOptions, SpillPolicyKind, Strategy};
 use regpipe::ddg::{textfmt, to_dot, Ddg};
 use regpipe::exec::{
@@ -31,8 +31,8 @@ use regpipe::machine::MachineConfig;
 use regpipe::regalloc::allocate;
 use regpipe::sched::{mii, rec_mii, PipelinedLoop, SchedRequest, Scheduler, SchedulerKind};
 use regpipe::serve::{
-    base_requests, replay_in_process, run_serve_bench, serve_stdin, IdPolicy, ReplayConfig,
-    ReplaySource, RetryPolicy, ServeBenchConfig, ServeOptions, Server,
+    base_requests, replay_in_process, serve_stdin, IdPolicy, ReplayConfig, ReplaySource,
+    RetryPolicy, ServeOptions, Server,
 };
 #[cfg(unix)]
 use regpipe::serve::{replay_socket, request_once, run_chaos, write_responses, ChaosConfig};
@@ -70,18 +70,16 @@ type Run = fn(&Args) -> Result<(), String>;
 /// The help text is also the verb's grammar: its usage line names the
 /// verb and, as a `<placeholder>`, the operand it takes, if any, and the
 /// verb accepts exactly the `--flags` the text mentions.
-const VERBS: [(&str, Run); 11] = [
+const VERBS: [(&str, Run); 9] = [
     (INFO, cmd_info),
     (COMPILE, cmd_compile),
     (SUITE, cmd_suite),
     (GEN, cmd_gen),
     (CHECK, cmd_check),
-    (BENCH, cmd_bench),
     (GAP, cmd_gap),
     (SERVE, cmd_serve),
     (REPLAY, cmd_replay),
     (CHAOS, cmd_chaos),
-    (BENCH_SERVE, cmd_bench_serve),
 ];
 
 /// Word `at` of a help text's usage line: 1 is the verb, 2 its operand.
@@ -172,27 +170,6 @@ regpipe check <dir>
   Validate a corpus directory without compiling: parse every .ddg and
   .mach file, reporting every problem as file:line: message. Exits 0
   only if the whole corpus is well-formed.
-";
-const BENCH: &str = "\
-regpipe bench [options]
-  Wall-time the full compile path (schedule/allocate/spill/reschedule)
-  over seeded `gen` corpora at several kernel sizes and write the result
-  as machine-readable JSON (schema regpipe-bench-compile/v3). By default
-  only deterministic work counters are emitted so runs byte-compare;
-  set REGPIPE_BENCH_TIMING=1 to run the sampling loop and include
-  mean_wall_us per size (see docs/performance.md).
-  --sizes <list>    comma-separated op counts    (default 16,48,96,160,256)
-  --count <k>       kernels per size             (default 12)
-  --seed <s>        generator seed               (default 49626)
-  --machine <m>     as for compile               (default p2l4)
-  --budgets <list>  register budgets             (default 64,32)
-  --strategies <l>  strategies                   (default best,spill,increase-ii)
-  --scheduler <s>   core scheduler: hrms|sms|asap|exact (default hrms)
-  --spill-policy <p> paper|min-next-use|furthest-next-use|round-robin
-                    (default paper)
-  --before <file>   a previous timed BENCH_compile.json; records its
-                    mean_wall_us per size plus the speedup in the output
-  --out <file>      report path                  (default BENCH_compile.json)
 ";
 const GAP: &str = "\
 regpipe gap [options]
@@ -299,28 +276,6 @@ regpipe chaos [options]
   --machine <m>     as for compile                     (default p2l4)
   --out <file>      write the final clean replay's response lines
 ";
-const BENCH_SERVE: &str = "\
-regpipe bench-serve [options]
-  Benchmark the daemon: drive a generated corpus through an in-process
-  server for --repeat passes and write BENCH_serve.json (schema
-  regpipe-bench-serve/v2) with request totals, cache hit/miss/eviction
-  counters and the hit rate. By default only deterministic fields are
-  emitted so runs byte-compare; set REGPIPE_BENCH_TIMING=1 to add
-  throughput (compiles/sec) and p50/p99 request latencies.
-  --seed <s>        generator seed               (default 49626)
-  --count <k>       kernels                      (default 100)
-  --repeat <n>      passes                       (default 2)
-  --budgets <list>  register budgets             (default 64,32)
-  --strategy best|spill|increase-ii              (default best)
-  --scheduler hrms|sms|asap|exact                (default hrms)
-  --spill-policy paper|min-next-use|furthest-next-use|round-robin
-                    sent with every request      (default paper)
-  --machine <m>     as for compile               (default p2l4)
-  --jobs <n>        worker threads (default: REGPIPE_JOBS, then all cores)
-  --no-cache        disable the daemon cache
-  --out <file>      report path                  (default BENCH_serve.json)
-";
-
 /// The listed flags that take no value; every other one takes exactly one.
 const SWITCHES: [&str; 2] = ["--no-cache", "--shutdown"];
 
@@ -470,7 +425,7 @@ impl Args {
         Ok(options)
     }
 
-    /// The per-request options `replay`, `chaos` and `bench-serve` send.
+    /// The per-request options `replay` and `chaos` send.
     fn replay_config(&self, budgets: &[u32]) -> Result<ReplayConfig, String> {
         Ok(ReplayConfig {
             budgets: self.budgets(budgets)?,
@@ -696,56 +651,6 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     write_corpus(dir, &loops)?;
     println!("wrote {} kernels to {dir}/ (seed {seed})", loops.len());
     Ok(())
-}
-
-/// `regpipe bench`: wall-time the compile path over generated corpora.
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    let defaults = CompileBenchConfig::default();
-    let config = CompileBenchConfig {
-        seed: args.value("--seed", defaults.seed)?,
-        count: args.at_least("--count", defaults.count, 1)?,
-        sizes: args.list("--sizes", &defaults.sizes, |s| match s.trim().parse() {
-            Ok(n) if n > 1 => Ok(n),
-            _ => Err(format!("--sizes: bad entry '{s}' (need integers > 1)")),
-        })?,
-        budgets: args.budgets(&defaults.budgets)?,
-        strategies: args.strategies()?,
-        scheduler: args.scheduler()?,
-        spill_policy: args.spill_policy()?,
-        machine: args.machine()?,
-        timed: bench_timing(),
-    };
-    let before = args.get("--before").map(|path| {
-        let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        regpipe::exec::json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
-    });
-    let before = before.transpose()?;
-
-    let report =
-        regpipe::bench::run_compile_bench(&config).map_err(|e| format!("bench: {e}"))?;
-    println!(
-        "=== compile-path bench: machine {}, scheduler {}, {} kernels/size, budgets {:?} ===",
-        config.machine.name(),
-        config.scheduler,
-        config.count,
-        config.budgets
-    );
-    println!(
-        "{:<6} {:>6} {:>7} {:>7} {:>12} {:>9} {:>9}  mean wall",
-        "ops", "cells", "fitted", "failed", "cycles", "spilled", "resched"
-    );
-    for p in &report.points {
-        let wall = p.measurement.map_or_else(
-            || "(untimed)".to_string(),
-            |m| format!("{:.2} ms x{}", m.mean_nanos() as f64 / 1e6, m.iters),
-        );
-        let w = &p.work;
-        println!(
-            "{:<6} {:>6} {:>7} {:>7} {:>12} {:>9} {:>9}  {wall}",
-            p.ops, p.cells, w.fitted, w.failures, w.cycles, w.spilled, w.reschedules
-        );
-    }
-    args.write_report("BENCH_compile.json", &report.to_json(before.as_ref()))
 }
 
 /// `regpipe gap`: heuristic optimality gaps against the exact oracle.
@@ -988,51 +893,4 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
 #[cfg(not(unix))]
 fn cmd_chaos(_args: &Args) -> Result<(), String> {
     Err("chaos: requires a unix platform".into())
-}
-
-/// `regpipe bench-serve`: benchmark the daemon and write `BENCH_serve.json`.
-fn cmd_bench_serve(args: &Args) -> Result<(), String> {
-    let defaults = ServeBenchConfig::default();
-    args.machine()?; // validate the spelling up front
-    let config = ServeBenchConfig {
-        seed: args.value("--seed", defaults.seed)?,
-        count: args.at_least("--count", defaults.count, 1)?,
-        repeat: args.at_least("--repeat", defaults.repeat, 1)?,
-        replay: args.replay_config(&defaults.replay.budgets)?,
-        jobs: args.jobs()?,
-        cache: !args.has("--no-cache"),
-    };
-    let report = run_serve_bench(&config).map_err(|e| format!("bench-serve: {e}"))?;
-    let replay = &config.replay;
-    println!(
-        "=== serve bench: {} kernels x {:?} budgets x {} passes, machine {}, scheduler {} ===",
-        config.count,
-        replay.budgets,
-        config.repeat,
-        replay.machine(),
-        replay.scheduler
-    );
-    println!(
-        "requests {}  fitted {}  failed {}  hits {}  misses {}  evictions {}  hit rate {:.2}%",
-        report.requests,
-        report.fitted,
-        report.failed,
-        report.hits,
-        report.misses,
-        report.evictions,
-        report.hit_rate * 100.0
-    );
-    let timed = bench_timing();
-    if timed {
-        let t = &report.timing;
-        eprintln!(
-            "wall {:.2}s, {:.0} compiles/sec, p50 {} us, p99 {} us ({} jobs)",
-            t.total_wall_us as f64 / 1e6,
-            t.compiles_per_sec,
-            t.p50_us,
-            t.p99_us,
-            config.jobs
-        );
-    }
-    args.write_report("BENCH_serve.json", &report.to_json(timed))
 }

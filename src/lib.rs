@@ -11,9 +11,10 @@
 //!   modulo reservation table.
 //! * [`sched`] — MII computation and modulo schedulers: the
 //!   register-sensitive HRMS and SMS (Swing) schedulers, a
-//!   register-insensitive ASAP baseline, and the [`sched::SchedulerKind`]
-//!   registry that makes the choice a first-class evaluation axis
-//!   (`--scheduler hrms|sms|asap`).
+//!   register-insensitive ASAP baseline, the exact branch-and-bound
+//!   oracle, and the [`sched::SchedulerKind`] registry that makes the
+//!   choice a first-class evaluation axis
+//!   (`--scheduler hrms|sms|asap|exact`).
 //! * [`regalloc`] — cyclic lifetimes, MaxLive, rotating-file and
 //!   modulo-variable-expansion register allocation.
 //! * [`spill`] — spill-code insertion into the dependence graph with the
@@ -31,13 +32,13 @@
 //!   (`BatchRequest` → `BatchReport`) behind `regpipe suite` and the
 //!   `expt_*` harness, with its `BENCH_suite.json` report format.
 //! * [`bench`](mod@bench) — the experiment drivers reproducing the paper's tables and
-//!   figures, plus the `regpipe bench` compile-path timing harness and its
-//!   `BENCH_compile.json` report format.
+//!   figures, plus the `regpipe gap` optimality-gap harness and its
+//!   `BENCH_gap.json` report format.
 //! * [`serve`] — the persistent compile daemon (`regpipe serve`): a
 //!   JSON-lines protocol over stdin or a unix socket, a sharded
-//!   content-addressed LRU result cache, the `regpipe replay` load-driver,
-//!   and the `regpipe bench-serve` harness with its `BENCH_serve.json`
-//!   report format (protocol spec in `docs/serve.md`).
+//!   content-addressed LRU result cache, the `regpipe replay` load-driver
+//!   and the `regpipe chaos` crash-recovery gate (protocol spec in
+//!   `docs/serve.md`).
 //!
 //! The on-disk interchange formats (`.ddg` loops, `.mach` machine
 //! descriptions, corpus directory layout) are specified in

@@ -178,12 +178,12 @@ fn help_prints_full_usage_to_stdout() {
     assert!(!stdout.contains("regpipe info"), "narrowed help shows one subcommand");
 }
 
-/// The scheduler axis: `help suite` / `help bench` document `--scheduler`,
+/// The scheduler axis: `help suite` / `help compile` document `--scheduler`,
 /// and unknown scheduler names are a hard error on stderr with exit 1 on
 /// every verb that accepts the flag.
 #[test]
 fn scheduler_flag_is_documented_and_strictly_validated() {
-    for topic in ["suite", "bench", "compile", "info"] {
+    for topic in ["suite", "compile", "info"] {
         let out = bin().args(["help", topic]).output().expect("spawn regpipe");
         assert!(out.status.success(), "help {topic} must exit 0");
         let stdout = String::from_utf8(out.stdout).unwrap();
@@ -195,7 +195,6 @@ fn scheduler_flag_is_documented_and_strictly_validated() {
     let ddg_str = ddg.to_str().unwrap();
     for args in [
         &["suite", "--size", "3", "--scheduler", "warp"][..],
-        &["bench", "--sizes", "4", "--count", "1", "--scheduler", "warp"],
         &["compile", ddg_str, "--scheduler", "warp"],
         &["info", ddg_str, "--scheduler", "warp"],
     ] {
@@ -214,7 +213,7 @@ fn scheduler_flag_is_documented_and_strictly_validated() {
 /// policy names are a hard error on stderr with exit 1.
 #[test]
 fn spill_policy_flag_is_documented_and_strictly_validated() {
-    for topic in ["suite", "bench", "compile", "gap"] {
+    for topic in ["suite", "compile", "gap"] {
         let out = bin().args(["help", topic]).output().expect("spawn regpipe");
         assert!(out.status.success(), "help {topic} must exit 0");
         let stdout = String::from_utf8(out.stdout).unwrap();
@@ -226,7 +225,6 @@ fn spill_policy_flag_is_documented_and_strictly_validated() {
     let ddg_str = ddg.to_str().unwrap();
     for args in [
         &["suite", "--size", "3", "--spill-policy", "warp"][..],
-        &["bench", "--sizes", "4", "--count", "1", "--spill-policy", "warp"],
         &["compile", ddg_str, "--spill-policy", "warp"],
         &["gap", "--count", "2", "--spill-policy", "warp"],
     ] {
@@ -244,12 +242,12 @@ fn spill_policy_flag_is_documented_and_strictly_validated() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `bench` and `suite` run one batch engine: a bench size point and
-/// `suite --corpus` over the same generated kernels report the same work
-/// totals.
+/// A size point of generated kernels runs through `gen --min-ops N
+/// --max-ops N` and `suite --corpus`: six 48-op kernels at the default
+/// budgets and strategies pin these work totals.
 #[test]
-fn bench_size_point_matches_suite_on_the_same_corpus() {
-    let dir = scratch_dir("one-engine");
+fn suite_corpus_pins_a_generated_size_point() {
+    let dir = scratch_dir("size-point");
     let run_to = |args: &[&str], out: &str| {
         let path = dir.join(out);
         run_ok({
@@ -261,19 +259,12 @@ fn bench_size_point_matches_suite_on_the_same_corpus() {
     };
     let gen = ["gen", "--seed", "49626", "--count", "6", "--min-ops", "48", "--max-ops", "48"];
     let corpus = run_to(&gen, "corpus");
-    let report = |args: &[&str], out: &str| {
-        regpipe::exec::json::parse(&fs::read_to_string(run_to(args, out)).unwrap()).unwrap()
-    };
-    let fields = ["fitted", "failures", "cycles", "spilled", "reschedules"];
-    let totals = |objects: &[regpipe::exec::json::Value]| {
-        fields.map(|f| objects.iter().map(|o| o.get(f).unwrap().as_i64().unwrap()).sum::<i64>())
-    };
-    let bench = report(&["bench", "--sizes", "48", "--count", "6"], "bench.json");
-    let corpus_arg = corpus.to_str().unwrap();
-    let suite = report(&["suite", "--corpus", corpus_arg], "suite.json");
-    let bench_totals = totals(bench.get("sizes").unwrap().as_array().unwrap());
-    assert_eq!(bench_totals, totals(suite.get("aggregates").unwrap().as_array().unwrap()));
-    assert_eq!(bench_totals, [35, 1, 1_069_542, 24, 64]);
+    let report = run_to(&["suite", "--corpus", corpus.to_str().unwrap()], "suite.json");
+    let report = regpipe::exec::json::parse(&fs::read_to_string(report).unwrap()).unwrap();
+    let aggregates = report.get("aggregates").unwrap().as_array().unwrap();
+    let totals = ["fitted", "failures", "cycles", "spilled", "reschedules"]
+        .map(|f| aggregates.iter().map(|a| a.get(f).unwrap().as_i64().unwrap()).sum::<i64>());
+    assert_eq!(totals, [35, 1, 1_069_542, 24, 64]);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -606,6 +597,7 @@ fn dropped_arguments_are_errors_naming_them() {
         (&["suite", "--corpus", "--machine", "p1l4"], "--corpus needs a directory"),
         (&["gap", "--count", "2", "--out"], "--out needs a value"),
         (&["suite", "--dir", "d", "--jobs", "4"], "cannot be combined with --jobs"),
+        (&["suite", "--machine", "m9"], "unknown machine 'm9'"),
     ] {
         let out = bin()
             .args(args)

@@ -335,37 +335,36 @@ fn socket_transport_matches_stdin_and_survives_concurrent_clients() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// `bench-serve` writes a deterministic, parseable report whose counters
-/// are self-consistent; timing fields stay out without the opt-in.
+/// An in-process `replay --repeat 2` accounts for every request in its
+/// `--stats-out` counters: pass 1 misses once per distinct request, pass 2
+/// hits every one, and every response is fitted. Two runs agree byte for
+/// byte on both the responses and the stats.
 #[test]
-fn bench_serve_report_is_deterministic_and_self_consistent() {
-    let dir = scratch_dir("bench-serve");
-    let mut reports = Vec::new();
+fn replay_stats_account_for_every_request_across_passes() {
+    let dir = scratch_dir("replay-stats");
+    let mut runs = Vec::new();
     for name in ["a.json", "b.json"] {
         let path = dir.join(name);
-        run_ok({
+        let out = run_ok({
             let mut c = bin();
-            c.args(["bench-serve", "--count", "10", "--repeat", "2", "--budgets", "32"])
-                .args(["--out"])
+            c.args(["replay", "--count", "10", "--repeat", "2", "--budgets", "32"])
+                .arg("--stats-out")
                 .arg(&path)
-                .env_remove("REGPIPE_BENCH_TIMING")
-                .stdout(Stdio::null());
+                .stderr(Stdio::null());
             c
         });
-        reports.push(fs::read_to_string(&path).expect("report written"));
+        let responses = String::from_utf8(out.stdout).unwrap();
+        runs.push((responses, fs::read_to_string(&path).expect("stats written")));
     }
-    assert_eq!(reports[0], reports[1], "untimed BENCH_serve.json must be byte-stable");
-    let doc = parse_json(&reports[0]).expect("report parses");
-    assert_eq!(doc.get("schema").unwrap().as_str(), Some("regpipe-bench-serve/v2"));
-    assert_eq!(doc.get("spill_policy").unwrap().as_str(), Some("paper"));
-    let requests = doc.get("requests").unwrap().as_i64().unwrap();
-    let hits = doc.get("hits").unwrap().as_i64().unwrap();
-    let misses = doc.get("misses").unwrap().as_i64().unwrap();
-    assert_eq!(requests, 20);
-    assert_eq!(hits + misses, requests);
-    assert_eq!(doc.get("hit_rate").unwrap().as_f64(), Some(0.5));
-    assert!(doc.get("total_wall_us").is_none(), "timing is opt-in");
-    assert!(doc.get("compiles_per_sec").is_none(), "timing is opt-in");
+    assert_eq!(runs[0], runs[1], "responses and stats must be byte-stable");
+    let (responses, stats) = &runs[0];
+    assert_eq!(responses.lines().count(), 20, "10 kernels x 1 budget x 2 passes");
+    assert!(responses.lines().all(|l| l.contains("\"status\":\"fitted\"")), "{responses}");
+    let stats = parse_json(stats).expect("stats parse");
+    assert_eq!(stats.get("compile_requests").and_then(Value::as_i64), Some(20));
+    let totals = stats.get("totals").expect("totals object");
+    let count = |key: &str| totals.get(key).and_then(Value::as_i64).unwrap();
+    assert_eq!((count("hits"), count("misses"), count("evictions")), (10, 10, 0));
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -383,7 +382,6 @@ fn serve_verbs_are_documented_and_validated() {
         "regpipe serve",
         "regpipe replay",
         "regpipe chaos",
-        "regpipe bench-serve",
         "--socket",
         "--repeat",
         "--cache-dir",
@@ -393,7 +391,7 @@ fn serve_verbs_are_documented_and_validated() {
     ] {
         assert!(stdout.contains(needle), "help missing '{needle}'");
     }
-    for topic in ["serve", "replay", "bench-serve"] {
+    for topic in ["serve", "replay"] {
         let out = run_ok({
             let mut c = bin();
             c.args(["help", topic]);
@@ -415,12 +413,10 @@ fn serve_verbs_are_documented_and_validated() {
         (&["replay", "--retry", "0"], "--retry"),
         (&["replay", "--spill-policy", "warp"], "unknown spill policy"),
         (&["serve", "--spill-policy", "warp"], "unknown spill policy"),
-        (&["bench-serve", "--spill-policy", "warp"], "unknown spill policy"),
         (&["serve", "--cache-bytes", "0"], "--cache-bytes"),
         (&["serve", "--deadline-ms", "0"], "--deadline-ms"),
         (&["chaos", "--count", "3"], "--count"),
         (&["chaos", "--cycles", "0"], "--cycles"),
-        (&["bench-serve", "--machine", "m9"], "unknown machine"),
     ] {
         let out = bin().args(args).output().expect("spawn regpipe");
         assert!(!out.status.success(), "{args:?} must fail");
