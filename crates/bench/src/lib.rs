@@ -1,40 +1,23 @@
-//! Shared experiment harness for the paper's evaluation (Section 5).
+//! The paper's evaluation (Section 5) and the optimality-gap harness.
 //!
-//! The binaries in `src/bin/` regenerate each table and figure:
-//!
-//! | binary         | reproduces                                            |
-//! |----------------|--------------------------------------------------------|
-//! | `expt_example` | Figures 2/3/5/6 — the running example walkthrough      |
-//! | `expt_fig4`    | Figure 4 — register requirement vs II, both APSI loops |
-//! | `expt_fig7`    | Figure 7 — regs/MII/II/traffic vs lifetimes spilled    |
-//! | `expt_table1`  | Table 1 — loops that never converge + their cycles     |
-//! | `expt_fig8`    | Figure 8 — cycles / traffic / scheduling time          |
-//! | `expt_fig9`    | Figure 9 — increase-II vs spill vs best-of-all         |
-//!
-//! Every count in Table 1 and Figures 8 and 9 comes from
-//! `regpipe_exec::run_batch`, the engine behind `regpipe suite`; the
-//! ideal (infinite-register) schedule is the increase-II cell at budget
-//! `u32::MAX`.
+//! [`paper`] regenerates each of the paper's tables and figures, one
+//! function per artifact, behind `regpipe paper <artifact>`. Every count
+//! in Table 1 and Figures 8 and 9 comes from `regpipe_exec::run_batch`,
+//! the engine behind `regpipe suite`; the ideal (infinite-register)
+//! schedule is the increase-II cell at budget `u32::MAX`. Results are
+//! identical for every worker count.
 //!
 //! Beyond the paper figures, [`run_gap`] backs the `regpipe gap` verb:
 //! it schedules a corpus under the exact branch-and-bound oracle and
 //! every registered heuristic and reports the optimality gaps, plus a
 //! register-squeezed comparison of every registered spill policy
 //! (`BENCH_gap.json`, schema `regpipe-bench-gap/v2`).
-//!
-//! Run them in release mode, e.g.
-//! `cargo run --release -p regpipe_bench --bin expt_table1`.
-//! Every binary honours `REGPIPE_SUITE_SIZE` (default 1258; a set value
-//! must be a positive integer — anything else is a hard error, not a
-//! silent fallback) so quick passes are possible, and fans independent
-//! per-loop work out across worker threads via `regpipe_exec` (its one
-//! argument, `--jobs N`, else `REGPIPE_JOBS`, else all cores; see
-//! [`expt_jobs`]) — results are identical for every worker count.
 
 // Every public item of this crate is documented; CI turns gaps into errors.
 #![warn(missing_docs)]
 
 mod gap;
+pub mod paper;
 
 pub use gap::{
     gap_heuristics, run_gap, GapConfig, GapReport, LoopGap, SchedPoint, SchedulerAggregate,
@@ -45,59 +28,18 @@ use std::num::NonZeroUsize;
 
 use regpipe_core::{CompileOptions, SpillDriverOptions, Strategy};
 use regpipe_exec::{
-    resolve_jobs, run_batch, BatchAggregate, BatchReport, BatchRequest, CellOutcome, CellStatus,
+    run_batch, BatchAggregate, BatchReport, BatchRequest, CellOutcome, CellStatus,
 };
-use regpipe_loops::{suite, suite_size_from_env, BenchLoop};
+use regpipe_loops::BenchLoop;
 use regpipe_machine::MachineConfig;
 use regpipe_spill::SelectHeuristic;
 
-/// The suite size, honouring `REGPIPE_SUITE_SIZE` (default 1258).
-///
-/// A set but invalid value (unparsable or zero) is a hard error: the
-/// process exits with a message rather than silently benchmarking 1258
-/// loops. The parsing rule itself is [`regpipe_loops::parse_suite_size`].
-pub fn suite_size() -> usize {
-    suite_size_from_env().unwrap_or_else(|e| die(&e))
-}
-
-/// The worker count of an `expt_*` binary, read from its command line:
-/// the only argument it takes is `--jobs N`; without it, `REGPIPE_JOBS`,
-/// else all cores. Any other argument, or an invalid count, exits with
-/// status 2 naming it. Call this first thing in `main`, before anything
-/// is printed.
-pub fn expt_jobs() -> NonZeroUsize {
-    jobs_from_args(std::env::args().skip(1)).unwrap_or_else(|e| die(&e))
-}
-
-/// [`expt_jobs`] over an explicit argument list.
-fn jobs_from_args(args: impl IntoIterator<Item = String>) -> Result<NonZeroUsize, String> {
-    let mut args = args.into_iter();
-    let mut flag = None;
-    while let Some(arg) = args.next() {
-        if arg != "--jobs" || flag.is_some() {
-            return Err(format!("unexpected argument '{arg}' (usage: [--jobs N])"));
-        }
-        flag = Some(args.next().ok_or("--jobs needs a value (usage: [--jobs N])")?);
-    }
-    resolve_jobs(flag.as_deref())
-}
-
-fn die(message: &str) -> ! {
-    eprintln!("regpipe-bench: {message}");
-    std::process::exit(2);
-}
-
-/// The evaluation suite at the configured size (fixed seed).
-pub fn evaluation_suite() -> Vec<BenchLoop> {
-    suite(0xC1DA, suite_size())
-}
-
 /// The register budgets of the paper's evaluation.
-pub const REGISTER_BUDGETS: [u32; 2] = [64, 32];
+pub(crate) const REGISTER_BUDGETS: [u32; 2] = [64, 32];
 
 /// One spilling-heuristic variant of Figure 8.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Fig8Variant {
+pub(crate) struct Fig8Variant {
     /// Display label (matches the paper's bar names).
     pub label: &'static str,
     /// Spill-strategy options.
@@ -105,7 +47,7 @@ pub struct Fig8Variant {
 }
 
 /// The four heuristic variants of Figure 8, in the paper's order.
-pub fn fig8_variants() -> Vec<Fig8Variant> {
+pub(crate) fn fig8_variants() -> Vec<Fig8Variant> {
     let base = SpillDriverOptions::unaccelerated;
     vec![
         Fig8Variant { label: "Max(LT)", options: base(SelectHeuristic::MaxLt) },
@@ -170,7 +112,7 @@ fn fitted(cell: &CellOutcome) -> Option<(u32, u32)> {
 
 /// Runs one spill variant over the suite on `jobs` worker threads. The
 /// aggregate is identical for any worker count (its `wall` aside).
-pub fn run_spill_variant(
+pub(crate) fn run_spill_variant(
     loops: &[BenchLoop],
     machine: &MachineConfig,
     regs: u32,
@@ -182,7 +124,7 @@ pub fn run_spill_variant(
 }
 
 /// The ideal (infinite-register) aggregate for the same loops.
-pub fn run_ideal(
+pub(crate) fn run_ideal(
     loops: &[BenchLoop],
     machine: &MachineConfig,
     jobs: NonZeroUsize,
@@ -192,7 +134,7 @@ pub fn run_ideal(
 
 /// Table 1 numbers for one machine/budget: which loops never converge by
 /// increasing the II, and the share of (ideal) cycles they represent.
-pub struct Table1Row {
+pub(crate) struct Table1Row {
     /// Names of the non-convergent loops.
     pub non_convergent: Vec<String>,
     /// Their share of total ideal cycles, in percent.
@@ -200,7 +142,7 @@ pub struct Table1Row {
 }
 
 /// Computes one Table 1 row on `jobs` worker threads.
-pub fn table1_row(
+pub(crate) fn table1_row(
     loops: &[BenchLoop],
     machine: &MachineConfig,
     regs: u32,
@@ -239,7 +181,7 @@ pub fn table1_row(
 /// Figure 9 comparison over the subset of loops that (1) need a register
 /// reduction and (2) converge under increase-II.
 #[derive(Clone, Debug, Default)]
-pub struct Fig9Row {
+pub(crate) struct Fig9Row {
     /// Loops in the comparable subset.
     pub subset: u32,
     /// Σ cycles with increase-II.
@@ -253,7 +195,7 @@ pub struct Fig9Row {
 }
 
 /// Computes one Figure 9 row on `jobs` worker threads.
-pub fn fig9_row(
+pub(crate) fn fig9_row(
     loops: &[BenchLoop],
     machine: &MachineConfig,
     regs: u32,
@@ -296,46 +238,19 @@ pub fn fig9_row(
 
 /// Formats a cycle count in units of 10⁶ cycles, like the paper's axes
 /// (scaled down from 10⁹ because the synthetic weights are smaller).
-pub fn mcycles(c: u64) -> String {
+pub(crate) fn mcycles(c: u64) -> String {
     format!("{:.1}", c as f64 / 1e6)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regpipe_loops::suite;
 
     const JOBS: NonZeroUsize = NonZeroUsize::new(2).unwrap();
 
     fn small_suite() -> Vec<BenchLoop> {
         suite(5, 40)
-    }
-
-    fn jobs_of(args: &[&str]) -> Result<NonZeroUsize, String> {
-        jobs_from_args(args.iter().map(|a| a.to_string()))
-    }
-
-    #[test]
-    fn expt_arguments_are_at_most_one_jobs_flag() {
-        assert_eq!(jobs_of(&["--jobs", "3"]).unwrap().get(), 3);
-        assert!(jobs_of(&["--jobs", "0"]).unwrap_err().contains("--jobs"));
-        assert!(jobs_of(&["--jobs"]).unwrap_err().contains("needs a value"));
-        // No argument: REGPIPE_JOBS if set, else all cores.
-        if std::env::var("REGPIPE_JOBS").is_err() {
-            assert!(jobs_of(&[]).unwrap().get() >= 1);
-        }
-    }
-
-    #[test]
-    fn expt_arguments_other_than_jobs_are_named_errors() {
-        for (args, named) in [
-            (&["--jbos", "1"][..], "'--jbos'"),
-            (&["stray-arg"][..], "'stray-arg'"),
-            (&["--jobs", "2", "extra"][..], "'extra'"),
-            (&["--jobs", "2", "--jobs", "3"][..], "'--jobs'"),
-        ] {
-            let err = jobs_of(args).unwrap_err();
-            assert!(err.contains(named) && err.contains("[--jobs N]"), "{args:?}: {err}");
-        }
     }
 
     #[test]

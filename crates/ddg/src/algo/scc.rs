@@ -1,5 +1,6 @@
 //! Strongly connected components (Tarjan) and recurrence detection.
 
+use super::sccs_of;
 use crate::graph::Ddg;
 use crate::op::OpId;
 
@@ -37,69 +38,22 @@ impl Scc {
 }
 
 /// Computes all strongly connected components with Tarjan's algorithm
-/// (iterative, so deep graphs cannot overflow the stack).
+/// ([`sccs_of`] over the graph's adjacency lists, so deep graphs cannot
+/// overflow the stack).
 ///
 /// Components are returned in *reverse topological order* (callees first), a
 /// property of Tarjan's algorithm the scheduler relies on.
 pub fn sccs(g: &Ddg) -> Vec<Scc> {
-    let n = g.num_ops();
-    let mut index = vec![usize::MAX; n];
-    let mut lowlink = vec![usize::MAX; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut out = Vec::new();
-
-    // Iterative Tarjan: frame = (node, next-successor-cursor).
-    let mut work: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        work.push((root, 0));
-        index[root] = next_index;
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-
-        while let Some(&mut (v, ref mut cursor)) = work.last_mut() {
-            let succs: Vec<usize> = g.successors(OpId::new(v)).map(|s| s.index()).collect();
-            if *cursor < succs.len() {
-                let w = succs[*cursor];
-                *cursor += 1;
-                if index[w] == usize::MAX {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    work.push((w, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                work.pop();
-                if let Some(&(parent, _)) = work.last() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    let mut ops = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        ops.push(OpId::new(w));
-                        if w == v {
-                            break;
-                        }
-                    }
-                    let cyclic = ops.len() > 1 || g.successors(ops[0]).any(|s| s == ops[0]);
-                    out.push(Scc { ops, cyclic });
-                }
-            }
-        }
-    }
-    out
+    let adj: Vec<Vec<usize>> = (0..g.num_ops())
+        .map(|v| g.successors(OpId::new(v)).map(OpId::index).collect())
+        .collect();
+    sccs_of(&adj)
+        .into_iter()
+        .map(|comp| Scc {
+            cyclic: comp.len() > 1 || adj[comp[0]].contains(&comp[0]),
+            ops: comp.into_iter().map(OpId::new).collect(),
+        })
+        .collect()
 }
 
 /// The recurrences of the graph: SCCs that contain a cycle.

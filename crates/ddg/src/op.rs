@@ -109,6 +109,26 @@ impl OpKind {
         !matches!(self, OpKind::Store)
     }
 
+    /// The kind's name in the text formats (`.ddg` loops, `.mach` machine
+    /// descriptions) and in `regpipe info`.
+    pub fn name(self) -> &'static str {
+        match self {
+            OpKind::Load => "load",
+            OpKind::Store => "store",
+            OpKind::Add => "add",
+            OpKind::Mul => "mul",
+            OpKind::Div => "div",
+            OpKind::Sqrt => "sqrt",
+            OpKind::Copy => "copy",
+        }
+    }
+
+    /// Reads a kind's [name](OpKind::name) or its
+    /// [mnemonic](OpKind::mnemonic), which adds the `ld` and `st` aliases.
+    pub fn parse(s: &str) -> Option<OpKind> {
+        OpKind::ALL.into_iter().find(|kind| kind.name() == s || kind.mnemonic() == s)
+    }
+
     /// Short mnemonic used by [`std::fmt::Display`] and DOT export.
     pub fn mnemonic(self) -> &'static str {
         match self {
@@ -175,5 +195,11 @@ mod tests {
     fn display_uses_mnemonics() {
         assert_eq!(OpKind::Sqrt.to_string(), "sqrt");
         assert_eq!(format!("{}", OpId::new(4)), "op4");
+        // Every mnemonic and every name reads back as its kind.
+        for kind in OpKind::ALL {
+            assert_eq!(OpKind::parse(kind.mnemonic()), Some(kind));
+            assert_eq!(OpKind::parse(kind.name()), Some(kind));
+        }
+        assert_eq!(OpKind::parse("fma"), None);
     }
 }

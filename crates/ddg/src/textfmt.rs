@@ -100,7 +100,7 @@ pub fn format(ddg: &Ddg) -> String {
     let mut out = String::new();
     out.push_str(&format!("loop {}\n", sanitize(ddg.name())));
     for (_, node) in ddg.ops() {
-        out.push_str(&format!("op {} {}\n", sanitize(node.name()), kind_name(node.kind())));
+        out.push_str(&format!("op {} {}\n", sanitize(node.name()), node.kind().name()));
     }
     for e in ddg.edges() {
         let kind = match (e.kind(), e.is_fixed(), e.stagger()) {
@@ -190,7 +190,7 @@ pub fn parse(text: &str) -> Result<Ddg, ParseError> {
                     words.next().ok_or_else(|| (line_no, "missing op name".to_string()))?;
                 let kind_str =
                     words.next().ok_or_else(|| (line_no, "missing op kind".to_string()))?;
-                let kind = parse_kind(kind_str)
+                let kind = OpKind::parse(kind_str)
                     .ok_or_else(|| (line_no, format!("unknown op kind '{kind_str}'")))?;
                 if by_name.contains_key(op_name) {
                     return Err((line_no, format!("duplicate op '{op_name}'")).into());
@@ -280,31 +280,6 @@ pub fn parse(text: &str) -> Result<Ddg, ParseError> {
         message: e.to_string(),
     })?;
     Ok(g)
-}
-
-fn parse_kind(s: &str) -> Option<OpKind> {
-    Some(match s {
-        "load" | "ld" => OpKind::Load,
-        "store" | "st" => OpKind::Store,
-        "add" => OpKind::Add,
-        "mul" => OpKind::Mul,
-        "div" => OpKind::Div,
-        "sqrt" => OpKind::Sqrt,
-        "copy" => OpKind::Copy,
-        _ => return None,
-    })
-}
-
-fn kind_name(k: OpKind) -> &'static str {
-    match k {
-        OpKind::Load => "load",
-        OpKind::Store => "store",
-        OpKind::Add => "add",
-        OpKind::Mul => "mul",
-        OpKind::Div => "div",
-        OpKind::Sqrt => "sqrt",
-        OpKind::Copy => "copy",
-    }
 }
 
 /// Replaces whitespace and `#` in names so they survive a round trip

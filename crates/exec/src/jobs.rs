@@ -2,30 +2,21 @@
 
 use std::num::NonZeroUsize;
 
-/// Resolves the worker count for a batch run.
-///
-/// Precedence: the explicit `flag` (a `--jobs` argument), then the
-/// `REGPIPE_JOBS` environment variable, then the machine's available
-/// parallelism (1 if unknown). Invalid values — non-numeric or zero — are
-/// hard errors rather than silent fallbacks, mirroring the strict
-/// `REGPIPE_SUITE_SIZE` handling in `regpipe_loops`.
+/// Resolves the worker count for a batch run: the explicit `flag` (a
+/// `--jobs` argument), else the machine's available parallelism (1 if
+/// unknown). An invalid value (non-numeric or zero) is a hard error, not
+/// a silent fallback.
 ///
 /// # Errors
 ///
-/// A human-readable message naming the offending source and value.
+/// A human-readable message naming the flag and the offending value.
 pub fn resolve_jobs(flag: Option<&str>) -> Result<NonZeroUsize, String> {
-    if let Some(raw) = flag {
-        return parse_jobs("--jobs", raw);
+    match flag {
+        Some(raw) => {
+            raw.parse().map_err(|_| format!("--jobs must be a positive integer, got '{raw}'"))
+        }
+        None => Ok(std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)),
     }
-    if let Ok(raw) = std::env::var("REGPIPE_JOBS") {
-        return parse_jobs("REGPIPE_JOBS", raw.as_str());
-    }
-    Ok(std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
-}
-
-fn parse_jobs(source: &str, raw: &str) -> Result<NonZeroUsize, String> {
-    raw.parse::<NonZeroUsize>()
-        .map_err(|_| format!("{source} must be a positive integer, got '{raw}'"))
 }
 
 /// Whether `REGPIPE_BENCH_TIMING=1` opts wall-clock time into reports and
@@ -49,10 +40,7 @@ mod tests {
 
     #[test]
     fn default_is_at_least_one() {
-        // No flag: either REGPIPE_JOBS (if the harness sets it) or the
-        // machine's parallelism — both are >= 1 by construction.
-        if std::env::var("REGPIPE_JOBS").is_err() {
-            assert!(resolve_jobs(None).unwrap().get() >= 1);
-        }
+        // No flag: the machine's parallelism, >= 1 by construction.
+        assert!(resolve_jobs(None).unwrap().get() >= 1);
     }
 }

@@ -14,9 +14,8 @@
 //!   a bare `-` are rejected rather than handed to `f64::parse`.
 //! * `\uXXXX` escapes decode UTF-16 surrogate pairs into one code point;
 //!   a lone surrogate is a parse error, never a silent U+FFFD.
-//! * Non-finite floats have no JSON representation; rendering one is an
-//!   explicit error ([`Value::try_render`]) or panic ([`Value::render`]),
-//!   never a silent `null`.
+//! * Non-finite floats have no JSON representation; rendering one panics
+//!   ([`Value::render`]), never a silent `null`.
 
 use std::fmt::Write as _;
 
@@ -30,7 +29,7 @@ pub enum Value {
     /// An integer (all the report's numbers are integral).
     Int(i64),
     /// A float; rendered with `{}` (shortest round-trip form). Must be
-    /// finite to render — JSON has no NaN/infinity (see [`Value::finite`]).
+    /// finite to render — JSON has no NaN/infinity.
     Num(f64),
     /// A string.
     Str(String),
@@ -45,23 +44,6 @@ impl Value {
     /// counters are far below `i64::MAX`).
     pub fn uint(v: u64) -> Value {
         Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
-    }
-
-    /// Checked float constructor: the only way to build a [`Value::Num`]
-    /// that is guaranteed to render.
-    ///
-    /// # Errors
-    ///
-    /// Rejects NaN and infinities — JSON cannot represent them, and the
-    /// previous behavior of rendering them as `null` silently changed the
-    /// value's type (exactly the corruption a daemon's latency stats must
-    /// not suffer).
-    pub fn finite(v: f64) -> Result<Value, String> {
-        if v.is_finite() {
-            Ok(Value::Num(v))
-        } else {
-            Err(format!("non-finite float {v} has no JSON representation"))
-        }
     }
 
     /// Looks up a key in an object value.
@@ -120,24 +102,14 @@ impl Value {
     ///
     /// Panics if the value contains a non-finite float: JSON has no
     /// representation for NaN/infinity, and rendering `null` instead would
-    /// be a silent type change. Use [`Value::finite`] to construct floats
-    /// that cannot panic here, or [`Value::try_render`] to get the error.
+    /// be a silent type change.
     pub fn render(&self) -> String {
-        self.try_render().expect("non-finite float in JSON value")
-    }
-
-    /// Renders the value as compact JSON, failing on non-finite floats.
-    ///
-    /// # Errors
-    ///
-    /// Names the first non-finite float encountered.
-    pub fn try_render(&self) -> Result<String, String> {
         let mut out = String::new();
-        self.write(&mut out)?;
-        Ok(out)
+        self.write(&mut out);
+        out
     }
 
-    fn write(&self, out: &mut String) -> Result<(), String> {
+    fn write(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -145,9 +117,7 @@ impl Value {
                 let _ = write!(out, "{i}");
             }
             Value::Num(x) => {
-                if !x.is_finite() {
-                    return Err(format!("non-finite float {x} has no JSON representation"));
-                }
+                assert!(x.is_finite(), "non-finite float {x} has no JSON representation");
                 // `{}` omits the point for whole floats; keep it JSON-
                 // unambiguous as a number either way (it already is).
                 let _ = write!(out, "{x}");
@@ -159,7 +129,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out)?;
+                    item.write(out);
                 }
                 out.push(']');
             }
@@ -171,12 +141,11 @@ impl Value {
                     }
                     write_escaped(out, k);
                     out.push(':');
-                    v.write(out)?;
+                    v.write(out);
                 }
                 out.push('}');
             }
         }
-        Ok(())
     }
 }
 
@@ -628,18 +597,16 @@ mod tests {
     }
 
     /// Regression: non-finite floats used to render as `null` — a silent
-    /// type change. The policy is now an explicit error (or panic via
-    /// `render`), and `Value::finite` refuses to construct them.
+    /// type change. Rendering one now panics, nested occurrences too.
     #[test]
     fn non_finite_floats_refuse_to_render() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert!(Value::Num(bad).try_render().is_err());
-            assert!(Value::finite(bad).is_err());
-            // Nested occurrences are caught too.
             let nested = Value::Array(vec![Value::Int(1), Value::Num(bad)]);
-            assert!(nested.try_render().is_err());
+            for value in [Value::Num(bad), nested] {
+                assert!(std::panic::catch_unwind(|| value.render()).is_err());
+            }
         }
-        assert_eq!(Value::finite(2.5).unwrap().render(), "2.5");
+        assert_eq!(Value::Num(2.5).render(), "2.5");
     }
 
     #[test]

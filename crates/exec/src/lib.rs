@@ -18,9 +18,9 @@
 //!   rendering (schema `regpipe-bench-suite/v3`, see [`json`]) so the perf
 //!   trajectory is trackable across PRs; v2 records the scheduler axis
 //!   (`CompileOptions::scheduler`) as a top-level `scheduler` field.
-//! * [`resolve_jobs`] — worker-count policy: explicit flag, then the
-//!   `REGPIPE_JOBS` environment variable, then the machine's available
-//!   parallelism. Invalid values are hard errors, never silent fallbacks.
+//! * [`resolve_jobs`] — worker-count policy: the `--jobs` flag, else the
+//!   machine's available parallelism. An invalid value is a hard error,
+//!   never a silent fallback.
 //!
 //! Wall-clock times are the only non-deterministic fields; they are kept
 //! out of [`BatchReport::to_json`] and human output unless timing is

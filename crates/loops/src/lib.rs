@@ -38,13 +38,12 @@
 //! registry (`regpipe suite --scheduler hrms|sms|asap`).
 //!
 //! ```
-//! use regpipe_loops::{default_suite, suite};
+//! use regpipe_loops::suite;
 //!
-//! let loops = suite(0xC1DA, 100);
+//! let loops = suite(49626, 100);
 //! assert_eq!(loops.len(), 100);
 //! // Deterministic: same seed, same suite.
-//! assert_eq!(suite(0xC1DA, 100)[42].name, loops[42].name);
-//! assert_eq!(default_suite().len(), 1258);
+//! assert_eq!(suite(49626, 100)[42].name, loops[42].name);
 //! ```
 
 // Every public item of this crate is documented; CI turns gaps into errors.
@@ -59,9 +58,7 @@ mod suite;
 
 pub use corpus::{load_corpus, write_corpus, Corpus, CorpusError, CorpusFileError};
 pub use gen::{generate, GenParams, WeightDist};
-pub use suite::{
-    default_suite, parse_suite_size, suite, suite_size_from_env, BenchLoop, DEFAULT_SUITE_SIZE,
-};
+pub use suite::{suite, BenchLoop, DEFAULT_SUITE_SIZE};
 
 #[cfg(test)]
 mod tests {

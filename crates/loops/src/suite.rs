@@ -67,42 +67,9 @@ pub fn suite(seed: u64, n: usize) -> Vec<BenchLoop> {
         .collect()
 }
 
-/// The default suite: 1258 loops (the paper's loop count) from a fixed seed.
-pub fn default_suite() -> Vec<BenchLoop> {
-    suite(0xC1DA, 1258)
-}
-
-/// The paper's loop count, used when `REGPIPE_SUITE_SIZE` is unset.
+/// The paper's loop count: the default size of the evaluation suite
+/// (`regpipe suite`, `regpipe paper`).
 pub const DEFAULT_SUITE_SIZE: usize = 1258;
-
-/// Interprets a raw `REGPIPE_SUITE_SIZE` value: `None` (variable unset)
-/// yields [`DEFAULT_SUITE_SIZE`]; a set value must parse as a **positive**
-/// integer. Unparsable or zero values are errors, never silent fallbacks —
-/// a typo'd `REGPIPE_SUITE_SIZE=10O` must not quietly run all 1258 loops.
-///
-/// # Errors
-///
-/// A message naming the variable and the offending value.
-pub fn parse_suite_size(raw: Option<&str>) -> Result<usize, String> {
-    match raw {
-        None => Ok(DEFAULT_SUITE_SIZE),
-        Some(text) => match text.parse::<usize>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(format!("REGPIPE_SUITE_SIZE must be a positive integer, got '{text}'")),
-        },
-    }
-}
-
-/// [`parse_suite_size`] applied to the actual `REGPIPE_SUITE_SIZE`
-/// environment variable — the one place that owns the lookup, shared by
-/// the `expt_*` harness and the CLI.
-///
-/// # Errors
-///
-/// See [`parse_suite_size`].
-pub fn suite_size_from_env() -> Result<usize, String> {
-    parse_suite_size(std::env::var("REGPIPE_SUITE_SIZE").ok().as_deref())
-}
 
 #[cfg(test)]
 mod tests {
@@ -136,20 +103,5 @@ mod tests {
     fn cycles_scale_with_ii() {
         let l = &suite(4, 1)[0];
         assert_eq!(l.cycles(3), 3 * l.weight);
-    }
-
-    /// Regression: an unparsable or zero `REGPIPE_SUITE_SIZE` used to fall
-    /// back silently to 1258; it must be a hard error instead.
-    #[test]
-    fn suite_size_parsing_is_strict() {
-        assert_eq!(parse_suite_size(None), Ok(DEFAULT_SUITE_SIZE));
-        assert_eq!(parse_suite_size(Some("40")), Ok(40));
-        for bad in ["0", "-3", "10O", "", "forty", "1.5"] {
-            let err = parse_suite_size(Some(bad)).unwrap_err();
-            assert!(
-                err.contains("REGPIPE_SUITE_SIZE") && err.contains(bad),
-                "error must name the variable and the value: {err}"
-            );
-        }
     }
 }

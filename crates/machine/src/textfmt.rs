@@ -63,31 +63,6 @@ fn parse_class(s: &str) -> Option<FuClass> {
     CLASSES.iter().find(|(_, name)| *name == s).map(|&(c, _)| c)
 }
 
-fn parse_op(s: &str) -> Option<OpKind> {
-    Some(match s {
-        "load" | "ld" => OpKind::Load,
-        "store" | "st" => OpKind::Store,
-        "add" => OpKind::Add,
-        "mul" => OpKind::Mul,
-        "div" => OpKind::Div,
-        "sqrt" => OpKind::Sqrt,
-        "copy" => OpKind::Copy,
-        _ => return None,
-    })
-}
-
-fn op_name(k: OpKind) -> &'static str {
-    match k {
-        OpKind::Load => "load",
-        OpKind::Store => "store",
-        OpKind::Add => "add",
-        OpKind::Mul => "mul",
-        OpKind::Div => "div",
-        OpKind::Sqrt => "sqrt",
-        OpKind::Copy => "copy",
-    }
-}
-
 /// Renders `machine` canonically: name, then every unit count, latency and
 /// pipelining flag explicitly, in a fixed order. [`parse`] round-trips it.
 ///
@@ -106,7 +81,7 @@ pub fn format(machine: &MachineConfig) -> String {
         out.push_str(&format!("units {name} {}\n", machine.units(class)));
     }
     for kind in OpKind::ALL {
-        out.push_str(&format!("latency {} {}\n", op_name(kind), machine.latency(kind)));
+        out.push_str(&format!("latency {} {}\n", kind.name(), machine.latency(kind)));
     }
     for (class, name) in CLASSES {
         let flag = if machine.is_pipelined(class) { "on" } else { "off" };
@@ -173,7 +148,7 @@ pub fn parse(text: &str) -> Result<MachineConfig, ParseError> {
             "latency" => {
                 let op_str =
                     words.next().ok_or_else(|| (line_no, "missing op kind".to_string()))?;
-                let op = parse_op(op_str)
+                let op = OpKind::parse(op_str)
                     .ok_or_else(|| (line_no, format!("unknown op kind '{op_str}'")))?;
                 let lat = positive_number(line_no, words.next(), "latency")?;
                 machine.set_latency(op, lat);

@@ -5,7 +5,7 @@
 //! (the paper's Figure 5c keeps `Ld`). The dead load still occupies a
 //! memory-unit slot and issues a real memory access every iteration. This
 //! module rebuilds the graph without dead value-producing operations so the
-//! effect can be measured (see the `expt_ablation` binary).
+//! effect can be measured (see `regpipe paper ablation`).
 
 use regpipe_ddg::{Ddg, Edge, EdgeKind, OpId};
 

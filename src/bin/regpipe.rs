@@ -1,7 +1,7 @@
 //! The `regpipe` command-line tool: compile loop dependence graphs under a
 //! register budget from the terminal, run the batch evaluation suite over
-//! the built-in synthetic loops or an on-disk corpus, and generate or
-//! validate such corpora.
+//! the built-in synthetic loops or an on-disk corpus, reproduce the
+//! paper's tables and figures, and generate or validate such corpora.
 //!
 //! Run `regpipe help` (or `regpipe help <command>`) for the full usage;
 //! the same text is kept in [`VERBS`] below, and it doubles as the
@@ -17,15 +17,15 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use regpipe::bench::{GapConfig, DEFAULT_SPILL_BUDGET};
+use regpipe::bench::{paper, GapConfig, DEFAULT_SPILL_BUDGET};
 use regpipe::core::{compile, CompileOptions, SpillPolicyKind, Strategy};
-use regpipe::ddg::{textfmt, to_dot, Ddg};
+use regpipe::ddg::{textfmt, to_dot, Ddg, OpKind};
 use regpipe::exec::{
     bench_timing, parse_strategy, resolve_jobs, run_batch, strategy_slug, BatchRequest,
 };
 use regpipe::loops::{
-    generate, load_corpus, suite, suite_size_from_env, write_corpus, BenchLoop, GenParams,
-    WeightDist,
+    generate, load_corpus, suite, write_corpus, BenchLoop, GenParams, WeightDist,
+    DEFAULT_SUITE_SIZE,
 };
 use regpipe::machine::MachineConfig;
 use regpipe::regalloc::allocate;
@@ -37,7 +37,8 @@ use regpipe::serve::{
 #[cfg(unix)]
 use regpipe::serve::{replay_socket, request_once, run_chaos, write_responses, ChaosConfig};
 
-/// The seed of the built-in suite and the generators (0xC1DA).
+/// The seed of the built-in suite (`suite`, `paper`) and the generators
+/// (0xC1DA).
 const DEFAULT_SEED: u64 = 49626;
 
 fn main() -> ExitCode {
@@ -70,10 +71,11 @@ type Run = fn(&Args) -> Result<(), String>;
 /// The help text is also the verb's grammar: its usage line names the
 /// verb and, as a `<placeholder>`, the operand it takes, if any, and the
 /// verb accepts exactly the `--flags` the text mentions.
-const VERBS: [(&str, Run); 9] = [
+const VERBS: [(&str, Run); 10] = [
     (INFO, cmd_info),
     (COMPILE, cmd_compile),
     (SUITE, cmd_suite),
+    (PAPER, cmd_paper),
     (GEN, cmd_gen),
     (CHECK, cmd_check),
     (GAP, cmd_gap),
@@ -133,9 +135,9 @@ regpipe suite [options]
                     instead of the built-in synthetic suite; a .mach
                     file in the corpus sets the machine unless --machine
                     is given explicitly
-  --size <n>        suite size  (default: REGPIPE_SUITE_SIZE, then 1258)
+  --size <n>        suite size  (default 1258)
   --seed <s>        suite seed  (default 49626)
-  --jobs <n>        worker threads (default: REGPIPE_JOBS, then all cores)
+  --jobs <n>        worker threads (default: all cores)
   --machine <m>     as for compile                     (default p2l4)
   --budgets <list>  comma-separated register budgets   (default 64,32)
   --strategies <l>  comma-separated strategies         (default best,spill,increase-ii)
@@ -149,6 +151,23 @@ regpipe suite --dir <dir> [--size N] [--seed S]
   Emit the archetype-mix synthetic suite as .ddg files instead of
   running it (default size 100). For knob-controlled corpora use
   `regpipe gen`.
+";
+const PAPER: &str = "\
+regpipe paper <example|fig4|fig7|fig8|fig9|table1|ablation> [--size N] [--jobs N]
+  Reproduce one of the paper's tables or figures on stdout; the output
+  is byte-identical for any --jobs value.
+    example   Figures 2/3/5/6: the running example walkthrough
+    fig4      Figure 4: register requirement vs II, both APSI loops
+    fig7      Figure 7: regs/MII/II/traffic vs lifetimes spilled
+    fig8      Figure 8: cycles, memory traffic and scheduling effort per
+              spill heuristic (time column under REGPIPE_BENCH_TIMING=1)
+    fig9      Figure 9: increase-II vs spill vs best-of-all
+    table1    Table 1: loops increase-II never fits, and their cycle share
+    ablation  HRMS vs ASAP, rotating file vs MVE, dead-code elimination
+              after spilling, stage scheduling
+  fig8, fig9, table1 and ablation run the built-in suite (seed 49626).
+  --size <n>        suite size, for those four only    (default 1258)
+  --jobs <n>        worker threads (default: all cores)
 ";
 const GEN: &str = "\
 regpipe gen --out <dir> [options]
@@ -197,7 +216,7 @@ regpipe gap [options]
                     round-robin                  (default paper)
   --spill-budget <n> register budget for the per-policy comparison
                                                  (default 16)
-  --jobs <n>        worker threads (default: REGPIPE_JOBS, then all cores)
+  --jobs <n>        worker threads (default: all cores)
   --out <file>      report path                  (default BENCH_gap.json)
 ";
 const SERVE: &str = "\
@@ -238,7 +257,7 @@ regpipe replay [options]
   --repeat <n>      passes over the stream; pass 2+ exercise the cache
                     hit path                           (default 1)
   --jobs <n>        client connections (socket) or worker threads
-                    (in-process)  (default: REGPIPE_JOBS, then all cores)
+                    (in-process)  (default: all cores)
   --budgets <list>  comma-separated register budgets   (default 32)
   --strategy best|spill|increase-ii                    (default best)
   --scheduler hrms|sms|asap|exact                      (default hrms)
@@ -267,7 +286,7 @@ regpipe chaos [options]
   --cycles <n>      inject-crash-restart cycles        (default 3)
   --seed <s>        workload and fault-schedule seed   (default 7)
   --count <k>       workload kernels (at least 4)      (default 12)
-  --jobs <n>        client connections (default: REGPIPE_JOBS, then all cores)
+  --jobs <n>        client connections (default: all cores)
   --budgets <list>  comma-separated register budgets   (default 32)
   --strategy best|spill|increase-ii                    (default best)
   --scheduler hrms|sms|asap|exact                      (default hrms)
@@ -487,9 +506,8 @@ fn cmd_info(args: &Args) -> Result<(), String> {
         g.num_edges(),
         g.num_invariants()
     );
-    let labels = ["load", "store", "add", "mul", "div", "sqrt", "copy"];
-    let counts = labels.iter().zip(g.kind_histogram()).filter(|&(_, c)| c > 0);
-    let mix: Vec<String> = counts.map(|(l, c)| format!("{c} {l}")).collect();
+    let counts = OpKind::ALL.iter().zip(g.kind_histogram()).filter(|&(_, c)| c > 0);
+    let mix: Vec<String> = counts.map(|(kind, c)| format!("{c} {}", kind.name())).collect();
     println!("op mix: {}", mix.join(", "));
     println!(
         "machine {}: ResMII-bound MII = {}, RecMII = {}",
@@ -554,10 +572,7 @@ fn cmd_suite(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     let (loops, machine) = args.workload(&["--size", "--seed"], || {
-        // Run mode shares the harness's REGPIPE_SUITE_SIZE default so the
-        // CI smoke path sizes the run with one env variable.
-        let size = args.get("--size").map(|_| args.at_least("--size", 1, 1));
-        Ok(suite(seed, size.unwrap_or_else(suite_size_from_env)?))
+        Ok(suite(seed, args.at_least("--size", DEFAULT_SUITE_SIZE, 1)?))
     })?;
     let label =
         args.get("--corpus").map_or(format!("seed {seed}"), |dir| format!("corpus {dir}"));
@@ -600,6 +615,37 @@ fn cmd_suite(args: &Args) -> Result<(), String> {
         report.total_wall.as_secs_f64()
     );
     Ok(())
+}
+
+/// `regpipe paper`: one of the paper's tables or figures on stdout. The
+/// suite artifacts run the built-in suite at `--size`; the others take no
+/// suite, so `--size` is an error there rather than silently ignored.
+fn cmd_paper(args: &Args) -> Result<(), String> {
+    let artifact = args.operand()?;
+    let jobs = args.jobs()?;
+    let fixed = |run: fn(NonZeroUsize)| {
+        if args.has("--size") {
+            return Err(format!(
+                "paper: --size does not apply to {artifact} (it runs no suite)"
+            ));
+        }
+        run(jobs);
+        Ok(())
+    };
+    let on_suite = |run: fn(&[BenchLoop], NonZeroUsize)| -> Result<(), String> {
+        run(&suite(DEFAULT_SEED, args.at_least("--size", DEFAULT_SUITE_SIZE, 1)?), jobs);
+        Ok(())
+    };
+    match artifact {
+        "example" => fixed(paper::example),
+        "fig4" => fixed(paper::fig4),
+        "fig7" => fixed(paper::fig7),
+        "fig8" => on_suite(paper::fig8),
+        "fig9" => on_suite(paper::fig9),
+        "table1" => on_suite(paper::table1),
+        "ablation" => on_suite(paper::ablation),
+        _ => Err(format!("paper: unknown artifact '{artifact}' (see regpipe help paper)")),
+    }
 }
 
 /// Parses a `--weights` spec: `const:<w>`, `uniform:<lo>,<hi>`, or

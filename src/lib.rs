@@ -29,11 +29,12 @@
 //!   seeded synthetic-kernel generator (`regpipe gen`), and on-disk corpus
 //!   I/O (`regpipe suite --corpus` / `regpipe check`).
 //! * [`exec`] — the deterministic multi-threaded batch-compilation engine
-//!   (`BatchRequest` → `BatchReport`) behind `regpipe suite` and the
-//!   `expt_*` harness, with its `BENCH_suite.json` report format.
-//! * [`bench`](mod@bench) — the experiment drivers reproducing the paper's tables and
-//!   figures, plus the `regpipe gap` optimality-gap harness and its
-//!   `BENCH_gap.json` report format.
+//!   (`BatchRequest` → `BatchReport`) behind `regpipe suite` and
+//!   `regpipe paper`, with its `BENCH_suite.json` report format.
+//! * [`bench`](mod@bench) — the paper's tables and figures, one function
+//!   per artifact in [`bench::paper`] (`regpipe paper <artifact>`), plus
+//!   the `regpipe gap` optimality-gap harness and its `BENCH_gap.json`
+//!   report format.
 //! * [`serve`] — the persistent compile daemon (`regpipe serve`): a
 //!   JSON-lines protocol over stdin or a unix socket, a sharded
 //!   content-addressed LRU result cache, the `regpipe replay` load-driver

@@ -597,14 +597,9 @@ fn dropped_arguments_are_errors_naming_them() {
         (&["suite", "--corpus", "--machine", "p1l4"], "--corpus needs a directory"),
         (&["gap", "--count", "2", "--out"], "--out needs a value"),
         (&["suite", "--dir", "d", "--jobs", "4"], "cannot be combined with --jobs"),
-        (&["suite", "--machine", "m9"], "unknown machine 'm9'"),
+        (&["suite", "--size", "3", "--machine", "m9"], "unknown machine 'm9'"),
     ] {
-        let out = bin()
-            .args(args)
-            .current_dir(&dir)
-            .env("REGPIPE_SUITE_SIZE", "3")
-            .output()
-            .expect("spawn regpipe");
+        let out = bin().args(args).current_dir(&dir).output().expect("spawn regpipe");
         assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
@@ -644,5 +639,54 @@ fn suite_rejects_bad_jobs_and_size() {
         assert!(!out.status.success(), "{args:?} must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("must be a positive integer"), "{args:?}: {stderr}");
+    }
+}
+
+/// The paper's artifacts, in `regpipe help paper` order.
+const PAPER_ARTIFACTS: [&str; 7] =
+    ["example", "fig4", "fig7", "fig8", "fig9", "table1", "ablation"];
+
+/// `regpipe paper` is read by the one parser: `help paper` lists every
+/// artifact, and a bad artifact, flag or argument exits 1 naming it.
+/// `--size` sizes only the artifacts that run the suite; on the others it
+/// is an error rather than silently ignored.
+#[test]
+fn paper_verb_is_documented_and_strictly_validated() {
+    let out = bin().args(["help", "paper"]).output().expect("spawn regpipe");
+    assert!(out.status.success(), "help paper must exit 0");
+    let help = String::from_utf8(out.stdout).unwrap();
+    for artifact in PAPER_ARTIFACTS {
+        assert!(help.contains(&format!("\n    {artifact} ")), "help paper misses {artifact}");
+    }
+    for (args, needle) in [
+        (&["paper", "fig5"][..], "unknown artifact 'fig5'"),
+        (&["paper"], "missing <example|fig4|fig7|fig8|fig9|table1|ablation>"),
+        (&["paper", "fig9", "--jbos", "1"], "unknown flag '--jbos'"),
+        (&["paper", "table1", "stray-arg"], "unexpected argument 'stray-arg'"),
+        (&["paper", "fig4", "--size", "40"], "--size does not apply to fig4"),
+    ] {
+        let out = bin().args(args).output().expect("spawn regpipe");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+}
+
+/// Every artifact prints the same bytes at any worker count.
+#[test]
+fn paper_artifacts_are_byte_identical_across_job_counts() {
+    for artifact in PAPER_ARTIFACTS {
+        let run = |jobs: &str| {
+            let mut cmd = bin();
+            cmd.args(["paper", artifact, "--jobs", jobs]);
+            if !matches!(artifact, "example" | "fig4" | "fig7") {
+                cmd.args(["--size", "40"]);
+            }
+            run_ok(cmd).stdout
+        };
+        let sequential = run("1");
+        assert!(!sequential.is_empty(), "paper {artifact} printed nothing");
+        assert!(sequential == run("4"), "paper {artifact} differs between --jobs 1 and 4");
     }
 }

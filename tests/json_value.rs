@@ -156,7 +156,7 @@ proptest! {
     fn finite_floats_keep_their_value(seed in any::<u64>()) {
         let mut state = seed | 1;
         let x = float_from(&mut state);
-        let text = Value::finite(x).expect("generator yields finite floats").render();
+        let text = Value::Num(x).render();
         let back = parse(&text).unwrap().as_f64().expect("number parses as a number");
         prop_assert!(back == x || (back == 0.0 && x == 0.0), "{} -> {} -> {}", x, text, back);
     }
