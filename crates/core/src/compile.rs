@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 use regpipe_ddg::Ddg;
-use regpipe_machine::{MachineConfig, Mrt};
+use regpipe_machine::{FuClass, MachineConfig};
 use regpipe_regalloc::{AllocationResult, LifetimeAnalysis, RotatingAllocator};
 use regpipe_sched::{
     Kernel, LoopAnalysis, SchedError, SchedRequest, Schedule, Scheduler, SchedulerKind,
@@ -384,7 +384,7 @@ impl<S: Scheduler> Run<'_, S> {
             stage_count: schedule.stage_count(),
             regs: allocation.total(),
             memory_ops: ctx.ddg().memory_ops() as u32,
-            memory_utilization: memory_utilization(ctx.ddg(), self.machine, &schedule),
+            memory_utilization: memory_utilization(ctx.ddg(), self.machine, schedule.ii()),
         });
         Ok(Round { schedule, analysis, allocation })
     }
@@ -400,16 +400,23 @@ impl<S: Scheduler> Run<'_, S> {
     }
 }
 
-/// Memory-unit utilization of `schedule`, in percent.
-fn memory_utilization(ddg: &Ddg, machine: &MachineConfig, schedule: &Schedule) -> f64 {
-    let mut mrt = Mrt::new(machine, schedule.ii());
-    for (id, node) in ddg.ops() {
-        if node.kind().is_memory() {
-            // Placement always fits: the schedule is resource-legal.
-            mrt.place(node.kind(), schedule.start(id));
-        }
+/// Fraction of memory-unit slots in use at initiation interval `ii`, in
+/// percent (the paper's "bus utilization" from Figure 7). Each
+/// memory-class op holds a unit for its occupancy once per II wherever
+/// it is placed, so placement never changes the total. A machine without
+/// memory units (`uniform:`) reports 0.
+fn memory_utilization(ddg: &Ddg, machine: &MachineConfig, ii: u32) -> f64 {
+    let units = machine.units(FuClass::Memory);
+    if units == 0 {
+        return 0.0;
     }
-    mrt.memory_utilization()
+    let used: u32 = ddg
+        .ops()
+        .map(|(_, node)| node.kind())
+        .filter(|&kind| machine.class_of(kind) == FuClass::Memory)
+        .map(|kind| machine.occupancy(kind))
+        .sum();
+    100.0 * f64::from(used) / (f64::from(units) * f64::from(ii))
 }
 
 #[cfg(test)]
@@ -457,6 +464,20 @@ pub(crate) mod tests {
     /// The spill strategy with the given spill options.
     pub(crate) fn spill_options(spill: SpillDriverOptions) -> CompileOptions {
         CompileOptions { strategy: Strategy::Spill, spill, ..CompileOptions::default() }
+    }
+
+    #[test]
+    fn memory_utilization_percentage() {
+        // Figure 2 has one load and one store: two of P1L4's four memory
+        // slots at II 4.
+        let g = fig2();
+        assert!((memory_utilization(&g, &MachineConfig::p1l4(), 4) - 50.0).abs() < 1e-9);
+        // A non-pipelined unit is held for the latency: load 2 + store 1.
+        let mut slow = MachineConfig::p1l4();
+        slow.set_pipelined(FuClass::Memory, false);
+        assert!((memory_utilization(&g, &slow, 4) - 75.0).abs() < 1e-9);
+        // The uniform machine has no memory class.
+        assert_eq!(memory_utilization(&g, &MachineConfig::uniform(2, 1), 4), 0.0);
     }
 
     fn stencil() -> Ddg {

@@ -147,18 +147,6 @@ impl Mrt {
         self.usage[class.index()][self.wrap(cycle)]
     }
 
-    /// Fraction of memory-unit slots in use, in percent (the paper's "bus
-    /// utilization" from Figure 7).
-    pub fn memory_utilization(&self) -> f64 {
-        let c = FuClass::Memory.index();
-        let units = self.units[c];
-        if units == 0 {
-            return 0.0;
-        }
-        let used: u32 = self.usage[c].iter().sum();
-        100.0 * f64::from(used) / (f64::from(units) * f64::from(self.ii))
-    }
-
     fn wrap(&self, cycle: i64) -> usize {
         (cycle.rem_euclid(i64::from(self.ii))) as usize
     }
@@ -270,16 +258,6 @@ mod tests {
         let m = MachineConfig::p1l4();
         let mut mrt = Mrt::new(&m, 4);
         mrt.remove(OpKind::Load, 0);
-    }
-
-    #[test]
-    fn memory_utilization_percentage() {
-        let m = MachineConfig::p1l4();
-        let mut mrt = Mrt::new(&m, 4);
-        assert_eq!(mrt.memory_utilization(), 0.0);
-        mrt.place(OpKind::Load, 0);
-        mrt.place(OpKind::Store, 1);
-        assert!((mrt.memory_utilization() - 50.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Deterministic fault injection for the serve subsystem.
 //!
 //! Crash-safety claims are only worth what their tests inject. This
-//! module wraps the compile path and the persistent store's write/fsync
-//! edges with a *seeded, reproducible* fault schedule, so `regpipe
-//! chaos` and the crash-recovery tests can make a specific byte go bad
-//! on a specific append, every time, on any machine.
+//! module wraps the compile path and the persistent store's append with
+//! a *seeded, reproducible* fault schedule, so the crash-recovery tests
+//! (`tests/serve_crash.rs`) can make a specific byte go bad on a
+//! specific append, every time, on any machine.
 //!
 //! The plan comes from the environment variable [`FAULT_ENV`]
 //! (`REGPIPE_FAULT`), with the grammar:
@@ -13,22 +13,18 @@
 //! plan  = seed ":" fault { "," fault } ;
 //! fault = kind "@" index ;                (* index is 1-based *)
 //! kind  = "panic"                         (* nth compile request panics *)
-//!       | "short"                         (* nth append: short write, detected
-//!                                            and repaired by the store *)
 //!       | "torn"                          (* nth append: silent partial write —
 //!                                            a torn frame found only at recovery *)
 //!       | "flip"                          (* nth append: one payload bit flipped *)
 //!       | "crash"                         (* nth append: partial write, then
-//!                                            process abort — kill -9 mid-write *)
-//!       | "fsync"                         (* nth fsync silently skipped *) ;
+//!                                            process abort — kill -9 mid-write *) ;
 //! ```
 //!
 //! e.g. `REGPIPE_FAULT=7:panic@3,torn@20,crash@31`. The `seed` feeds a
 //! splitmix64 stream that picks *where* each fault lands inside its
 //! frame (the tear point, the flipped bit), so the whole schedule is a
-//! pure function of the environment. Each kind draws on its own event
-//! counter: `panic@n` counts compile requests, `fsync@n` counts fsyncs,
-//! and the other kinds count store appends.
+//! pure function of the environment. `panic@n` counts compile requests;
+//! the other kinds count store appends.
 //!
 //! Faults only ever fire when the variable is set — production daemons
 //! pay one atomic load per event and nothing else.
@@ -40,46 +36,38 @@ use std::sync::OnceLock;
 pub const FAULT_ENV: &str = "REGPIPE_FAULT";
 
 /// One injectable fault kind. See the module docs for the schedule
-/// grammar and what each kind does.
+/// grammar and what each kind does. The discriminant salts the seeded
+/// draw, so renumbering a kind would move the tear point and flipped
+/// bit of every existing plan.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultKind {
     /// Panic inside the nth compile request.
-    Panic,
-    /// Short write on the nth append, *reported* to the store.
-    Short,
+    Panic = 0,
     /// Silent partial write of the nth append frame.
-    Torn,
+    Torn = 2,
     /// One bit of the nth append's payload flipped.
-    Flip,
+    Flip = 3,
     /// Partial write of the nth append, then `std::process::abort()`.
-    Crash,
-    /// The nth fsync is silently skipped.
-    Fsync,
+    Crash = 4,
 }
 
 impl FaultKind {
     fn parse(raw: &str) -> Result<FaultKind, String> {
         match raw {
             "panic" => Ok(FaultKind::Panic),
-            "short" => Ok(FaultKind::Short),
             "torn" => Ok(FaultKind::Torn),
             "flip" => Ok(FaultKind::Flip),
             "crash" => Ok(FaultKind::Crash),
-            "fsync" => Ok(FaultKind::Fsync),
-            other => {
-                Err(format!("unknown fault kind '{other}' (panic|short|torn|flip|crash|fsync)"))
-            }
+            other => Err(format!("unknown fault kind '{other}' (panic|torn|flip|crash)")),
         }
     }
 
     fn slug(self) -> &'static str {
         match self {
             FaultKind::Panic => "panic",
-            FaultKind::Short => "short",
             FaultKind::Torn => "torn",
             FaultKind::Flip => "flip",
             FaultKind::Crash => "crash",
-            FaultKind::Fsync => "fsync",
         }
     }
 }
@@ -89,9 +77,6 @@ impl FaultKind {
 /// point in `1..frame_len`, bit index in `0..payload_bits`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AppendFault {
-    /// Write only part of the frame; the write *reports* the short
-    /// count, so the store can detect and repair it.
-    Short(u64),
     /// Write only part of the frame, silently (discovered at recovery).
     Torn(u64),
     /// Flip one bit of the payload before writing the whole frame.
@@ -157,12 +142,10 @@ pub struct FaultState {
     plan: FaultPlan,
     compiles: AtomicU64,
     appends: AtomicU64,
-    fsyncs: AtomicU64,
 }
 
-/// splitmix64: the seeded draw behind tear points, bit positions, and
-/// the replay driver's backoff jitter.
-pub(crate) fn splitmix(mut x: u64) -> u64 {
+/// splitmix64: the seeded draw behind tear points and bit positions.
+fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -173,16 +156,7 @@ pub(crate) fn splitmix(mut x: u64) -> u64 {
 impl FaultState {
     /// Fresh state (all counters zero) for a plan.
     pub fn new(plan: FaultPlan) -> FaultState {
-        FaultState {
-            plan,
-            compiles: AtomicU64::new(0),
-            appends: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-        }
-    }
-
-    fn scheduled(&self, kind: FaultKind, event: u64) -> bool {
-        self.plan.faults.iter().any(|&(k, n)| k == kind && n == event)
+        FaultState { plan, compiles: AtomicU64::new(0), appends: AtomicU64::new(0) }
     }
 
     fn draw(&self, kind: FaultKind, event: u64) -> u64 {
@@ -192,7 +166,7 @@ impl FaultState {
     /// Counts one compile request; `true` means inject a panic.
     pub fn on_compile(&self) -> bool {
         let event = self.compiles.fetch_add(1, Ordering::SeqCst) + 1;
-        self.scheduled(FaultKind::Panic, event)
+        self.plan.faults.iter().any(|&(k, n)| k == FaultKind::Panic && n == event)
     }
 
     /// Counts one store append; returns the fault to apply, if any. When
@@ -205,20 +179,13 @@ impl FaultState {
             }
             let r = self.draw(kind, event);
             return match kind {
-                FaultKind::Short => Some(AppendFault::Short(r)),
                 FaultKind::Torn => Some(AppendFault::Torn(r)),
                 FaultKind::Flip => Some(AppendFault::Flip(r)),
                 FaultKind::Crash => Some(AppendFault::Crash(r)),
-                FaultKind::Panic | FaultKind::Fsync => continue,
+                FaultKind::Panic => continue,
             };
         }
         None
-    }
-
-    /// Counts one fsync; `true` means silently skip it.
-    pub fn on_fsync(&self) -> bool {
-        let event = self.fsyncs.fetch_add(1, Ordering::SeqCst) + 1;
-        self.scheduled(FaultKind::Fsync, event)
     }
 }
 
@@ -253,10 +220,9 @@ mod tests {
 
     #[test]
     fn plans_parse_and_render_round_trip() {
-        let plan = FaultPlan::parse("7:panic@3,torn@20,flip@2,crash@31,short@5,fsync@1")
-            .expect("valid plan");
+        let plan = FaultPlan::parse("7:panic@3,torn@20,flip@2,crash@31").expect("valid plan");
         assert_eq!(plan.seed, 7);
-        assert_eq!(plan.faults.len(), 6);
+        assert_eq!(plan.faults.len(), 4);
         assert_eq!(FaultPlan::parse(&plan.render()).unwrap(), plan);
     }
 
@@ -266,6 +232,8 @@ mod tests {
             ("no-colon", "must look like"),
             ("x:panic@1", "bad fault seed"),
             ("7:warp@1", "unknown fault kind"),
+            ("7:short@1", "unknown fault kind 'short'"),
+            ("7:fsync@1", "unknown fault kind 'fsync'"),
             ("7:panic@0", "positive integer"),
             ("7:panic", "expected '<kind>@<n>'"),
             ("7:", "expected '<kind>@<n>'"),
@@ -285,7 +253,6 @@ mod tests {
         assert_eq!(state.on_append(), None); // append 2
         assert!(matches!(state.on_append(), Some(AppendFault::Crash(_)))); // append 3
         assert_eq!(state.on_append(), None);
-        assert!(!state.on_fsync());
     }
 
     #[test]

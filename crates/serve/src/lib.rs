@@ -1,4 +1,4 @@
-//! The compile daemon: `regpipe serve`, its load driver and its crash gate.
+//! The compile daemon: `regpipe serve` and its load driver.
 //!
 //! Batch compilation (`regpipe suite`, `regpipe check`) pays full
 //! process-startup and analysis cost per invocation. This crate keeps a
@@ -21,9 +21,9 @@
 //! bounds each compile cooperatively, and `--cache-dir` backs the cache
 //! with a corruption-tolerant append log ([`store`]) that recovers from
 //! any torn/flipped/truncated suffix by dropping only the damaged
-//! entries. A seeded fault-injection layer ([`fault`]) and the
-//! `regpipe chaos` harness ([`chaos`]) prove the whole cycle —
-//! inject, crash, restart, recover — byte-for-byte.
+//! entries. A seeded fault-injection layer ([`fault`]) lets
+//! `tests/serve_crash.rs` prove the whole cycle — inject, crash,
+//! restart, recover — byte-for-byte against the real binary.
 //!
 //! * [`Server::handle_line`] — the transport-free protocol core.
 //! * [`replay`] — the `regpipe replay` load-driver: deterministic request
@@ -36,8 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-#[cfg(unix)]
-pub mod chaos;
 pub mod daemon;
 pub mod fault;
 pub mod replay;
@@ -46,14 +44,12 @@ pub mod store;
 
 pub use cache::{CacheKey, ShardStats, ShardedCache};
 #[cfg(unix)]
-pub use chaos::{run_chaos, write_responses, ChaosConfig, ChaosReport};
-#[cfg(unix)]
 pub use daemon::{claim_socket, serve_socket};
 pub use daemon::{read_request_line, serve_connection, serve_stdin, ReadLine};
 pub use fault::{FaultKind, FaultPlan, FAULT_ENV};
 pub use replay::{
     base_requests, replay_in_process, requests_from_loops, IdPolicy, ReplayConfig,
-    ReplayOutcome, ReplaySource, RetryPolicy,
+    ReplayOutcome, ReplaySource,
 };
 #[cfg(unix)]
 pub use replay::{replay_socket, request_once};

@@ -16,7 +16,7 @@ use std::num::NonZeroUsize;
 use std::os::unix::net::UnixStream;
 #[cfg(unix)]
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use regpipe_core::{SpillPolicyKind, Strategy};
 use regpipe_ddg::textfmt;
@@ -128,46 +128,6 @@ pub fn base_requests(
     }
 }
 
-/// Client-side retry policy for socket replays (`--retry`,
-/// `--backoff-ms`). A failed request — connect error, write error, or a
-/// connection closed before its response — is retried on a *fresh*
-/// connection after an exponential backoff with deterministic, seeded
-/// jitter, so retry timing is reproducible run to run.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total attempts per request; `1` means no retries.
-    pub attempts: u32,
-    /// Base backoff in milliseconds; doubles with each further attempt.
-    pub backoff_ms: u64,
-    /// Seed for the jitter draw.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { attempts: 1, backoff_ms: 50, seed: 0 }
-    }
-}
-
-impl RetryPolicy {
-    /// The sleep before retrying request `request_index` after failed
-    /// `attempt` (1-based): `backoff_ms * 2^(attempt-1)` plus a seeded
-    /// jitter of up to half that, capped at a 64x base multiplier.
-    pub fn delay(&self, request_index: usize, attempt: u32) -> Duration {
-        let base = self.backoff_ms.saturating_mul(1 << attempt.clamp(1, 7).saturating_sub(1));
-        let jitter = if base == 0 {
-            0
-        } else {
-            crate::fault::splitmix(
-                self.seed
-                    ^ (request_index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    ^ u64::from(attempt),
-            ) % (base / 2 + 1)
-        };
-        Duration::from_millis(base + jitter)
-    }
-}
-
 /// Whether the driver splices stream-index ids into the base requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IdPolicy {
@@ -221,15 +181,10 @@ pub fn replay_in_process(
 /// line — so responses pair with requests positionally and pipe buffers
 /// cannot deadlock. The reassembled response stream is in request order.
 ///
-/// A request that fails (connect/write error, or the daemon closing the
-/// connection before answering) is retried per `retry` on a fresh
-/// connection; `RetryPolicy::default()` keeps the historical
-/// fail-immediately behaviour.
-///
 /// # Errors
 ///
-/// Propagates the final connection/I-O failure of any request whose
-/// attempts are exhausted.
+/// Propagates the first connection or I/O failure of any worker,
+/// including the daemon closing a connection before it answered.
 #[cfg(unix)]
 pub fn replay_socket(
     path: &Path,
@@ -237,7 +192,6 @@ pub fn replay_socket(
     repeat: usize,
     jobs: NonZeroUsize,
     ids: IdPolicy,
-    retry: RetryPolicy,
 ) -> io::Result<ReplayOutcome> {
     let jobs = jobs.get();
     let total = base.len() * repeat;
@@ -249,31 +203,12 @@ pub fn replay_socket(
                 let handles: Vec<_> = (0..jobs)
                     .map(|w| {
                         scope.spawn(move || {
-                            let mut conn: Option<(UnixStream, BufReader<UnixStream>)> = None;
+                            let mut conn = None;
                             let mut out = Vec::new();
-                            let mut index = w;
-                            while index < base.len() {
+                            for index in (w..base.len()).step_by(jobs) {
                                 let line = request_line(base, ids, pass, index);
-                                let global = pass * base.len() + index;
-                                let mut attempt = 0u32;
-                                let reply = loop {
-                                    attempt += 1;
-                                    let result = send_one(path, &mut conn, &line);
-                                    match result {
-                                        Ok(ok) => break ok,
-                                        Err(e) => {
-                                            // The connection is suspect
-                                            // either way: rebuild it.
-                                            conn = None;
-                                            if attempt >= retry.attempts.max(1) {
-                                                return Err(e);
-                                            }
-                                            std::thread::sleep(retry.delay(global, attempt));
-                                        }
-                                    }
-                                };
-                                out.push((global, reply));
-                                index += jobs;
+                                let reply = send_one(path, &mut conn, &line)?;
+                                out.push((pass * base.len() + index, reply));
                             }
                             Ok(out)
                         })
@@ -290,7 +225,7 @@ pub fn replay_socket(
     Ok(ReplayOutcome { responses, wall_us: started.elapsed().as_micros() as u64 })
 }
 
-/// One send/receive round-trip, (re)connecting if `conn` is empty.
+/// One send/receive round-trip, connecting first if `conn` is empty.
 #[cfg(unix)]
 fn send_one(
     path: &Path,
@@ -309,27 +244,22 @@ fn send_one(
     if reader.read_line(&mut reply)? == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
-            "daemon closed the connection mid-replay",
+            "daemon closed the connection before replying",
         ));
     }
     Ok(reply.trim_end_matches('\n').to_string())
 }
 
-/// Sends one request line over the socket and returns the response line
-/// (used for `stats` and `shutdown` after a replay).
+/// Sends one request line over a fresh connection and returns the
+/// response line (used for `stats` and `shutdown` after a replay).
 ///
 /// # Errors
 ///
-/// Propagates connection and I/O failures.
+/// Propagates connection and I/O failures; a daemon that hangs up
+/// without replying is an [`io::ErrorKind::UnexpectedEof`] error.
 #[cfg(unix)]
 pub fn request_once(path: &Path, line: &str) -> io::Result<String> {
-    let mut stream = UnixStream::connect(path)?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    let mut reader = BufReader::new(stream);
-    let mut reply = String::new();
-    reader.read_line(&mut reply)?;
-    Ok(reply.trim_end_matches('\n').to_string())
+    send_one(path, &mut None, line)
 }
 
 #[cfg(test)]
@@ -382,23 +312,25 @@ mod tests {
         assert_eq!(hits + misses, stats.get("compile_requests").unwrap().as_i64().unwrap());
     }
 
+    #[cfg(unix)]
     #[test]
-    fn retry_delays_are_deterministic_and_grow() {
-        let p = RetryPolicy { attempts: 4, backoff_ms: 10, seed: 7 };
-        assert_eq!(p.delay(3, 1), p.delay(3, 1), "same draw, same delay");
-        assert_ne!(
-            RetryPolicy { seed: 8, ..p }.delay(3, 1),
-            p.delay(3, 1),
-            "the jitter is seeded"
-        );
-        for attempt in 1..=3u32 {
-            let base = 10u64 << (attempt - 1);
-            let d = p.delay(0, attempt).as_millis() as u64;
-            assert!(d >= base && d <= base + base / 2, "attempt {attempt}: {d}ms");
-        }
-        // Degenerate configurations stay sane.
-        assert_eq!(RetryPolicy { backoff_ms: 0, ..p }.delay(0, 1), std::time::Duration::ZERO);
-        let _ = p.delay(usize::MAX, u32::MAX);
+    fn request_once_fails_when_the_daemon_hangs_up_without_replying() {
+        use std::os::unix::net::UnixListener;
+        let path =
+            std::env::temp_dir().join(format!("regpipe-hangup-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).expect("bind the stand-in daemon");
+        let stand_in = std::thread::spawn(move || {
+            // Read the request, then close the connection unanswered.
+            let (stream, _) = listener.accept().expect("accept");
+            let mut request = String::new();
+            BufReader::new(stream).read_line(&mut request).expect("read the request");
+            request
+        });
+        let err = request_once(&path, "{\"op\":\"stats\"}").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert_eq!(stand_in.join().unwrap(), "{\"op\":\"stats\"}\n");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -366,7 +366,7 @@ impl Server {
         self.compile_requests.fetch_add(1, Ordering::Relaxed);
         // The fault layer counts *requests* (not misses), so an injected
         // panic fires at the same request index whether the cache is cold
-        // or rewarmed — chaos cycles stay deterministic across restarts.
+        // or rewarmed — fault plans stay deterministic across restarts.
         let inject_panic = fault::global().is_some_and(|f| f.on_compile());
         let deadline_budget = self.options.deadline_ms.map(Duration::from_millis);
         let result = catch_unwind(AssertUnwindSafe(|| {

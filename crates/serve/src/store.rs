@@ -55,7 +55,7 @@
 //! segment, so new appends never land after a damaged suffix.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::cache::CacheKey;
@@ -267,7 +267,7 @@ impl Store {
 
     /// Appends one entry to the active segment and fsyncs it. This is the
     /// fault-injection point: an armed [`crate::fault`] plan may tear,
-    /// flip, shorten or crash this write (see the module docs there).
+    /// flip or crash this write (see the module docs there).
     ///
     /// # Errors
     ///
@@ -278,18 +278,6 @@ impl Store {
         self.active_appends += 1;
         if let Some(injected) = fault::global().and_then(|f| f.on_append()) {
             match injected {
-                AppendFault::Short(r) => {
-                    // A short write the store *sees*: repair by truncating
-                    // the partial frame off the log. The entry is simply
-                    // not persisted; the log stays clean.
-                    let start = self.active.seek(SeekFrom::End(0))?;
-                    let cut = 1 + (r as usize % (frame.len() - 1));
-                    self.active.write_all(&frame[..cut])?;
-                    self.active.set_len(start)?;
-                    self.active.seek(SeekFrom::End(0))?;
-                    self.active.sync_data()?;
-                    return Ok(());
-                }
                 AppendFault::Torn(r) => {
                     // A silent partial write: the torn frame stays on disk
                     // for recovery to find.
@@ -313,7 +301,7 @@ impl Store {
             }
         }
         self.active.write_all(&frame)?;
-        self.fsync_active()
+        self.active.sync_data()
     }
 
     /// Appends made to the active segment since open or last compaction
@@ -361,13 +349,6 @@ impl Store {
     ///
     /// Propagates the fsync failure.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.fsync_active()
-    }
-
-    fn fsync_active(&mut self) -> io::Result<()> {
-        if fault::global().is_some_and(|f| f.on_fsync()) {
-            return Ok(());
-        }
         self.active.sync_data()
     }
 

@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use regpipe::bench::{paper, GapConfig, DEFAULT_SPILL_BUDGET};
-use regpipe::core::{compile, CompileOptions, SpillPolicyKind, Strategy};
+use regpipe::core::{compile, CompileOptions, CompiledLoop, SpillPolicyKind, Strategy};
 use regpipe::ddg::{textfmt, to_dot, Ddg, OpKind};
 use regpipe::exec::{
     bench_timing, parse_strategy, resolve_jobs, run_batch, strategy_slug, BatchRequest,
@@ -32,10 +32,10 @@ use regpipe::regalloc::allocate;
 use regpipe::sched::{mii, rec_mii, PipelinedLoop, SchedRequest, Scheduler, SchedulerKind};
 use regpipe::serve::{
     base_requests, replay_in_process, serve_stdin, IdPolicy, ReplayConfig, ReplaySource,
-    RetryPolicy, ServeOptions, Server,
+    ServeOptions, Server,
 };
 #[cfg(unix)]
-use regpipe::serve::{replay_socket, request_once, run_chaos, write_responses, ChaosConfig};
+use regpipe::serve::{replay_socket, request_once};
 
 /// The seed of the built-in suite (`suite`, `paper`) and the generators
 /// (0xC1DA).
@@ -71,7 +71,7 @@ type Run = fn(&Args) -> Result<(), String>;
 /// The help text is also the verb's grammar: its usage line names the
 /// verb and, as a `<placeholder>`, the operand it takes, if any, and the
 /// verb accepts exactly the `--flags` the text mentions.
-const VERBS: [(&str, Run); 10] = [
+const VERBS: [(&str, Run); 9] = [
     (INFO, cmd_info),
     (COMPILE, cmd_compile),
     (SUITE, cmd_suite),
@@ -81,7 +81,6 @@ const VERBS: [(&str, Run); 10] = [
     (GAP, cmd_gap),
     (SERVE, cmd_serve),
     (REPLAY, cmd_replay),
-    (CHAOS, cmd_chaos),
 ];
 
 /// Word `at` of a help text's usage line: 1 is the verb, 2 its operand.
@@ -266,34 +265,8 @@ regpipe replay [options]
   --machine <m>     as for compile                     (default p2l4)
   --no-cache        (in-process mode) disable the daemon cache
   --cache-dir <dir> (in-process mode) persist the daemon cache on disk
-  --retry <n>       attempts per request on connection failure (socket
-                    mode; reconnects between attempts)    (default 1)
-  --backoff-ms <n>  base retry backoff, doubled per attempt with
-                    seed-deterministic jitter              (default 50)
   --stats-out <f>   write the daemon's final stats JSON to a file
   --shutdown        send a shutdown request after the run (socket mode)
-";
-const CHAOS: &str = "\
-regpipe chaos [options]
-  The deterministic crash-recovery gate: spawn real daemons on a shared
-  --cache-dir, inject seeded faults (a compile panic, a flipped bit, a
-  torn append, a mid-write crash) across --cycles inject-crash-restart
-  cycles, and verify after every recovery that the full workload replays
-  byte-identically to a never-crashed baseline. Prints a summary JSON
-  (schema regpipe-chaos/v1) on success; any deviation fails the run.
-  --socket <path>   daemon socket     (default: a fresh temp path)
-  --cache-dir <dir> persistent cache  (default: a fresh temp dir)
-  --cycles <n>      inject-crash-restart cycles        (default 3)
-  --seed <s>        workload and fault-schedule seed   (default 7)
-  --count <k>       workload kernels (at least 4)      (default 12)
-  --jobs <n>        client connections (default: all cores)
-  --budgets <list>  comma-separated register budgets   (default 32)
-  --strategy best|spill|increase-ii                    (default best)
-  --scheduler hrms|sms|asap|exact                      (default hrms)
-  --spill-policy paper|min-next-use|furthest-next-use|round-robin
-                    sent with every request            (default paper)
-  --machine <m>     as for compile                     (default p2l4)
-  --out <file>      write the final clean replay's response lines
 ";
 /// The listed flags that take no value; every other one takes exactly one.
 const SWITCHES: [&str; 2] = ["--no-cache", "--shutdown"];
@@ -444,17 +417,6 @@ impl Args {
         Ok(options)
     }
 
-    /// The per-request options `replay` and `chaos` send.
-    fn replay_config(&self, budgets: &[u32]) -> Result<ReplayConfig, String> {
-        Ok(ReplayConfig {
-            budgets: self.budgets(budgets)?,
-            strategy: self.strategy()?,
-            scheduler: self.scheduler()?,
-            spill_policy: self.spill_policy()?,
-            machine_spec: Some(self.machine_spec().to_string()),
-        })
-    }
-
     /// The loops a batch verb runs and their machine: the `--corpus`
     /// directory, whose `.mach` file sets the machine unless `--machine`
     /// is given, or else the `generated` loops. The generator's
@@ -535,6 +497,13 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
     let machine = args.machine()?;
     let regs: u32 = args.value("--regs", 32)?;
     let options = CompileOptions { strategy: args.strategy()?, ..args.compile_options()? };
+    let emit: fn(&CompiledLoop) -> String = match args.get("--emit").unwrap_or("kernel") {
+        "kernel" => |c| format!("\n{}", c.kernel()),
+        "pipeline" => |c| format!("\n{}", PipelinedLoop::new(c.ddg(), c.schedule())),
+        "dot" => |c| to_dot(c.ddg()),
+        "text" => |c| textfmt::format(c.ddg()),
+        other => return Err(format!("unknown emit mode '{other}'")),
+    };
 
     let compiled = compile(&g, &machine, regs, &options).map_err(|e| e.to_string())?;
     println!(
@@ -547,13 +516,7 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
         compiled.spilled(),
         compiled.strategy_used()
     );
-    match args.get("--emit").unwrap_or("kernel") {
-        "kernel" => println!("\n{}", compiled.kernel()),
-        "pipeline" => println!("\n{}", PipelinedLoop::new(compiled.ddg(), compiled.schedule())),
-        "dot" => println!("{}", to_dot(compiled.ddg())),
-        "text" => println!("{}", textfmt::format(compiled.ddg())),
-        other => return Err(format!("unknown emit mode '{other}'")),
-    }
+    println!("{}", emit(&compiled));
     Ok(())
 }
 
@@ -837,7 +800,13 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     let count = args.at_least("--count", 100, 1)?;
     let repeat = args.at_least("--repeat", 1, 1)?;
     let jobs = args.jobs()?;
-    let config = args.replay_config(&[32])?;
+    let config = ReplayConfig {
+        budgets: args.budgets(&[32])?,
+        strategy: args.strategy()?,
+        scheduler: args.scheduler()?,
+        spill_policy: args.spill_policy()?,
+        machine_spec: Some(args.machine_spec().to_string()),
+    };
     let (source, ids) = match (args.get("--file"), args.get("--source").unwrap_or("gen")) {
         (Some(path), _) => (ReplaySource::File(path.to_string()), IdPolicy::Verbatim),
         (None, "gen") => (ReplaySource::Gen { seed, count }, IdPolicy::Stream),
@@ -848,11 +817,6 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     if base.is_empty() {
         return Err("replay: empty request stream".into());
     }
-    let retry = RetryPolicy {
-        attempts: args.at_least("--retry", 1, 1)?,
-        backoff_ms: args.value("--backoff-ms", 50)?,
-        seed,
-    };
 
     let (outcome, stats) = match args.get("--socket") {
         None => {
@@ -869,7 +833,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
             #[cfg(unix)]
             {
                 let path = std::path::Path::new(path);
-                let outcome = replay_socket(path, &base, repeat, jobs, ids, retry)
+                let outcome = replay_socket(path, &base, repeat, jobs, ids)
                     .map_err(|e| format!("replay: {e}"))?;
                 let stats = request_once(path, "{\"op\":\"stats\"}")
                     .map_err(|e| format!("replay: stats request failed: {e}"))?;
@@ -881,7 +845,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
             }
             #[cfg(not(unix))]
             {
-                let _ = (path, retry);
+                let _ = path;
                 return Err("replay: --socket requires a unix platform".into());
             }
         }
@@ -902,41 +866,4 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         outcome.wall_us as f64 / 1e6
     );
     Ok(())
-}
-
-/// `regpipe chaos`: the deterministic crash-recovery gate.
-#[cfg(unix)]
-fn cmd_chaos(args: &Args) -> Result<(), String> {
-    let pid = std::process::id();
-    let path_or_temp = |flag: &str, temp: String| {
-        args.get(flag).map_or_else(|| std::env::temp_dir().join(temp), PathBuf::from)
-    };
-    let config = ChaosConfig {
-        exe: std::env::current_exe()
-            .map_err(|e| format!("chaos: cannot locate the regpipe binary: {e}"))?,
-        socket: path_or_temp("--socket", format!("regpipe-chaos-{pid}.sock")),
-        cache_dir: path_or_temp("--cache-dir", format!("regpipe-chaos-cache-{pid}")),
-        cycles: args.at_least("--cycles", 3, 1)?,
-        seed: args.value("--seed", 7)?,
-        count: args.at_least("--count", 12, 4)?,
-        jobs: args.jobs()?,
-        replay: args.replay_config(&[32])?,
-    };
-    let result = run_chaos(&config);
-    if !args.has("--cache-dir") {
-        let _ = fs::remove_dir_all(&config.cache_dir);
-    }
-    let report = result?;
-    if let Some(path) = args.get("--out") {
-        write_responses(std::path::Path::new(path), &report.final_responses)?;
-    }
-    println!("{}", report.render_json());
-    Ok(())
-}
-
-/// `regpipe chaos` spawns daemons over unix sockets; nothing to gate
-/// elsewhere.
-#[cfg(not(unix))]
-fn cmd_chaos(_args: &Args) -> Result<(), String> {
-    Err("chaos: requires a unix platform".into())
 }

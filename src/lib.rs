@@ -37,9 +37,8 @@
 //!   report format.
 //! * [`serve`] — the persistent compile daemon (`regpipe serve`): a
 //!   JSON-lines protocol over stdin or a unix socket, a sharded
-//!   content-addressed LRU result cache, the `regpipe replay` load-driver
-//!   and the `regpipe chaos` crash-recovery gate (protocol spec in
-//!   `docs/serve.md`).
+//!   content-addressed LRU result cache, a crash-recovery store and the
+//!   `regpipe replay` load-driver (protocol spec in `docs/serve.md`).
 //!
 //! The on-disk interchange formats (`.ddg` loops, `.mach` machine
 //! descriptions, corpus directory layout) are specified in

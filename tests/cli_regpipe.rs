@@ -579,8 +579,9 @@ fn suite_corpus_flag_misuse_is_an_error() {
 /// Regression: every verb used to look its flags up by name and ignore the
 /// rest, so a misspelt, unlisted, repeated or valueless flag, or a stray
 /// argument, silently ran a different experiment. Each now exits 1 with a
-/// message naming it. The runs happen in a scratch directory, so a
-/// regression cannot write reports into the working tree.
+/// message naming it and nothing on stdout; so does a bad `--emit` mode,
+/// which is read before the compile. The runs happen in a scratch
+/// directory, so a regression cannot write reports into the working tree.
 #[test]
 fn dropped_arguments_are_errors_naming_them() {
     let dir = scratch_dir("dropped-args");
@@ -589,6 +590,7 @@ fn dropped_arguments_are_errors_naming_them() {
     for (args, needle) in [
         (&["compile", ddg, "--stratgy", "increase-ii"][..], "unknown flag '--stratgy'"),
         (&["compile", ddg, "--heuristic", "lt"], "unknown flag '--heuristic'"),
+        (&["compile", ddg, "--emit", "bogus"], "unknown emit mode 'bogus'"),
         (&["suite", "--strategy", "spill"], "unknown flag '--strategy'"),
         (&["replay", "--count", "2", "--budget", "8"], "unknown flag '--budget'"),
         (&["suite", "--jobs", "1", "--jobs", "4"], "--jobs given more than once"),
@@ -601,6 +603,7 @@ fn dropped_arguments_are_errors_naming_them() {
     ] {
         let out = bin().args(args).current_dir(&dir).output().expect("spawn regpipe");
         assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
     }

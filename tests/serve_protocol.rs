@@ -5,10 +5,11 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
-use std::process::{Command, Output, Stdio};
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Output, Stdio};
 
 use regpipe::exec::json::{parse as parse_json, Value};
+use regpipe::serve::{attach_id, base_requests, ReplayConfig, ReplaySource};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_regpipe"))
@@ -267,21 +268,16 @@ fn suite_exact_and_gap_reports_are_byte_identical_across_jobs() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The same gate over the real unix socket transport, concurrent clients
-/// included, with a clean shutdown at the end.
+/// Spawns `regpipe serve --socket` and waits for the socket to appear.
 #[cfg(unix)]
-#[test]
-fn socket_transport_matches_stdin_and_survives_concurrent_clients() {
-    let dir = scratch_dir("socket");
-    let socket = dir.join("daemon.sock");
-    let mut daemon = bin()
+fn spawn_socket_daemon(socket: &Path) -> Child {
+    let daemon = bin()
         .arg("serve")
         .arg("--socket")
-        .arg(&socket)
+        .arg(socket)
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn daemon");
-    // Wait for the socket to appear.
     for _ in 0..100 {
         if socket.exists() {
             break;
@@ -289,6 +285,17 @@ fn socket_transport_matches_stdin_and_survives_concurrent_clients() {
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
     assert!(socket.exists(), "daemon never bound its socket");
+    daemon
+}
+
+/// The same gate over the real unix socket transport, concurrent clients
+/// included, with a clean shutdown at the end.
+#[cfg(unix)]
+#[test]
+fn socket_transport_matches_stdin_and_survives_concurrent_clients() {
+    let dir = scratch_dir("socket");
+    let socket = dir.join("daemon.sock");
+    let mut daemon = spawn_socket_daemon(&socket);
 
     let replay = |jobs: &str, stats: Option<&PathBuf>, shutdown: bool| -> String {
         let mut c = bin();
@@ -335,6 +342,42 @@ fn socket_transport_matches_stdin_and_survives_concurrent_clients() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `replay --file` sends its lines verbatim, ids included, and skips
+/// blank lines: a file holding the lines `replay --seed 7 --count 3`
+/// sends is answered with the generated stream's bytes, in process and
+/// over a socket.
+#[cfg(unix)]
+#[test]
+fn replay_file_sends_recorded_lines_verbatim() {
+    let dir = scratch_dir("replay-file");
+    let config = ReplayConfig { machine_spec: Some("p2l4".into()), ..ReplayConfig::default() };
+    let base = base_requests(&ReplaySource::Gen { seed: 7, count: 3 }, &config).unwrap();
+    let mut text = String::new();
+    for (i, line) in base.iter().enumerate() {
+        text.push_str(&attach_id(Some(i as i64), line));
+        text.push_str(if i == 0 { "\n\n" } else { "\n" });
+    }
+    let file = dir.join("requests.jsonl");
+    fs::write(&file, text).unwrap();
+    let replay = |args: &[&str]| -> String {
+        let mut c = bin();
+        c.arg("replay").args(args).stderr(Stdio::null());
+        String::from_utf8(run_ok(c).stdout).unwrap()
+    };
+    let generated = replay(&["--seed", "7", "--count", "3"]);
+    assert_eq!(generated.lines().count(), 3, "{generated}");
+    let file = file.to_str().unwrap();
+    assert_eq!(replay(&["--file", file]), generated, "in process");
+
+    let socket = dir.join("daemon.sock");
+    let mut daemon = spawn_socket_daemon(&socket);
+    let socket = socket.to_str().unwrap();
+    let over_socket = replay(&["--file", file, "--socket", socket, "--shutdown"]);
+    assert_eq!(over_socket, generated, "over a socket");
+    assert!(daemon.wait().expect("daemon exit").success());
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// An in-process `replay --repeat 2` accounts for every request in its
 /// `--stats-out` counters: pass 1 misses once per distinct request, pass 2
 /// hits every one, and every response is fitted. Two runs agree byte for
@@ -368,8 +411,9 @@ fn replay_stats_account_for_every_request_across_passes() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The new verbs are documented (with their flags) in `help`, and bad
-/// flag values fail cleanly.
+/// The serve verbs are documented (with their flags) in `help`, bad flag
+/// values fail cleanly, and neither a `chaos` verb nor replay retry flags
+/// exist.
 #[test]
 fn serve_verbs_are_documented_and_validated() {
     let out = run_ok({
@@ -381,12 +425,10 @@ fn serve_verbs_are_documented_and_validated() {
     for needle in [
         "regpipe serve",
         "regpipe replay",
-        "regpipe chaos",
         "--socket",
         "--repeat",
         "--cache-dir",
         "--deadline-ms",
-        "--retry",
         "--spill-policy",
     ] {
         assert!(stdout.contains(needle), "help missing '{needle}'");
@@ -399,24 +441,18 @@ fn serve_verbs_are_documented_and_validated() {
         });
         assert!(String::from_utf8(out.stdout).unwrap().contains("--no-cache"), "help {topic}");
     }
-    let out = run_ok({
-        let mut c = bin();
-        c.args(["help", "chaos"]);
-        c
-    });
-    assert!(String::from_utf8(out.stdout).unwrap().contains("--cycles"), "help chaos");
     for (args, needle) in [
         (&["replay", "--count", "0"][..], "--count"),
         (&["replay", "--repeat", "nope"], "--repeat"),
         (&["replay", "--source", "warp"], "unknown --source"),
         (&["replay", "--scheduler", "warp"], "unknown scheduler"),
-        (&["replay", "--retry", "0"], "--retry"),
         (&["replay", "--spill-policy", "warp"], "unknown spill policy"),
         (&["serve", "--spill-policy", "warp"], "unknown spill policy"),
         (&["serve", "--cache-bytes", "0"], "--cache-bytes"),
         (&["serve", "--deadline-ms", "0"], "--deadline-ms"),
-        (&["chaos", "--count", "3"], "--count"),
-        (&["chaos", "--cycles", "0"], "--cycles"),
+        (&["chaos"], "unknown command 'chaos'"),
+        (&["replay", "--retry", "2"], "unknown flag '--retry'"),
+        (&["replay", "--backoff-ms", "5"], "unknown flag '--backoff-ms'"),
     ] {
         let out = bin().args(args).output().expect("spawn regpipe");
         assert!(!out.status.success(), "{args:?} must fail");
