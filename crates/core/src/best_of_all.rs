@@ -7,8 +7,7 @@
 //! there, it is better or equal (same or lower II, no extra memory
 //! traffic), so keep it — otherwise keep the spilled schedule.
 
-use regpipe_ddg::Ddg;
-use regpipe_sched::{LoopAnalysis, SchedRequest, Scheduler};
+use regpipe_sched::{SchedRequest, Scheduler};
 
 use crate::compile::{FailureKind, Fit, Run, Strategy};
 use crate::spill_driver::SpillDriverOptions;
@@ -16,12 +15,8 @@ use crate::spill_driver::SpillDriverOptions;
 impl<S: Scheduler> Run<'_, S> {
     /// Spill, then probe. Fails only if spilling fails (the probe is
     /// best-effort).
-    pub(crate) fn best_of_all(
-        &mut self,
-        ddg: &Ddg,
-        o: &SpillDriverOptions,
-    ) -> Result<Fit, FailureKind> {
-        let by_spill = self.spill(ddg, o)?;
+    pub(crate) fn best_of_all(&mut self, o: &SpillDriverOptions) -> Result<Fit, FailureKind> {
+        let by_spill = self.spill(o)?;
         if by_spill.spilled == 0 {
             // Fit at first try: nothing to compare.
             return Ok(by_spill);
@@ -29,14 +24,13 @@ impl<S: Scheduler> Run<'_, S> {
         // Binary search the unspilled loop in [MII, spill II]. Register
         // requirements are treated as monotonically non-increasing in II
         // (true in the large; the paper makes the same assumption). Every
-        // probe targets the same unspilled graph, so they share one
-        // analysis context.
-        let ctx = LoopAnalysis::new(ddg, self.machine);
+        // probe schedules the loop as given.
+        let ctx = self.given;
         let (mut lo, mut hi) = (ctx.mii(), by_spill.round.schedule.ii());
         let mut probed = None;
         while lo <= hi {
             let mid = lo + (hi - lo) / 2;
-            match self.round(&ctx, &SchedRequest::exactly(mid), 0) {
+            match self.given_round(&SchedRequest::exactly(mid)) {
                 Ok(round) if self.fits(&round) => {
                     hi = round.schedule.ii().saturating_sub(1);
                     probed = Some(round);
@@ -48,9 +42,12 @@ impl<S: Scheduler> Run<'_, S> {
             }
         }
         Ok(match probed {
-            Some(round) => {
-                Fit { ddg: ddg.clone(), round, spilled: 0, strategy: Strategy::IncreaseIi }
-            }
+            Some(round) => Fit {
+                ddg: ctx.ddg().clone(),
+                round,
+                spilled: 0,
+                strategy: Strategy::IncreaseIi,
+            },
             None => by_spill,
         })
     }

@@ -1,6 +1,7 @@
 //! One-call compilation of a loop under a register budget, and the
 //! schedule-and-allocate round every strategy is built from.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -294,7 +295,7 @@ pub fn compile(
 
 /// [`compile`] with any [`Scheduler`] in place of `options.scheduler`,
 /// which is ignored: the paper's framework "can be applied to any software
-/// pipelining technique".
+/// pipelining technique". It is a [`LoopRow`] of one cell.
 ///
 /// # Errors
 ///
@@ -306,47 +307,169 @@ pub fn compile_with<S: Scheduler>(
     regs: u32,
     options: &CompileOptions,
 ) -> Result<CompiledLoop, CompileError> {
-    let mut run = Run { scheduler, machine, regs, calls: 0, trace: Vec::new() };
-    let result = match options.strategy {
-        Strategy::IncreaseIi => run.increase_ii(ddg),
-        Strategy::Spill => run.spill(ddg, &options.spill),
-        Strategy::BestOfAll => run.best_of_all(ddg, &options.spill),
-    };
-    let best_regs = run.best_regs();
-    let Run { calls, trace, .. } = run;
-    match result {
-        Ok(fit) => Ok(CompiledLoop {
-            ddg: fit.ddg,
-            schedule: fit.round.schedule,
-            allocation: fit.round.allocation,
-            strategy_used: fit.strategy,
-            spilled: fit.spilled,
-            reschedules: calls,
-            trace,
-        }),
-        Err(kind) => {
-            let failure = Failure { kind, best_regs, trace };
-            Err(match options.strategy {
-                Strategy::IncreaseIi => CompileError::IncreaseIi(failure),
-                Strategy::Spill | Strategy::BestOfAll => CompileError::Spill(failure),
-            })
+    LoopRow::new(scheduler, ddg, machine, options.spill).compile(regs, options.strategy)
+}
+
+/// One loop compiled at several budgets and strategies: a row of the
+/// paper's evaluation matrix (Table 1, Figures 8 and 9).
+///
+/// Each [`LoopRow::compile`] returns exactly what a fresh row, as in
+/// [`compile_with`], returns for that budget and strategy: schedule,
+/// allocation, final graph, trace, reschedules, failure kind and
+/// `best_regs`, in whatever order the cells are asked for. The cells keep
+/// a memo in the row, so work that does not depend on the cell is done
+/// once:
+///
+/// * the loop's [`LoopAnalysis`], which increase-II, spill round 1 and
+///   best-of-all's probes all schedule in;
+/// * every round on the loop as given, by request (with `min_ii` read as
+///   `max(min_ii, MII)`): round 1 is shared by every strategy, an
+///   increase-II sweep at a tighter budget replays the rounds of a looser
+///   one, and repeated probes are scheduled once;
+/// * the spill run at each budget, which the spill strategy and
+///   best-of-all both start with.
+///
+/// A replayed round still counts as a scheduler call and leaves its
+/// [`TracePoint`], so results never show the sharing; only the scheduler
+/// sees fewer calls. That holds for a scheduler that keeps the
+/// [`Scheduler::schedule_in`] contract: the same context and request give
+/// the same result, and a request is fixed by `max(min_ii, MII)` and
+/// `max_ii`. A row holds its memo until dropped, so build one per loop.
+///
+/// ```
+/// use regpipe_core::{compile, CompileOptions, LoopRow, Strategy};
+/// use regpipe_ddg::{DdgBuilder, OpKind};
+/// use regpipe_machine::MachineConfig;
+///
+/// let mut b = DdgBuilder::new("stencil");
+/// let ld = b.add_op(OpKind::Load, "ld x");
+/// let add = b.add_op(OpKind::Add, "+");
+/// let st = b.add_op(OpKind::Store, "st y");
+/// b.reg(ld, add);
+/// b.reg_dist(ld, add, 5);
+/// b.reg(add, st);
+/// let ddg = b.build()?;
+///
+/// let machine = MachineConfig::p2l4();
+/// let options = CompileOptions::default();
+/// let mut row = LoopRow::new(&options.scheduler, &ddg, &machine, options.spill);
+/// for regs in [64, 4] {
+///     for strategy in [Strategy::BestOfAll, Strategy::Spill] {
+///         let cell = row.compile(regs, strategy).expect("fits");
+///         let alone = compile(&ddg, &machine, regs, &CompileOptions { strategy, ..options })
+///             .expect("fits");
+///         assert_eq!(cell.schedule(), alone.schedule());
+///         assert_eq!(cell.trace(), alone.trace());
+///     }
+/// }
+/// # Ok::<(), regpipe_ddg::DdgError>(())
+/// ```
+pub struct LoopRow<'a, S> {
+    scheduler: &'a S,
+    given: LoopAnalysis<'a>,
+    spill: SpillDriverOptions,
+    memo: Memo,
+}
+
+impl<'a, S: Scheduler> LoopRow<'a, S> {
+    /// A row for `ddg` on `machine`, scheduled by `scheduler`, whose spill
+    /// runs use `spill`.
+    pub fn new(
+        scheduler: &'a S,
+        ddg: &'a Ddg,
+        machine: &'a MachineConfig,
+        spill: SpillDriverOptions,
+    ) -> Self {
+        LoopRow {
+            scheduler,
+            given: LoopAnalysis::new(ddg, machine),
+            spill,
+            memo: Memo::default(),
+        }
+    }
+
+    /// The cell at budget `regs` under `strategy`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`compile`].
+    pub fn compile(
+        &mut self,
+        regs: u32,
+        strategy: Strategy,
+    ) -> Result<CompiledLoop, CompileError> {
+        let mut run = Run {
+            scheduler: self.scheduler,
+            given: &self.given,
+            regs,
+            calls: 0,
+            trace: Vec::new(),
+            memo: &mut self.memo,
+        };
+        let result = match strategy {
+            Strategy::IncreaseIi => run.increase_ii(),
+            Strategy::Spill => run.spill(&self.spill),
+            Strategy::BestOfAll => run.best_of_all(&self.spill),
+        };
+        let best_regs = run.best_regs();
+        let Run { calls, trace, .. } = run;
+        match result {
+            Ok(fit) => Ok(CompiledLoop {
+                ddg: fit.ddg,
+                schedule: fit.round.schedule,
+                allocation: fit.round.allocation,
+                strategy_used: fit.strategy,
+                spilled: fit.spilled,
+                reschedules: calls,
+                trace,
+            }),
+            Err(kind) => {
+                let failure = Failure { kind, best_regs, trace };
+                Err(match strategy {
+                    Strategy::IncreaseIi => CompileError::IncreaseIi(failure),
+                    Strategy::Spill | Strategy::BestOfAll => CompileError::Spill(failure),
+                })
+            }
         }
     }
 }
 
+/// What the cells of a [`LoopRow`] share.
+#[derive(Default)]
+pub(crate) struct Memo {
+    /// Rounds on the loop as given, keyed by request with `min_ii`
+    /// normalised to `max(min_ii, MII)`.
+    rounds: HashMap<(u32, Option<u32>), GivenRound>,
+    /// The spill run at each budget.
+    pub(crate) spills: HashMap<u32, SpillRun>,
+}
+
+/// A round on the loop as given: what it returned, and the trace point it
+/// recorded if it found a schedule.
+type GivenRound = Result<(Round, TracePoint), SchedError>;
+
+/// A finished spill run, as [`Run::spill`] left it: its result, scheduler
+/// calls and trace.
+pub(crate) type SpillRun = (Result<Fit, FailureKind>, u32, Vec<TracePoint>);
+
 /// One compile in progress: the scheduler and budget every round uses, and
 /// what the rounds so far recorded. Each strategy is a method over it.
-pub(crate) struct Run<'a, S> {
-    scheduler: &'a S,
-    pub(crate) machine: &'a MachineConfig,
+pub(crate) struct Run<'r, S> {
+    scheduler: &'r S,
+    /// The loop as given, analysed once for every round that schedules it
+    /// unchanged.
+    pub(crate) given: &'r LoopAnalysis<'r>,
     pub(crate) regs: u32,
     /// Scheduler calls made so far, failed ones included.
     pub(crate) calls: u32,
     /// One point per round whose schedule was found.
-    trace: Vec<TracePoint>,
+    pub(crate) trace: Vec<TracePoint>,
+    /// What earlier cells of the row ran.
+    pub(crate) memo: &'r mut Memo,
 }
 
 /// A strategy's fitting result.
+#[derive(Clone)]
 pub(crate) struct Fit {
     pub(crate) ddg: Ddg,
     pub(crate) round: Round,
@@ -356,6 +479,7 @@ pub(crate) struct Fit {
 
 /// What one round produced: a schedule, the lifetime analysis of it, and
 /// the rotating allocation built from that analysis.
+#[derive(Clone)]
 pub(crate) struct Round {
     pub(crate) schedule: Schedule,
     pub(crate) analysis: LifetimeAnalysis,
@@ -384,9 +508,35 @@ impl<S: Scheduler> Run<'_, S> {
             stage_count: schedule.stage_count(),
             regs: allocation.total(),
             memory_ops: ctx.ddg().memory_ops() as u32,
-            memory_utilization: memory_utilization(ctx.ddg(), self.machine, schedule.ii()),
+            memory_utilization: memory_utilization(ctx.ddg(), ctx.machine(), schedule.ii()),
         });
         Ok(Round { schedule, analysis, allocation })
+    }
+
+    /// A [`Run::round`] on the loop as given (nothing spilled). A request
+    /// an earlier round of the row already made is answered from the memo:
+    /// it still counts as a call and records its trace point, but the
+    /// scheduler is not asked again.
+    pub(crate) fn given_round(&mut self, request: &SchedRequest) -> Result<Round, SchedError> {
+        let given = self.given;
+        // Schedulers start at max(min_ii, MII), so requests that differ
+        // only below the MII are the same request.
+        let key = (request.min_ii.unwrap_or(0).max(given.mii()), request.max_ii);
+        if let Some(hit) = self.memo.rounds.get(&key) {
+            let hit = hit.clone();
+            self.calls += 1;
+            return hit.map(|(round, point)| {
+                self.trace.push(point);
+                round
+            });
+        }
+        let result = self.round(given, request, 0);
+        let entry = match &result {
+            Ok(round) => Ok((round.clone(), self.trace[self.trace.len() - 1].clone())),
+            Err(e) => Err(e.clone()),
+        };
+        self.memo.rounds.insert(key, entry);
+        result
     }
 
     /// Whether `round`'s allocation fits the budget.
@@ -613,5 +763,116 @@ pub(crate) mod tests {
         let s = c.to_string();
         assert!(s.contains("II=1"));
         assert!(s.contains("stencil"));
+    }
+
+    /// HRMS with one II, `skip`, made infeasible: a request for exactly
+    /// `skip` fails, and a search from `skip` starts one II later.
+    struct Skipping(u32);
+
+    impl Scheduler for Skipping {
+        fn schedule_in(
+            &self,
+            ctx: &LoopAnalysis<'_>,
+            request: &SchedRequest,
+        ) -> Result<Schedule, SchedError> {
+            let mut request = request.clone();
+            if request.min_ii.unwrap_or(0).max(ctx.mii()) == self.0 {
+                if request.max_ii == Some(self.0) {
+                    return Err(SchedError::NoScheduleUpTo { max_ii: self.0 });
+                }
+                request.min_ii = Some(self.0 + 1);
+            }
+            SchedulerKind::Hrms.schedule_in(ctx, &request)
+        }
+    }
+
+    /// A probe for exactly one II and a search from that II are different
+    /// rounds: where the II is infeasible, they return different things,
+    /// and a row keeps them apart in either order of strategies.
+    #[test]
+    fn a_row_keeps_probes_apart_from_searches() {
+        let (g, m) = (fig2(), MachineConfig::uniform(4, 2));
+        let skipping = Skipping(regpipe_sched::mii(&g, &m) + 1);
+        let options = CompileOptions::default();
+        let orders = [
+            [Strategy::BestOfAll, Strategy::Spill, Strategy::IncreaseIi],
+            [Strategy::IncreaseIi, Strategy::Spill, Strategy::BestOfAll],
+        ];
+        for strategies in orders {
+            let mut row = LoopRow::new(&skipping, &g, &m, options.spill);
+            for regs in [64, 7, 5, 4] {
+                for strategy in strategies {
+                    let cell = row.compile(regs, strategy);
+                    let alone = CompileOptions { strategy, ..options };
+                    let alone = compile_with(&skipping, &g, &m, regs, &alone);
+                    assert_eq!(
+                        format!("{cell:?}"),
+                        format!("{alone:?}"),
+                        "{strategy:?} @ {regs}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// HRMS, logging each call as (ops in the graph, `max(min_ii, MII)`,
+    /// `max_ii`).
+    #[derive(Default)]
+    struct Logged(std::cell::RefCell<Vec<(usize, u32, Option<u32>)>>);
+
+    impl Scheduler for Logged {
+        fn schedule_in(
+            &self,
+            ctx: &LoopAnalysis<'_>,
+            request: &SchedRequest,
+        ) -> Result<Schedule, SchedError> {
+            let min_ii = request.min_ii.unwrap_or(0).max(ctx.mii());
+            self.0.borrow_mut().push((ctx.ddg().num_ops(), min_ii, request.max_ii));
+            SchedulerKind::Hrms.schedule_in(ctx, request)
+        }
+    }
+
+    /// Rounds an increase-II cell ran (each finds a schedule on these loops).
+    fn rounds(cell: &Result<CompiledLoop, CompileError>) -> usize {
+        cell.as_ref().map_or_else(|e| e.failure().trace.len(), |c| c.trace().len())
+    }
+
+    /// A row's cells, in the suite's order, share their work: `spill` after
+    /// `best` at one budget reruns nothing, increase-II at a tighter budget
+    /// schedules only the rounds past the looser budget's sweep, and every
+    /// request on the loop as given (round 1 above all) reaches the
+    /// scheduler once.
+    #[test]
+    fn a_row_schedules_shared_work_once() {
+        let cases = [
+            (taps(), MachineConfig::p2l4(), &[64, 32, 16][..]),
+            (fig2(), MachineConfig::uniform(4, 2), &[64, 32, 7, 5]),
+        ];
+        for (g, m, budgets) in cases {
+            let logged = Logged::default();
+            let options = CompileOptions::default();
+            let mut row = LoopRow::new(&logged, &g, &m, options.spill);
+            let calls = || logged.0.borrow().len();
+            let mut swept = 0;
+            for &regs in budgets {
+                row.compile(regs, Strategy::BestOfAll).ok();
+                let after_best = calls();
+                row.compile(regs, Strategy::Spill).ok();
+                assert_eq!(calls(), after_best, "{} @ {regs}: spill after best", g.name());
+                let increase_ii = row.compile(regs, Strategy::IncreaseIi);
+                let rounds = rounds(&increase_ii);
+                // Round 1 is the spill run's; a looser budget's sweep is a
+                // prefix of this one.
+                let replayed = swept.max(1);
+                assert_eq!(calls() - after_best, rounds - replayed, "{} @ {regs}", g.name());
+                swept = rounds;
+            }
+            let log = logged.0.borrow();
+            let given: Vec<_> = log.iter().filter(|call| call.0 == g.num_ops()).collect();
+            let round_1 = (g.num_ops(), regpipe_sched::mii(&g, &m), None);
+            assert!(given.contains(&&round_1), "{}", g.name());
+            let distinct: std::collections::BTreeSet<_> = given.iter().collect();
+            assert_eq!(distinct.len(), given.len(), "{}: a request repeated", g.name());
+        }
     }
 }

@@ -1,7 +1,6 @@
 //! Strategy 1: reschedule with an increased II (paper Section 3).
 
-use regpipe_ddg::Ddg;
-use regpipe_sched::{LoopAnalysis, SchedRequest, Scheduler};
+use regpipe_sched::{SchedRequest, Scheduler};
 
 use crate::compile::{FailureKind, Fit, Run, Strategy};
 
@@ -12,21 +11,21 @@ impl<S: Scheduler> Run<'_, S> {
     /// The Figure 1a sweep: schedule, allocate, and retry at `II + 1` until
     /// the allocation fits, detecting the loops for which this can never
     /// happen (stage count 1 or the II ceiling) or stops paying off (a
-    /// plateau). The graph never changes, so one analysis context serves
-    /// every round.
-    pub(crate) fn increase_ii(&mut self, ddg: &Ddg) -> Result<Fit, FailureKind> {
-        let ctx = LoopAnalysis::new(ddg, self.machine);
+    /// plateau). The graph never changes, so every round schedules the loop
+    /// as given. Only the stop test reads the budget, so the sweep at a
+    /// tighter budget repeats the rounds of a looser one first.
+    pub(crate) fn increase_ii(&mut self) -> Result<Fit, FailureKind> {
+        let ctx = self.given;
         let cap = ctx.fallback_max_ii().max(ctx.mii());
         let mut since_improvement = 0u32;
         let mut ii = ctx.mii();
         loop {
             let best = self.best_regs();
-            let round = self
-                .round(&ctx, &SchedRequest::starting_at(ii), 0)
-                .map_err(FailureKind::Sched)?;
+            let round =
+                self.given_round(&SchedRequest::starting_at(ii)).map_err(FailureKind::Sched)?;
             if self.fits(&round) {
                 return Ok(Fit {
-                    ddg: ddg.clone(),
+                    ddg: ctx.ddg().clone(),
                     round,
                     spilled: 0,
                     strategy: Strategy::IncreaseIi,

@@ -34,6 +34,12 @@
 //! SMS, the ASAP baseline or the exact oracle), and [`compile_with`] takes
 //! any other `Scheduler`.
 //!
+//! A [`LoopRow`] compiles one loop at several budgets and strategies (a row
+//! of the paper's evaluation matrix). Each cell returns what `compile`
+//! would, but the row schedules each round on the unspilled loop once and
+//! runs the spill strategy once per budget, sharing them across cells;
+//! `compile` itself is a row of one cell.
+//!
 //! ```
 //! use regpipe_core::{compile, CompileOptions};
 //! use regpipe_ddg::{DdgBuilder, OpKind};
@@ -69,7 +75,7 @@ mod spill_driver;
 
 pub use compile::{
     compile, compile_with, CompileError, CompileOptions, CompiledLoop, Failure, FailureKind,
-    Strategy, TracePoint,
+    LoopRow, Strategy, TracePoint,
 };
 // Part of `CompileOptions`' public surface: downstream crates select the
 // scheduler and spill-policy axes without depending on `regpipe_sched` or

@@ -65,29 +65,48 @@ impl SpillDriverOptions {
 }
 
 impl<S: Scheduler> Run<'_, S> {
+    /// The spill strategy, and the first phase of best-of-all. It always
+    /// opens a run, so its outcome depends on the budget alone: a
+    /// [`LoopRow`](crate::LoopRow) runs it once per budget, and a later
+    /// cell at that budget takes its result, calls and trace from the memo.
+    pub(crate) fn spill(&mut self, o: &SpillDriverOptions) -> Result<Fit, FailureKind> {
+        // A hit replaces the calls and trace wholesale, which is right only
+        // while nothing ran before it in this compile.
+        debug_assert!(self.calls == 0 && self.trace.is_empty(), "spill must open its compile");
+        if let Some((result, calls, trace)) = self.memo.spills.get(&self.regs) {
+            self.calls = *calls;
+            self.trace = trace.clone();
+            return result.clone();
+        }
+        let result = self.spill_rounds(o);
+        let run = (result.clone(), self.calls, self.trace.clone());
+        self.memo.spills.insert(self.regs, run);
+        result
+    }
+
     /// The Figure 1b loop: schedule → allocate → (if over budget) select
     /// victims → add spill code → reschedule, until the loop fits.
-    pub(crate) fn spill(
-        &mut self,
-        ddg: &Ddg,
-        o: &SpillDriverOptions,
-    ) -> Result<Fit, FailureKind> {
-        let mut g = ddg.clone();
+    fn spill_rounds(&mut self, o: &SpillDriverOptions) -> Result<Fit, FailureKind> {
+        let machine = self.given.machine();
+        let mut g = self.given.ddg().clone();
         let mut spilled = 0u32;
         let mut prev_ii: Option<u32> = None;
         loop {
             if self.calls >= o.max_rounds {
                 return Err(FailureKind::RoundCap);
             }
-            // One analysis context per round: the spill rewrite at the end
-            // of the round is the only thing that invalidates it.
-            let round = {
-                let ctx = LoopAnalysis::new(&g, self.machine);
+            let round = if spilled == 0 {
+                // Round 1 schedules the loop as given.
+                self.given_round(&SchedRequest::default())
+            } else {
+                // One analysis context per round: the spill rewrite at the
+                // end of the round is the only thing that invalidates it.
+                let ctx = LoopAnalysis::new(&g, machine);
                 let min_ii =
                     if o.last_ii_pruning { prev_ii.map(|p| p.max(ctx.mii())) } else { None };
-                let request = SchedRequest { min_ii, max_ii: None };
-                self.round(&ctx, &request, spilled).map_err(FailureKind::Sched)?
-            };
+                self.round(&ctx, &SchedRequest { min_ii, max_ii: None }, spilled)
+            }
+            .map_err(FailureKind::Sched)?;
             if self.fits(&round) {
                 return Ok(Fit { ddg: g, round, spilled, strategy: Strategy::Spill });
             }
@@ -142,7 +161,7 @@ impl<S: Scheduler> Run<'_, S> {
     ) -> Result<Fit, FailureKind> {
         // The graph no longer changes: one context serves the sweep.
         let round = {
-            let ctx = LoopAnalysis::new(&g, self.machine);
+            let ctx = LoopAnalysis::new(&g, self.given.machine());
             let mut ii = from_ii + 1;
             loop {
                 if ii > ctx.fallback_max_ii() {

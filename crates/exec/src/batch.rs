@@ -3,7 +3,7 @@
 use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
-use regpipe_core::{compile, CompileOptions, Strategy};
+use regpipe_core::{CompileOptions, LoopRow, Strategy};
 use regpipe_loops::BenchLoop;
 use regpipe_machine::MachineConfig;
 
@@ -11,7 +11,8 @@ use crate::json::{self, Value};
 use crate::pmap::parallel_map;
 
 /// One batch run: every loop of a suite, at every register budget, under
-/// every strategy — each cell an independent `compile` call.
+/// every strategy. Each cell gets exactly what a lone `compile` call
+/// returns; [`run_batch`] compiles a loop's cells together to share work.
 #[derive(Clone, Debug)]
 pub struct BatchRequest {
     /// The machine model all cells compile for.
@@ -71,8 +72,13 @@ pub struct CellOutcome {
     /// Candidate IIs the scheduler explored across the compile's rounds
     /// (`CompiledLoop::iis_explored`; 0 for a failed cell).
     pub iis_explored: u32,
-    /// Wall-clock time of the compile call. The only non-deterministic
-    /// field; excluded from [`BatchReport::to_json`] unless asked for.
+    /// Wall-clock time of the cell: from the end of the previous cell of
+    /// its loop (or the start of the loop, for the first) to the end of
+    /// this one. Work a loop's cells share is charged to the first cell
+    /// that needs it, so a later cell that reuses it reads near zero, and
+    /// the walls of a loop's cells add up to its compute time. The only
+    /// non-deterministic field; excluded from [`BatchReport::to_json`]
+    /// unless asked for.
     pub wall: Duration,
 }
 
@@ -116,7 +122,11 @@ pub struct BatchAggregate {
     /// Σ candidate IIs explored over fitted cells (the paper's
     /// scheduling-effort measure; not rendered in `BENCH_suite.json`).
     pub iis_explored: u64,
-    /// Σ wall-clock compile time over all cells (non-deterministic).
+    /// Σ [`CellOutcome::wall`] over all cells (non-deterministic). Shared
+    /// work counts toward the aggregate of the first cell that needs it:
+    /// a `spill` aggregate run after `best` (the suite's default order)
+    /// reuses the `best` cells' spill runs, so its `wall_us` under
+    /// `REGPIPE_BENCH_TIMING=1` reads near zero.
     pub wall: Duration,
 }
 
@@ -309,50 +319,57 @@ pub fn parse_strategy(raw: &str) -> Result<Strategy, String> {
 }
 
 /// Runs every `loop × budget × strategy` cell of `req` over `loops`,
-/// fanning out across `req.jobs` workers.
+/// fanning the loops out across `req.jobs` workers.
+///
+/// A worker takes a whole loop and compiles its cells in report order on
+/// one [`LoopRow`], so work a row's cells share (the unspilled loop's
+/// rounds, each budget's spill run) is done once; every cell still gets
+/// exactly what a lone `compile` call returns. Each cell's `wall` is the
+/// time since the previous cell of its row finished (for the first cell,
+/// since the row started): shared work is charged to the first cell that
+/// needs it, and a row's walls add up to its compute time.
 ///
 /// Cell results are deterministic and ordered (loop-major, then budget,
 /// then strategy) regardless of the worker count; only the `wall` fields
 /// differ between runs.
 pub fn run_batch(loops: &[BenchLoop], req: &BatchRequest) -> BatchReport {
     let started = Instant::now();
-    let mut keys: Vec<(usize, u32, Strategy)> =
-        Vec::with_capacity(loops.len() * req.budgets.len() * req.strategies.len());
-    for index in 0..loops.len() {
+    let rows = parallel_map(loops, req.jobs, |index, l| {
+        let mut lap = Instant::now();
+        let options = &req.options;
+        let mut row = LoopRow::new(&options.scheduler, &l.ddg, &req.machine, options.spill);
+        let mut cells = Vec::with_capacity(req.budgets.len() * req.strategies.len());
         for &budget in &req.budgets {
             for &strategy in &req.strategies {
-                keys.push((index, budget, strategy));
+                let (status, iis_explored) = match row.compile(budget, strategy) {
+                    Ok(c) => (
+                        CellStatus::Fitted {
+                            ii: c.ii(),
+                            regs: c.registers_used(),
+                            spilled: c.spilled(),
+                            reschedules: c.reschedules(),
+                            memory_ops: c.memory_ops(),
+                            strategy_used: c.strategy_used(),
+                        },
+                        c.iis_explored(),
+                    ),
+                    Err(e) => (CellStatus::Failed { error: e.to_string() }, 0),
+                };
+                let wall = lap.elapsed();
+                lap += wall;
+                cells.push(CellOutcome {
+                    loop_index: index,
+                    loop_name: l.name.clone(),
+                    weight: l.weight,
+                    budget,
+                    strategy,
+                    status,
+                    iis_explored,
+                    wall,
+                });
             }
         }
-    }
-    let cells = parallel_map(&keys, req.jobs, |_, &(index, budget, strategy)| {
-        let l = &loops[index];
-        let options = CompileOptions { strategy, ..req.options };
-        let cell_started = Instant::now();
-        let (status, iis_explored) = match compile(&l.ddg, &req.machine, budget, &options) {
-            Ok(c) => (
-                CellStatus::Fitted {
-                    ii: c.ii(),
-                    regs: c.registers_used(),
-                    spilled: c.spilled(),
-                    reschedules: c.reschedules(),
-                    memory_ops: c.memory_ops(),
-                    strategy_used: c.strategy_used(),
-                },
-                c.iis_explored(),
-            ),
-            Err(e) => (CellStatus::Failed { error: e.to_string() }, 0),
-        };
-        CellOutcome {
-            loop_index: index,
-            loop_name: l.name.clone(),
-            weight: l.weight,
-            budget,
-            strategy,
-            status,
-            iis_explored,
-            wall: cell_started.elapsed(),
-        }
+        cells
     });
     BatchReport {
         machine: req.machine.name().to_string(),
@@ -360,7 +377,7 @@ pub fn run_batch(loops: &[BenchLoop], req: &BatchRequest) -> BatchReport {
         spill_policy: req.options.spill_policy().slug().to_string(),
         suite_size: loops.len(),
         jobs: req.jobs.get(),
-        cells,
+        cells: rows.into_iter().flatten().collect(),
         total_wall: started.elapsed(),
     }
 }
@@ -368,6 +385,7 @@ pub fn run_batch(loops: &[BenchLoop], req: &BatchRequest) -> BatchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regpipe_core::compile;
     use regpipe_loops::suite;
 
     fn request(jobs: usize) -> BatchRequest {

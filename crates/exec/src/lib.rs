@@ -1,19 +1,21 @@
 //! Deterministic multi-threaded batch execution for the evaluation suite.
 //!
 //! The paper's evaluation (Section 5) compiles ~1258 loops at two register
-//! budgets under three strategies — thousands of independent `compile`
-//! calls. This crate fans those cells out across worker threads while
-//! keeping every observable result **bit-identical to a sequential run**:
+//! budgets under three strategies — thousands of `compile` cells. This
+//! crate fans those loops out across worker threads while keeping every
+//! observable result **bit-identical to a sequential run**:
 //!
 //! * [`parallel_map`] — an ordered parallel map on [`std::thread::scope`]
 //!   with a chunked atomic work queue. Results come back in input order
 //!   regardless of worker count, so any deterministic per-item function
 //!   stays deterministic under parallelism.
-//! * [`BatchRequest`] / [`run_batch`] — the batch-compilation engine: every
-//!   `BenchLoop × budget × strategy` cell is compiled independently and
-//!   collected into a [`BatchReport`] (II, registers, spills, reschedules,
-//!   wall time per cell) whose deterministic portion is byte-identical for
-//!   any `--jobs` value.
+//! * [`BatchRequest`] / [`run_batch`] — the batch-compilation engine: each
+//!   worker takes a `BenchLoop` and compiles its `budget × strategy` cells
+//!   on one `regpipe_core::LoopRow`, which shares their common rounds and
+//!   spill runs while giving every cell exactly what a lone `compile`
+//!   returns. The cells are collected into a [`BatchReport`] (II,
+//!   registers, spills, reschedules, wall time per cell) whose
+//!   deterministic portion is byte-identical for any `--jobs` value.
 //! * [`BatchReport::to_json`] — a machine-readable `BENCH_suite.json`
 //!   rendering (schema `regpipe-bench-suite/v3`, see [`json`]) so the perf
 //!   trajectory is trackable across PRs; v2 records the scheduler axis

@@ -145,9 +145,7 @@ impl LifetimeAnalysis {
             if end <= start {
                 continue; // zero-length: consumed as produced
             }
-            for t in start..end {
-                pressure[t.rem_euclid(ii64) as usize] += 1;
-            }
+            cover(&mut pressure, start, end);
             lifetimes[id.index()] = Some(Lifetime {
                 producer: id,
                 start,
@@ -212,6 +210,27 @@ impl LifetimeAnalysis {
         self.lifetimes()
             .map(|lt| u32::try_from((lt.dist_component() + ii - 1).div_euclid(ii)).unwrap_or(0))
             .sum()
+    }
+}
+
+/// Adds the lifetime `[start, end)` to the per-slot `pressure` of a
+/// kernel with II `pressure.len()`, in closed form: the value covers every
+/// slot `⌊L/II⌋` times for its length `L`, plus once more for the `L mod
+/// II` slots that follow `start`. The work is bounded by the II, not by
+/// `L`.
+fn cover(pressure: &mut [u32], start: i64, end: i64) {
+    let ii = pressure.len() as i64;
+    let len = end - start;
+    let laps = u32::try_from(len / ii).unwrap_or(u32::MAX);
+    if laps > 0 {
+        for slot in pressure.iter_mut() {
+            *slot = slot.saturating_add(laps);
+        }
+    }
+    let first = start.rem_euclid(ii);
+    for k in 0..len % ii {
+        let slot = &mut pressure[((first + k) % ii) as usize];
+        *slot = slot.saturating_add(1);
     }
 }
 
@@ -345,6 +364,29 @@ mod tests {
         let lt = LifetimeAnalysis::new(&g, &s);
         assert_eq!(lt.pressure(), &[2, 1]);
         assert_eq!(lt.max_live(), 2);
+    }
+
+    /// The closed form of [`cover`] equals adding the lifetime one cycle at
+    /// a time, on seeded random lifetimes up to 50·II long.
+    #[test]
+    fn closed_form_pressure_matches_the_per_cycle_count() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(8);
+        for _ in 0..500 {
+            let ii = rng.random_range(1i64..=24);
+            let mut closed = vec![0u32; ii as usize];
+            let mut reference = vec![0u32; ii as usize];
+            for _ in 0..rng.random_range(1..=8) {
+                let start = rng.random_range(-3 * ii..=3 * ii);
+                let end = start + rng.random_range(1..=50 * ii);
+                cover(&mut closed, start, end);
+                for t in start..end {
+                    reference[t.rem_euclid(ii) as usize] += 1;
+                }
+            }
+            assert_eq!(closed, reference, "II {ii}");
+        }
     }
 
     #[test]

@@ -68,12 +68,18 @@ impl fmt::Display for AllocationResult {
 ///
 /// A rotating file renames registers every II cycles, so a lifetime longer
 /// than the II occupies several consecutive rotating registers — one per
-/// concurrently live instance. The allocator places lifetimes on the
-/// `R`-register cylinder in *adjacency order* (sorted by start cycle) with
-/// first-fit, growing `R` from `MaxLive` until every lifetime fits. This is
-/// the family of heuristics from Rau et al.'s "Register allocation for
-/// software pipelined loops" that the paper leans on; like theirs, it lands
-/// on `MaxLive` or `MaxLive + 1` almost always.
+/// concurrently live instance. The allocator tries r = `MaxLive` (of the
+/// loop variants), `MaxLive + 1`, … rotating registers in turn. Each try
+/// places the lifetimes first-fit in start order (longest first on ties):
+/// a lifetime takes the lowest rotation offset that clashes with no
+/// lifetime already placed, and the try fails as soon as one finds none.
+/// The first r at which every lifetime fits is the result. This is one of
+/// the heuristics from Rau et al.'s "Register allocation for software
+/// pipelined loops" that the paper leans on, but it often needs more than
+/// `MaxLive + 1`: on unconstrained HRMS schedules of the built-in
+/// 1258-loop suite (P2L4), 690 loops allocate above `MaxLive` and 472
+/// need `MaxLive + 2` or more. ROADMAP item 2 plans an allocator that
+/// lands on `MaxLive`.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct RotatingAllocator {
     _private: (),

@@ -190,6 +190,10 @@ pub trait Scheduler {
     /// computation. Results must not depend on where the context came
     /// from — it is a pure function of `(ddg, machine)`.
     ///
+    /// A call must be a pure function of the context and the request, and
+    /// a `min_ii` at or below the MII (or `None`) must mean the MII:
+    /// `regpipe_core::LoopRow` answers a repeated request from a memo.
+    ///
     /// # Errors
     ///
     /// Returns [`SchedError::NoScheduleUpTo`] if the II search is exhausted

@@ -126,10 +126,12 @@ regpipe compile <file.ddg> [options]
 ";
 const SUITE: &str = "\
 regpipe suite [options]
-  Run the evaluation suite: every loop x budget x strategy cell is an
-  independent compile call, fanned out across worker threads with
-  deterministic (thread-count-independent) results, and the report is
-  written as machine-readable JSON.
+  Run the evaluation suite: each loop's budget x strategy cells are
+  compiled together, sharing the rounds and spill runs the cells have in
+  common, with every cell's result exactly what a lone compile gives.
+  Loops are fanned out across worker threads with deterministic
+  (thread-count-independent) results, and the report is written as
+  machine-readable JSON. A budget or strategy may be listed only once.
   --corpus <dir>    run an on-disk corpus (see `regpipe gen`/`check`)
                     instead of the built-in synthetic suite; a .mach
                     file in the corpus sets the machine unless --machine
@@ -363,13 +365,24 @@ impl Args {
     }
 
     /// The comma-separated `flag`, each entry read by `parse`, or `default`.
-    fn list<T: Clone>(
+    /// An axis names each value once: a repeated entry would run its cells
+    /// twice and merge them into one aggregate.
+    fn list<T: Clone + PartialEq>(
         &self,
         flag: &str,
         default: &[T],
         parse: impl Fn(&str) -> Result<T, String>,
     ) -> Result<Vec<T>, String> {
-        self.get(flag).map_or(Ok(default.to_vec()), |raw| raw.split(',').map(parse).collect())
+        let Some(raw) = self.get(flag) else { return Ok(default.to_vec()) };
+        let mut values = Vec::new();
+        for entry in raw.split(',') {
+            let value = parse(entry)?;
+            if values.contains(&value) {
+                return Err(format!("{flag} lists '{entry}' more than once"));
+            }
+            values.push(value);
+        }
+        Ok(values)
     }
 
     // The shared axes, each read one way by every verb that lists it.

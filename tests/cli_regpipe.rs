@@ -600,6 +600,9 @@ fn dropped_arguments_are_errors_naming_them() {
         (&["gap", "--count", "2", "--out"], "--out needs a value"),
         (&["suite", "--dir", "d", "--jobs", "4"], "cannot be combined with --jobs"),
         (&["suite", "--size", "3", "--machine", "m9"], "unknown machine 'm9'"),
+        (&["suite", "--size", "3", "--budgets", "32,32"], "--budgets lists '32' more than"),
+        (&["suite", "--size", "3", "--strategies", "best,best"], "--strategies lists 'best'"),
+        (&["replay", "--count", "2", "--budgets", "64,32,64"], "--budgets lists '64'"),
     ] {
         let out = bin().args(args).current_dir(&dir).output().expect("spawn regpipe");
         assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");

@@ -10,14 +10,16 @@
 //! handed). A second family of properties checks cache *invalidation*:
 //! after each spill rewrite, a context rebuilt on the mutated graph agrees
 //! with the standalone computations (groups, MII, RecMII, ordering,
-//! schedules) on that graph.
+//! schedules) on that graph. A third checks that a `LoopRow`, which shares
+//! rounds and spill runs across a loop's budget × strategy cells, returns
+//! for every cell exactly what a lone `compile` does.
 
 use proptest::prelude::*;
 
-use regpipe::core::{compile_with, CompileError, CompiledLoop, Strategy};
+use regpipe::core::{compile_with, CompileError, CompiledLoop, LoopRow, Strategy};
 use regpipe::ddg::Ddg;
 use regpipe::loops::paper::example_loop;
-use regpipe::loops::{generate, GenParams};
+use regpipe::loops::{generate, suite, GenParams};
 use regpipe::machine::MachineConfig;
 use regpipe::prelude::*;
 use regpipe::regalloc::LifetimeAnalysis;
@@ -210,4 +212,69 @@ fn trace_has_one_point_per_round_and_sums_to_the_effort_counter() {
             }
         }
     }
+}
+
+/// The seed of the built-in suite (`regpipe suite`).
+const SUITE_SEED: u64 = 49626;
+
+/// Every cell of a `LoopRow` equals a lone `compile` of it, field by field,
+/// for each spill policy on the first `loops` loops of the built-in suite.
+/// The row is asked at budgets 64,32,16 in the suite's strategy order, and
+/// again at 16,32,64 with the strategies reversed, so each kind of sharing
+/// (spill after best and best after spill, a sweep after a looser and
+/// after a tighter budget) is met.
+fn row_cells_equal_lone_compiles(scheduler: SchedulerKind, loops: usize) {
+    let machine = MachineConfig::p2l4();
+    let orders = [
+        ([64, 32, 16], [Strategy::BestOfAll, Strategy::Spill, Strategy::IncreaseIi]),
+        ([16, 32, 64], [Strategy::IncreaseIi, Strategy::Spill, Strategy::BestOfAll]),
+    ];
+    for policy in SpillPolicyKind::ALL {
+        let mut options = CompileOptions::with_spill_policy(policy);
+        options.scheduler = scheduler;
+        for l in suite(SUITE_SEED, loops) {
+            let lone: Vec<_> = [64, 32, 16]
+                .into_iter()
+                .flat_map(|regs| STRATEGIES.map(|strategy| (regs, strategy)))
+                .map(|(regs, strategy)| {
+                    let cell = CompileOptions { strategy, ..options };
+                    ((regs, strategy), compile(&l.ddg, &machine, regs, &cell))
+                })
+                .collect();
+            for (budgets, strategies) in orders {
+                let mut row = LoopRow::new(&scheduler, &l.ddg, &machine, options.spill);
+                for regs in budgets {
+                    for strategy in strategies {
+                        let cell = row.compile(regs, strategy);
+                        let (_, alone) = lone
+                            .iter()
+                            .find(|(key, _)| *key == (regs, strategy))
+                            .expect("every cell compiled alone");
+                        assert_same_compile(&cell, alone);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn row_cells_equal_lone_compiles_under_hrms() {
+    row_cells_equal_lone_compiles(SchedulerKind::Hrms, 40);
+}
+
+#[test]
+fn row_cells_equal_lone_compiles_under_sms() {
+    row_cells_equal_lone_compiles(SchedulerKind::Sms, 40);
+}
+
+#[test]
+fn row_cells_equal_lone_compiles_under_asap() {
+    row_cells_equal_lone_compiles(SchedulerKind::Asap, 40);
+}
+
+/// The exact oracle is slow in a debug build, so it covers fewer loops.
+#[test]
+fn row_cells_equal_lone_compiles_under_exact() {
+    row_cells_equal_lone_compiles(SchedulerKind::Exact, 12);
 }
