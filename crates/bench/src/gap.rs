@@ -29,7 +29,7 @@ use regpipe_exec::json::{self, Value};
 use regpipe_exec::parallel_map;
 use regpipe_loops::BenchLoop;
 use regpipe_machine::MachineConfig;
-use regpipe_regalloc::allocate;
+use regpipe_regalloc::LifetimeAnalysis;
 use regpipe_sched::{ExactScheduler, LoopAnalysis, SchedRequest, Scheduler, SchedulerKind};
 
 /// Default register budget for the per-spill-policy comparison
@@ -184,8 +184,8 @@ pub fn run_gap(loops: &[BenchLoop], config: &GapConfig) -> GapReport {
 }
 
 fn point(l: &BenchLoop, s: &regpipe_sched::Schedule) -> SchedPoint {
-    let a = allocate(&l.ddg, s);
-    SchedPoint { ii: s.ii(), sc: s.stage_count(), max_live: a.max_live() }
+    let max_live = LifetimeAnalysis::new(&l.ddg, s).max_live();
+    SchedPoint { ii: s.ii(), sc: s.stage_count(), max_live }
 }
 
 impl GapReport {

@@ -94,7 +94,7 @@ fn batch(
 /// The ideal (infinite-register) cell of every loop: at an unbounded
 /// budget increase-II keeps its first round, the unconstrained schedule
 /// at the MII.
-fn ideal_batch(
+pub(crate) fn ideal_batch(
     loops: &[BenchLoop],
     machine: &MachineConfig,
     jobs: NonZeroUsize,
@@ -141,16 +141,17 @@ pub(crate) struct Table1Row {
     pub cycle_share: f64,
 }
 
-/// Computes one Table 1 row on `jobs` worker threads.
+/// Computes one Table 1 row on `jobs` worker threads, given the machine's
+/// [`ideal_batch`], which every budget shares.
 pub(crate) fn table1_row(
     loops: &[BenchLoop],
+    ideal: &BatchReport,
     machine: &MachineConfig,
     regs: u32,
     jobs: NonZeroUsize,
 ) -> Table1Row {
     // Loops whose ideal schedule fits converge at increase-II's first
     // round; only the rest are compiled with increase-II.
-    let ideal = ideal_batch(loops, machine, jobs);
     let (over, over_ideal): (Vec<BenchLoop>, Vec<&CellOutcome>) = loops
         .iter()
         .zip(&ideal.cells)
@@ -290,10 +291,11 @@ mod tests {
     fn table1_row_is_consistent() {
         let loops = small_suite();
         let m = MachineConfig::p2l4();
-        let row = table1_row(&loops, &m, 32, JOBS);
+        let ideal = ideal_batch(&loops, &m, JOBS);
+        let row = table1_row(&loops, &ideal, &m, 32, JOBS);
         assert!(row.cycle_share >= 0.0 && row.cycle_share <= 100.0);
         // 64 registers can only shrink the non-convergent set.
-        let row64 = table1_row(&loops, &m, 64, JOBS);
+        let row64 = table1_row(&loops, &ideal, &m, 64, JOBS);
         assert!(row64.non_convergent.len() <= row.non_convergent.len());
     }
 

@@ -29,13 +29,11 @@ use regpipe_loops::paper::{apsi47_like, apsi50_like, example_loop};
 use regpipe_loops::BenchLoop;
 use regpipe_machine::MachineConfig;
 use regpipe_regalloc::{allocate, LifetimeAnalysis, MveAllocator};
-use regpipe_sched::{
-    mii, stage_schedule, AsapScheduler, HrmsScheduler, Kernel, SchedRequest, Scheduler,
-};
+use regpipe_sched::{mii, stage_schedule, Kernel, SchedRequest, Scheduler, SchedulerKind};
 use regpipe_spill::{eliminate_dead_ops, SelectHeuristic};
 
 use crate::{
-    fig8_variants, fig9_row, mcycles, run_ideal, run_spill_variant, table1_row,
+    fig8_variants, fig9_row, ideal_batch, mcycles, run_ideal, run_spill_variant, table1_row,
     REGISTER_BUDGETS,
 };
 
@@ -47,7 +45,7 @@ use crate::{
 pub fn example(jobs: NonZeroUsize) {
     let g = example_loop();
     let m = MachineConfig::uniform(4, 2);
-    let scheduler = HrmsScheduler::new();
+    let scheduler = SchedulerKind::Hrms;
 
     println!("=== Paper example: x(i) = y(i)*a + y(i-3) (Figures 2/3/5/6) ===\n");
     println!("{g}");
@@ -145,8 +143,7 @@ fn fig4_sweep(name: &str, g: &Ddg, machine: &MachineConfig) -> String {
     let mut reached_16 = false;
     let mut reached_32 = false;
     for ii in lo..lo + 40 {
-        let Ok(s) = HrmsScheduler::new().schedule(g, machine, &SchedRequest::exactly(ii))
-        else {
+        let Ok(s) = SchedulerKind::Hrms.schedule(g, machine, &SchedRequest::exactly(ii)) else {
             continue;
         };
         let a = allocate(g, &s);
@@ -352,9 +349,13 @@ pub fn table1(loops: &[BenchLoop], jobs: NonZeroUsize) {
         loops.len()
     );
     println!("{:<8} {:>6} {:>14} {:>14}", "config", "regs", "never-converge", "% of cycles");
+    // The paper observes the same loops fail regardless of configuration;
+    // the 32-register failures of P2L4 are listed as the representative set.
+    let mut listed = Vec::new();
     for machine in MachineConfig::paper_configs() {
+        let ideal = ideal_batch(loops, &machine, jobs);
         for regs in REGISTER_BUDGETS {
-            let row = table1_row(loops, &machine, regs, jobs);
+            let row = table1_row(loops, &ideal, &machine, regs, jobs);
             println!(
                 "{:<8} {:>6} {:>14} {:>13.1}%",
                 machine.name(),
@@ -362,18 +363,18 @@ pub fn table1(loops: &[BenchLoop], jobs: NonZeroUsize) {
                 row.non_convergent.len(),
                 row.cycle_share
             );
+            if machine == MachineConfig::p2l4() && regs == 32 {
+                listed = row.non_convergent;
+            }
         }
     }
     println!();
-    // The paper observes the same loops fail regardless of configuration;
-    // list the 32-register failures of P2L4 as the representative set.
-    let row = table1_row(loops, &MachineConfig::p2l4(), 32, jobs);
     println!("Non-convergent loops on P2L4 with 32 registers:");
-    for name in row.non_convergent.iter().take(30) {
+    for name in listed.iter().take(30) {
         println!("  {name}");
     }
-    if row.non_convergent.len() > 30 {
-        println!("  ... and {} more", row.non_convergent.len() - 30);
+    if listed.len() > 30 {
+        println!("  ... and {} more", listed.len() - 30);
     }
     println!(
         "\nPaper's shape: a handful of loops (<2%), but ≈20% (64 regs) to ≈30% (32 regs) of cycles."
@@ -395,8 +396,8 @@ pub fn table1(loops: &[BenchLoop], jobs: NonZeroUsize) {
 ///    (the paper's reference \[13\]) applied on top of both schedulers.
 pub fn ablation(loops: &[BenchLoop], jobs: NonZeroUsize) {
     let machine = MachineConfig::p2l4();
-    let hrms = HrmsScheduler::new();
-    let asap = AsapScheduler::new();
+    let hrms = SchedulerKind::Hrms;
+    let asap = SchedulerKind::Asap;
 
     // ------------------------------------------------------------------
     // 1. HRMS vs ASAP register pressure (same-II subset).

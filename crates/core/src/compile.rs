@@ -290,35 +290,22 @@ pub fn compile(
     regs: u32,
     options: &CompileOptions,
 ) -> Result<CompiledLoop, CompileError> {
-    compile_with(&options.scheduler, ddg, machine, regs, options)
-}
-
-/// [`compile`] with any [`Scheduler`] in place of `options.scheduler`,
-/// which is ignored: the paper's framework "can be applied to any software
-/// pipelining technique". It is a [`LoopRow`] of one cell.
-///
-/// # Errors
-///
-/// As for [`compile`].
-pub fn compile_with<S: Scheduler>(
-    scheduler: &S,
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    regs: u32,
-    options: &CompileOptions,
-) -> Result<CompiledLoop, CompileError> {
-    LoopRow::new(scheduler, ddg, machine, options.spill).compile(regs, options.strategy)
+    LoopRow::new(&options.scheduler, ddg, machine, options.spill)
+        .compile(regs, options.strategy)
 }
 
 /// One loop compiled at several budgets and strategies: a row of the
 /// paper's evaluation matrix (Table 1, Figures 8 and 9).
 ///
-/// Each [`LoopRow::compile`] returns exactly what a fresh row, as in
-/// [`compile_with`], returns for that budget and strategy: schedule,
-/// allocation, final graph, trace, reschedules, failure kind and
-/// `best_regs`, in whatever order the cells are asked for. The cells keep
-/// a memo in the row, so work that does not depend on the cell is done
-/// once:
+/// A row takes any [`Scheduler`]: the paper's framework "can be applied
+/// to any software pipelining technique". With `options.scheduler`, a row
+/// of one cell is [`compile`].
+///
+/// Each [`LoopRow::compile`] returns exactly what a fresh row returns for
+/// that budget and strategy: schedule, allocation, final graph, trace,
+/// reschedules, failure kind and `best_regs`, in whatever order the cells
+/// are asked for. The cells keep a memo in the row, so work that does not
+/// depend on the cell is done once:
 ///
 /// * the loop's [`LoopAnalysis`], which increase-II, spill round 1 and
 ///   best-of-all's probes all schedule in;
@@ -803,8 +790,8 @@ pub(crate) mod tests {
             for regs in [64, 7, 5, 4] {
                 for strategy in strategies {
                     let cell = row.compile(regs, strategy);
-                    let alone = CompileOptions { strategy, ..options };
-                    let alone = compile_with(&skipping, &g, &m, regs, &alone);
+                    let alone =
+                        LoopRow::new(&skipping, &g, &m, options.spill).compile(regs, strategy);
                     assert_eq!(
                         format!("{cell:?}"),
                         format!("{alone:?}"),

@@ -31,14 +31,13 @@
 //! The strategies are scheduler-agnostic — the paper's framework "can be
 //! applied to any software pipelining technique". [`CompileOptions::scheduler`]
 //! selects one from the `regpipe_sched` registry ([`SchedulerKind`]: HRMS,
-//! SMS, the ASAP baseline or the exact oracle), and [`compile_with`] takes
-//! any other `Scheduler`.
+//! SMS, the ASAP baseline or the exact oracle).
 //!
 //! A [`LoopRow`] compiles one loop at several budgets and strategies (a row
-//! of the paper's evaluation matrix). Each cell returns what `compile`
-//! would, but the row schedules each round on the unspilled loop once and
-//! runs the spill strategy once per budget, sharing them across cells;
-//! `compile` itself is a row of one cell.
+//! of the paper's evaluation matrix), under any `Scheduler`. Each cell
+//! returns what `compile` would, but the row schedules each round on the
+//! unspilled loop once and runs the spill strategy once per budget, sharing
+//! them across cells; `compile` itself is a row of one cell.
 //!
 //! ```
 //! use regpipe_core::{compile, CompileOptions};
@@ -74,8 +73,8 @@ mod increase_ii;
 mod spill_driver;
 
 pub use compile::{
-    compile, compile_with, CompileError, CompileOptions, CompiledLoop, Failure, FailureKind,
-    LoopRow, Strategy, TracePoint,
+    compile, CompileError, CompileOptions, CompiledLoop, Failure, FailureKind, LoopRow,
+    Strategy, TracePoint,
 };
 // Part of `CompileOptions`' public surface: downstream crates select the
 // scheduler and spill-policy axes without depending on `regpipe_sched` or

@@ -155,14 +155,14 @@ mod tests {
     use super::*;
     use regpipe_ddg::algo::recurrences;
     use regpipe_machine::MachineConfig;
-    use regpipe_sched::{mii, rec_mii, HrmsScheduler, SchedRequest, Scheduler};
+    use regpipe_sched::{mii, rec_mii, SchedRequest, Scheduler, SchedulerKind};
 
     #[test]
     fn all_kernels_validate_and_schedule() {
         for machine in MachineConfig::paper_configs() {
             for g in all_kernels() {
                 g.validate().unwrap_or_else(|e| panic!("{}: {e}", g.name()));
-                let s = HrmsScheduler::new()
+                let s = SchedulerKind::Hrms
                     .schedule(&g, &machine, &SchedRequest::default())
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", g.name(), machine.name()));
                 s.verify(&g, &machine).unwrap();
@@ -209,7 +209,7 @@ mod tests {
         use regpipe_regalloc::allocate;
         let g = state_fragment();
         let m = MachineConfig::p2l4();
-        let s = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+        let s = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
         let a = allocate(&g, &s);
         assert!(a.total() > 10, "wide expression: got {}", a.total());
     }

@@ -64,7 +64,7 @@ pub use suite::{suite, BenchLoop, DEFAULT_SUITE_SIZE};
 mod tests {
     use super::*;
     use regpipe_machine::MachineConfig;
-    use regpipe_sched::{mii, HrmsScheduler, SchedRequest, Scheduler};
+    use regpipe_sched::{mii, SchedRequest, Scheduler, SchedulerKind};
 
     #[test]
     fn every_suite_loop_is_valid_and_schedulable() {
@@ -72,7 +72,7 @@ mod tests {
         let m = MachineConfig::p2l4();
         for l in &loops {
             l.ddg.validate().unwrap_or_else(|e| panic!("{}: {e}", l.name));
-            let s = HrmsScheduler::new()
+            let s = SchedulerKind::Hrms
                 .schedule(&l.ddg, &m, &SchedRequest::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", l.name));
             s.verify(&l.ddg, &m).unwrap_or_else(|e| panic!("{}: {e}", l.name));
@@ -89,8 +89,7 @@ mod tests {
         let mut low = 0usize;
         let mut high = 0usize;
         for l in &loops {
-            let s =
-                HrmsScheduler::new().schedule(&l.ddg, &m, &SchedRequest::default()).unwrap();
+            let s = SchedulerKind::Hrms.schedule(&l.ddg, &m, &SchedRequest::default()).unwrap();
             let regs = allocate(&l.ddg, &s).total();
             if regs <= 16 {
                 low += 1;

@@ -108,7 +108,7 @@ mod tests {
     use regpipe_core::{compile, CompileOptions, Strategy};
     use regpipe_machine::MachineConfig;
     use regpipe_regalloc::allocate;
-    use regpipe_sched::{mii, HrmsScheduler, SchedRequest, Scheduler};
+    use regpipe_sched::{mii, SchedRequest, Scheduler, SchedulerKind};
 
     fn options(strategy: Strategy) -> CompileOptions {
         CompileOptions { strategy, ..CompileOptions::default() }
@@ -119,7 +119,7 @@ mod tests {
         let g = example_loop();
         let m = MachineConfig::uniform(4, 2);
         assert_eq!(mii(&g, &m), 1);
-        let s = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+        let s = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
         assert_eq!(s.ii(), 1);
     }
 
@@ -129,7 +129,7 @@ mod tests {
         let m = MachineConfig::p2l4();
         let lo = mii(&g, &m);
         assert_eq!(lo, 8, "15 multiplies on 2 units (paper's loop sits at 7)");
-        let s = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::exactly(lo)).unwrap();
+        let s = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::exactly(lo)).unwrap();
         let a = allocate(&g, &s);
         assert!(a.total() >= 45, "high pressure at MII: {}", a.total());
         // Converges at both register budgets (Figure 4a).
@@ -160,7 +160,7 @@ mod tests {
     fn apsi50_distance_floor_matches_paper() {
         let g = apsi50_like();
         let m = MachineConfig::p2l4();
-        let s = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+        let s = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
         let analysis = regpipe_regalloc::LifetimeAnalysis::new(&g, &s);
         assert!(
             analysis.distance_component_regs() >= 22,
@@ -174,7 +174,7 @@ mod tests {
     fn paper_loops_schedule_on_all_three_machines() {
         for m in MachineConfig::paper_configs() {
             for g in [example_loop(), apsi47_like(), apsi50_like()] {
-                let s = HrmsScheduler::new()
+                let s = SchedulerKind::Hrms
                     .schedule(&g, &m, &SchedRequest::default())
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", g.name(), m.name()));
                 s.verify(&g, &m).unwrap();

@@ -42,11 +42,11 @@
 //! out the scheduler returns the best schedule found so far and reports
 //! [`ExactStatus::BudgetExhausted`]; it never silently claims optimality.
 
-use regpipe_ddg::{Ddg, OpId, OpKind};
-use regpipe_machine::{MachineConfig, Mrt};
+use regpipe_ddg::{OpId, OpKind};
+use regpipe_machine::Mrt;
 
 use crate::loop_analysis::LoopAnalysis;
-use crate::{HrmsScheduler, SchedError, SchedRequest, Schedule, Scheduler};
+use crate::{SchedError, SchedRequest, Schedule, Scheduler, SchedulerKind};
 
 /// Default node budget: generous for the small kernels the oracle is
 /// meant for (a node is one placement attempt; ≤ ~12-op kernels usually
@@ -92,10 +92,11 @@ impl ExactOutcome {
 /// The exact branch-and-bound modulo scheduler.
 ///
 /// The search and pruning rules are specified in
-/// `docs/algorithms.md` ("The exact oracle: branch and bound"). As a
-/// [`Scheduler`] it returns the best schedule found within the node
-/// budget; call [`ExactScheduler::solve_in`] to also learn whether that
-/// schedule is proven optimal.
+/// `docs/algorithms.md` ("The exact oracle: branch and bound").
+/// [`ExactScheduler::solve_in`] returns the best schedule found within
+/// the node budget and whether it is proven optimal;
+/// [`SchedulerKind::Exact`] runs it at the default budget and keeps only
+/// the schedule.
 #[derive(Clone, Copy, Debug)]
 pub struct ExactScheduler {
     node_budget: u64,
@@ -151,7 +152,7 @@ impl ExactScheduler {
 
         // The heuristic incumbent: upper-bounds the II sweep and is the
         // best-so-far schedule whenever the budget runs out early.
-        let incumbent = HrmsScheduler::new().schedule_in(ctx, request).ok();
+        let incumbent = SchedulerKind::Hrms.schedule_in(ctx, request).ok();
         let mut budget = Budget::new(self.node_budget);
         let mut iis_tried = 0u32;
         let sweep_upper = incumbent.as_ref().map_or(upper, |s| s.ii().min(upper));
@@ -232,20 +233,6 @@ impl ExactScheduler {
         })
     }
 
-    /// Convenience wrapper building the [`LoopAnalysis`] itself.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ExactScheduler::solve_in`].
-    pub fn solve(
-        &self,
-        ddg: &Ddg,
-        machine: &MachineConfig,
-        request: &SchedRequest,
-    ) -> Result<ExactOutcome, SchedError> {
-        self.solve_in(&LoopAnalysis::new(ddg, machine), request)
-    }
-
     fn exhausted(
         &self,
         incumbent: Option<Schedule>,
@@ -266,16 +253,6 @@ impl ExactScheduler {
             }
             None => Err(SchedError::NoScheduleUpTo { max_ii: 0 }),
         }
-    }
-}
-
-impl Scheduler for ExactScheduler {
-    fn schedule_in(
-        &self,
-        ctx: &LoopAnalysis<'_>,
-        request: &SchedRequest,
-    ) -> Result<Schedule, SchedError> {
-        self.solve_in(ctx, request).map(|outcome| outcome.schedule)
     }
 }
 
@@ -571,7 +548,17 @@ impl Search<'_, '_> {
 mod tests {
     use super::*;
     use crate::mii;
-    use regpipe_ddg::DdgBuilder;
+    use regpipe_ddg::{Ddg, DdgBuilder};
+    use regpipe_machine::MachineConfig;
+
+    fn search(
+        oracle: ExactScheduler,
+        ddg: &Ddg,
+        machine: &MachineConfig,
+        request: &SchedRequest,
+    ) -> Result<ExactOutcome, SchedError> {
+        oracle.solve_in(&LoopAnalysis::new(ddg, machine), request)
+    }
 
     fn fig2() -> Ddg {
         let mut b = DdgBuilder::new("fig2");
@@ -590,7 +577,7 @@ mod tests {
     fn proves_fig2_optimal_on_the_uniform_machine() {
         let g = fig2();
         let m = MachineConfig::uniform(4, 2);
-        let out = ExactScheduler::new().solve(&g, &m, &SchedRequest::default()).unwrap();
+        let out = search(ExactScheduler::new(), &g, &m, &SchedRequest::default()).unwrap();
         assert_eq!(out.schedule.ii(), 1, "4 ops on 4 units");
         assert_eq!(out.status, ExactStatus::Proven);
         out.schedule.verify(&g, &m).expect("valid");
@@ -606,7 +593,7 @@ mod tests {
         b.reg_dist(c, a, 1);
         let g = b.build().unwrap();
         let m = MachineConfig::p2l4();
-        let out = ExactScheduler::new().solve(&g, &m, &SchedRequest::default()).unwrap();
+        let out = search(ExactScheduler::new(), &g, &m, &SchedRequest::default()).unwrap();
         assert_eq!(out.schedule.ii(), 8, "RecMII = 8 and it is achievable");
         assert!(out.proven());
         out.schedule.verify(&g, &m).expect("valid");
@@ -617,9 +604,9 @@ mod tests {
         let g = fig2();
         let m = MachineConfig::p2l4();
         for budget in [0, 1] {
-            let out = ExactScheduler::with_budget(budget)
-                .solve(&g, &m, &SchedRequest::default())
-                .unwrap();
+            let out =
+                search(ExactScheduler::with_budget(budget), &g, &m, &SchedRequest::default())
+                    .unwrap();
             assert_eq!(out.status, ExactStatus::BudgetExhausted, "budget {budget}");
             assert!(!out.span_proven, "budget {budget}");
             out.schedule.verify(&g, &m).expect("best-so-far is still valid");
@@ -630,10 +617,9 @@ mod tests {
     fn budgets_agree_when_both_prove() {
         let g = fig2();
         let m = MachineConfig::p1l4();
-        let a = ExactScheduler::with_budget(10_000)
-            .solve(&g, &m, &SchedRequest::default())
+        let a = search(ExactScheduler::with_budget(10_000), &g, &m, &SchedRequest::default())
             .unwrap();
-        let b = ExactScheduler::new().solve(&g, &m, &SchedRequest::default()).unwrap();
+        let b = search(ExactScheduler::new(), &g, &m, &SchedRequest::default()).unwrap();
         assert!(a.proven() && b.proven());
         assert_eq!(a.schedule.ii(), b.schedule.ii());
         if a.span_proven && b.span_proven {
@@ -645,7 +631,7 @@ mod tests {
     fn span_is_tightened_and_proven_on_small_kernels() {
         let g = fig2();
         let m = MachineConfig::uniform(4, 2);
-        let out = ExactScheduler::new().solve(&g, &m, &SchedRequest::default()).unwrap();
+        let out = search(ExactScheduler::new(), &g, &m, &SchedRequest::default()).unwrap();
         assert!(out.span_proven);
         // The dataflow chain Ld(2) -> *(2) -> +(2) -> St spans 6 cycles.
         assert_eq!(out.schedule.last_start(), 6);
@@ -657,12 +643,16 @@ mod tests {
         b.add_op(OpKind::Add, "a");
         let g = b.build().unwrap();
         let m = MachineConfig::p1l4();
-        let out = ExactScheduler::new().solve(&g, &m, &SchedRequest::starting_at(5)).unwrap();
+        let out = search(ExactScheduler::new(), &g, &m, &SchedRequest::starting_at(5)).unwrap();
         assert_eq!(out.schedule.ii(), 5, "proven optimal within [5, ..]");
         assert!(out.proven());
-        let err = ExactScheduler::new()
-            .solve(&g, &m, &SchedRequest { min_ii: Some(9), max_ii: Some(7) })
-            .unwrap_err();
+        let err = search(
+            ExactScheduler::new(),
+            &g,
+            &m,
+            &SchedRequest { min_ii: Some(9), max_ii: Some(7) },
+        )
+        .unwrap_err();
         assert!(matches!(err, SchedError::InfeasibleRequest { .. }));
     }
 
@@ -679,12 +669,16 @@ mod tests {
         let g = b.build().unwrap();
         let m = MachineConfig::p1l4();
         assert_eq!(mii(&g, &m), 2);
-        let err = ExactScheduler::new()
-            .solve(&g, &m, &SchedRequest { min_ii: None, max_ii: Some(2) })
-            .unwrap_err();
+        let err = search(
+            ExactScheduler::new(),
+            &g,
+            &m,
+            &SchedRequest { min_ii: None, max_ii: Some(2) },
+        )
+        .unwrap_err();
         assert!(matches!(err, SchedError::NoScheduleUpTo { max_ii: 2 }));
         // One more cycle of II separates the modulo slots again.
-        let out = ExactScheduler::new().solve(&g, &m, &SchedRequest::default()).unwrap();
+        let out = search(ExactScheduler::new(), &g, &m, &SchedRequest::default()).unwrap();
         assert_eq!(out.schedule.ii(), 3, "first feasible II above the clash");
         assert!(out.proven());
         out.schedule.verify(&g, &m).expect("valid");
@@ -725,7 +719,7 @@ mod tests {
         b.mem(s, l, 1);
         let g = b.build().unwrap();
         let m = MachineConfig::p1l4();
-        let out = ExactScheduler::new().solve(&g, &m, &SchedRequest::default()).unwrap();
+        let out = search(ExactScheduler::new(), &g, &m, &SchedRequest::default()).unwrap();
         assert!(out.proven());
         out.schedule.verify(&g, &m).expect("valid");
         assert_eq!(out.schedule.start(s) - out.schedule.start(p), 4);
@@ -757,12 +751,11 @@ mod tests {
             }
             let Ok(g) = b.build() else { continue };
             let m = &machines[case % machines.len()];
-            let out = ExactScheduler::new()
-                .solve(&g, m, &SchedRequest::default())
+            let out = search(ExactScheduler::new(), &g, m, &SchedRequest::default())
                 .unwrap_or_else(|e| panic!("case {case}: {e}\n{g}"));
             out.schedule.verify(&g, m).unwrap_or_else(|e| panic!("case {case}: {e}\n{g}"));
             assert!(out.schedule.ii() >= mii(&g, m), "case {case}");
-            let hrms = HrmsScheduler::new().schedule(&g, m, &SchedRequest::default()).unwrap();
+            let hrms = SchedulerKind::Hrms.schedule(&g, m, &SchedRequest::default()).unwrap();
             if out.proven() {
                 assert!(
                     out.schedule.ii() <= hrms.ii(),

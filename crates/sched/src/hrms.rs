@@ -32,54 +32,14 @@
 use std::collections::BTreeSet;
 
 use regpipe_ddg::{Ddg, OpId};
-use regpipe_machine::{MachineConfig, Mrt};
+use regpipe_machine::Mrt;
 
 use crate::analysis::TimeAnalysis;
 use crate::groups::ComplexGroups;
 use crate::loop_analysis::LoopAnalysis;
-use crate::{SchedError, SchedRequest, Schedule, Scheduler};
+use crate::{SchedError, SchedRequest, Schedule};
 
 const NEG_INF: i64 = i64::MIN / 4;
-
-/// The register-sensitive HRMS/Swing-style modulo scheduler.
-///
-/// See the [crate documentation](crate) for the algorithm outline.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct HrmsScheduler {
-    _private: (),
-}
-
-impl HrmsScheduler {
-    /// Creates the scheduler.
-    pub fn new() -> Self {
-        HrmsScheduler { _private: () }
-    }
-
-    /// Runs the ordering phase in isolation: the sequence of complex-group
-    /// leaders HRMS places at `ii`, one per group.
-    ///
-    /// The order satisfies the pred-XOR-succ property: a group outside any
-    /// recurrence is emitted while only its predecessors or only its
-    /// successors are already ordered, never both (inside recurrences both
-    /// sides may be ordered; the placement window handles that case).
-    ///
-    /// Returns `None` when the timing analysis is infeasible at `ii`.
-    pub fn ordering(&self, ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Option<Vec<OpId>> {
-        let ctx = LoopAnalysis::new(ddg, machine);
-        let analysis = ctx.time_analysis(ii, None)?;
-        Some(ordering_in(&ctx, &analysis))
-    }
-}
-
-impl Scheduler for HrmsScheduler {
-    fn schedule_in(
-        &self,
-        ctx: &LoopAnalysis<'_>,
-        request: &SchedRequest,
-    ) -> Result<Schedule, SchedError> {
-        ii_search(ctx, request, "hrms", Some(ordering_in))
-    }
-}
 
 /// The II walk shared by the list schedulers, from `max(MII, min_ii)` up
 /// to the request's ceiling. Each candidate II gets a warm-started timing
@@ -499,12 +459,13 @@ pub(crate) fn place_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mii, SchedError};
+    use crate::{mii, SchedError, Scheduler, SchedulerKind};
     use regpipe_ddg::DdgBuilder;
     use regpipe_ddg::OpKind;
+    use regpipe_machine::MachineConfig;
 
     fn schedule_ok(ddg: &Ddg, machine: &MachineConfig) -> Schedule {
-        let s = HrmsScheduler::new()
+        let s = SchedulerKind::Hrms
             .schedule(ddg, machine, &SchedRequest::default())
             .expect("schedulable");
         s.verify(ddg, machine).expect("valid");
@@ -604,7 +565,7 @@ mod tests {
         b.add_op(OpKind::Add, "a");
         let g = b.build().unwrap();
         let m = MachineConfig::p1l4();
-        let s = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::starting_at(5)).unwrap();
+        let s = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::starting_at(5)).unwrap();
         assert_eq!(s.ii(), 5);
     }
 
@@ -617,7 +578,7 @@ mod tests {
         b.reg_dist(c, a, 1); // MII 8
         let g = b.build().unwrap();
         let m = MachineConfig::p1l4();
-        let err = HrmsScheduler::new()
+        let err = SchedulerKind::Hrms
             .schedule(&g, &m, &SchedRequest { min_ii: None, max_ii: Some(3) })
             .unwrap_err();
         assert!(matches!(err, SchedError::InfeasibleRequest { .. }));
@@ -637,19 +598,19 @@ mod tests {
         b.reg_dist(c, a, 1); // MII 8 on P1L4
         let g = b.build().unwrap();
         let m = MachineConfig::p1l4();
-        let sched = HrmsScheduler::new()
+        let sched = SchedulerKind::Hrms
             .schedule(&g, &m, &SchedRequest { min_ii: None, max_ii: Some(8) })
             .expect("II 8 is feasible");
         assert_eq!(sched.ii(), 8);
         // A ceiling above the fallback bound must still be respected as
         // given (the old dead expression could never change it either).
         let huge = crate::fallback_max_ii(&g, &m) + 100;
-        let sched = HrmsScheduler::new()
+        let sched = SchedulerKind::Hrms
             .schedule(&g, &m, &SchedRequest { min_ii: None, max_ii: Some(huge) })
             .unwrap();
         assert_eq!(sched.ii(), 8, "search still stops at the first feasible II");
         // min_ii above every feasible II with a matching max_ii: exhausted.
-        let err = HrmsScheduler::new()
+        let err = SchedulerKind::Hrms
             .schedule(&g, &m, &SchedRequest { min_ii: Some(9), max_ii: Some(7) })
             .unwrap_err();
         assert!(matches!(err, SchedError::InfeasibleRequest { min_ii: 9, max_ii: 7 }));
@@ -703,7 +664,7 @@ mod tests {
             }
             let Ok(g) = b.build() else { continue };
             let m = &machines[case % machines.len()];
-            let s = HrmsScheduler::new()
+            let s = SchedulerKind::Hrms
                 .schedule(&g, m, &SchedRequest::default())
                 .unwrap_or_else(|e| panic!("case {case}: {e}\n{g}"));
             s.verify(&g, m).unwrap_or_else(|e| panic!("case {case}: {e}\n{g}\n{s}"));
@@ -725,7 +686,7 @@ mod tests {
         let g = b.build().unwrap();
         let m = MachineConfig::p2l4();
         let order =
-            HrmsScheduler::new().ordering(&g, &m, mii(&g, &m)).expect("feasible analysis");
+            SchedulerKind::Hrms.ordering(&g, &m, mii(&g, &m)).expect("feasible analysis");
         assert_eq!(order[0], acc, "dominant self-recurrence must lead the order: {order:?}");
         schedule_ok(&g, &m);
     }

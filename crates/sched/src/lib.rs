@@ -6,28 +6,22 @@
 //!   bounds on the initiation interval (paper Section 2.2).
 //! * [`Schedule`] — a modulo schedule (II + start cycle per operation) with
 //!   full verification against the dependence graph and machine model.
-//! * [`HrmsScheduler`] — a register-sensitive modulo scheduler in the
-//!   HRMS/Swing family used by the paper as its core scheduler: an ordering
-//!   phase guarantees every operation is placed while only its predecessors
-//!   *or* only its successors are already scheduled, and a bidirectional
-//!   placement phase puts each operation as close to its neighbours as the
-//!   modulo reservation table allows, keeping lifetimes short.
-//! * [`SmsScheduler`] — Swing Modulo Scheduling, the successor heuristic by
-//!   the same group: the same bidirectional placement, but an ordering
-//!   phase driven by each node's combined ASAP/ALAP *swing* priority.
-//! * [`AsapScheduler`] — a register-insensitive top-down baseline
-//!   (the comparison point the paper cites from lifetime-insensitive
-//!   schedulers).
+//! * [`SchedulerKind`] — the one handle on the built-in modulo schedulers:
+//!   a serializable registry that itself implements [`Scheduler`], so the
+//!   choice of scheduler is a first-class axis of the evaluation matrix
+//!   (`--scheduler hrms|sms|asap|exact` on the CLI). It holds the paper's
+//!   register-sensitive HRMS, whose ordering phase places each operation
+//!   while only its predecessors *or* only its successors are scheduled and
+//!   whose bidirectional placement keeps it close to its neighbours, so
+//!   lifetimes stay short; Swing Modulo Scheduling, the same placement
+//!   under an ordering by combined ASAP/ALAP *swing* priority; the
+//!   register-insensitive ASAP baseline; and the exact oracle below.
 //! * [`ExactScheduler`] — a branch-and-bound **optimality oracle**: it
 //!   enumerates IIs from MII upward and exhaustively refutes each
 //!   infeasible II within a deterministic node budget, reporting
 //!   [`ExactStatus::Proven`] or [`ExactStatus::BudgetExhausted`] so
 //!   results are never silently wrong (`regpipe gap` measures every
 //!   heuristic against it).
-//! * [`SchedulerKind`] — the scheduler registry: a serializable selector
-//!   over the registered schedulers that itself implements [`Scheduler`],
-//!   so the choice of scheduler is a first-class axis of the evaluation
-//!   matrix (`--scheduler hrms|sms|asap|exact` on the CLI).
 //! * [`Kernel`] — kernel extraction with stage annotations (Figure 2e).
 //!
 //! `docs/algorithms.md` in the repository walks the HRMS and SMS ordering
@@ -43,7 +37,7 @@
 //! ```
 //! use regpipe_ddg::{DdgBuilder, OpKind};
 //! use regpipe_machine::MachineConfig;
-//! use regpipe_sched::{mii, HrmsScheduler, Scheduler, SchedRequest};
+//! use regpipe_sched::{mii, SchedRequest, Scheduler, SchedulerKind};
 //!
 //! let mut b = DdgBuilder::new("dot");
 //! let lx = b.add_op(OpKind::Load, "lx");
@@ -57,7 +51,7 @@
 //! let g = b.build()?;
 //!
 //! let machine = MachineConfig::p2l4();
-//! let sched = HrmsScheduler::new()
+//! let sched = SchedulerKind::Hrms
 //!     .schedule(&g, &machine, &SchedRequest::default())
 //!     .expect("schedulable");
 //! assert_eq!(sched.ii(), mii(&g, &machine)); // optimal: II = MII = 4
@@ -69,7 +63,6 @@
 #![warn(missing_docs)]
 
 mod analysis;
-mod asap_sched;
 mod exact;
 mod groups;
 mod hrms;
@@ -85,17 +78,14 @@ mod stage;
 pub mod deadline;
 
 pub use analysis::TimeAnalysis;
-pub use asap_sched::AsapScheduler;
 pub use exact::{ExactOutcome, ExactScheduler, ExactStatus, DEFAULT_NODE_BUDGET};
 pub use groups::ComplexGroups;
-pub use hrms::HrmsScheduler;
 pub use kernel::{Kernel, KernelSlot};
 pub use loop_analysis::LoopAnalysis;
 pub use pipeline::{PipelinedLoop, TraceEntry};
 pub use recmii::{per_recurrence_bounds, rec_mii, RecurrenceBound};
 pub use registry::SchedulerKind;
 pub use schedule::{Schedule, VerifyError};
-pub use sms::SmsScheduler;
 pub use stage::stage_schedule;
 
 use std::error::Error;
@@ -182,7 +172,9 @@ impl Error for SchedError {}
 /// Implementations search increasing IIs starting at `max(MII, min_ii)`
 /// until a valid schedule is found or `max_ii` is exceeded. The trait is the
 /// plug-in point the paper insists on: the spilling framework "can be
-/// applied to any software pipelining technique".
+/// applied to any software pipelining technique". [`SchedulerKind`] is the
+/// implementation for every built-in scheduler; `regpipe_core::LoopRow`
+/// runs the paper's strategies over any other.
 pub trait Scheduler {
     /// Schedules within a prebuilt [`LoopAnalysis`] context, letting
     /// repeated calls on the same loop (II sweeps, best-of-all probes,

@@ -38,57 +38,11 @@
 
 use std::collections::BTreeSet;
 
-use regpipe_ddg::{Ddg, OpId};
-use regpipe_machine::MachineConfig;
+use regpipe_ddg::OpId;
 
 use crate::analysis::TimeAnalysis;
-use crate::hrms::{frontier_walk, group_priorities, ii_search, Direction};
+use crate::hrms::{frontier_walk, group_priorities, Direction};
 use crate::loop_analysis::LoopAnalysis;
-use crate::{SchedError, SchedRequest, Schedule, Scheduler};
-
-/// The Swing Modulo Scheduling register-sensitive scheduler.
-///
-/// The ordering phase walks the shared priority sets by each node's
-/// combined ASAP/ALAP *swing* priority — tightest deadline top-down,
-/// deepest origin bottom-up — where
-/// [`HrmsScheduler`](crate::HrmsScheduler) prefers readiness; the
-/// bidirectional placement phase and every II-independent analysis
-/// ([`LoopAnalysis`]) are shared. `docs/algorithms.md` walks both
-/// orderings side by side on the same kernels.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct SmsScheduler {
-    _private: (),
-}
-
-impl SmsScheduler {
-    /// Creates the scheduler.
-    pub fn new() -> Self {
-        SmsScheduler { _private: () }
-    }
-
-    /// Runs the swing ordering phase in isolation: the sequence of
-    /// complex-group leaders SMS places at `ii`, one per group.
-    ///
-    /// Returns `None` when the timing analysis is infeasible at `ii`.
-    pub fn ordering(&self, ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Option<Vec<OpId>> {
-        let ctx = LoopAnalysis::new(ddg, machine);
-        let analysis = ctx.time_analysis(ii, None)?;
-        Some(swing_ordering(&ctx, &analysis))
-    }
-}
-
-impl Scheduler for SmsScheduler {
-    fn schedule_in(
-        &self,
-        ctx: &LoopAnalysis<'_>,
-        request: &SchedRequest,
-    ) -> Result<Schedule, SchedError> {
-        // The swing order has no readiness gate, so both-sided windows can
-        // wedge at tight IIs; the shared walk's ASAP-clamped fallback keeps
-        // the search converging, exactly as for HRMS.
-        ii_search(ctx, request, "sms", Some(swing_ordering))
-    }
-}
 
 /// The swing ordering: the shared [`frontier_walk`] over the context's
 /// precomputed priority sets (recurrences by decreasing RecMII, each with
@@ -136,11 +90,12 @@ fn pick_swing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mii, HrmsScheduler};
-    use regpipe_ddg::{DdgBuilder, OpKind};
+    use crate::{mii, SchedError, SchedRequest, Schedule, Scheduler, SchedulerKind};
+    use regpipe_ddg::{Ddg, DdgBuilder, OpKind};
+    use regpipe_machine::MachineConfig;
 
     fn schedule_ok(ddg: &Ddg, machine: &MachineConfig) -> Schedule {
-        let s = SmsScheduler::new()
+        let s = SchedulerKind::Sms
             .schedule(ddg, machine, &SchedRequest::default())
             .expect("schedulable");
         s.verify(ddg, machine).expect("valid");
@@ -208,9 +163,9 @@ mod tests {
         b.add_op(OpKind::Add, "a");
         let g = b.build().unwrap();
         let m = MachineConfig::p1l4();
-        let s = SmsScheduler::new().schedule(&g, &m, &SchedRequest::starting_at(5)).unwrap();
+        let s = SchedulerKind::Sms.schedule(&g, &m, &SchedRequest::starting_at(5)).unwrap();
         assert_eq!(s.ii(), 5);
-        let err = SmsScheduler::new()
+        let err = SchedulerKind::Sms
             .schedule(&g, &m, &SchedRequest { min_ii: Some(4), max_ii: Some(3) })
             .unwrap_err();
         assert!(matches!(err, SchedError::InfeasibleRequest { .. }));
@@ -234,8 +189,8 @@ mod tests {
         let g = b.build().unwrap();
         let m = MachineConfig::p2l4();
         let ii = mii(&g, &m);
-        let sms = SmsScheduler::new().ordering(&g, &m, ii).expect("feasible");
-        let hrms = HrmsScheduler::new().ordering(&g, &m, ii).expect("feasible");
+        let sms = SchedulerKind::Sms.ordering(&g, &m, ii).expect("feasible");
+        let hrms = SchedulerKind::Hrms.ordering(&g, &m, ii).expect("feasible");
         assert_ne!(sms, hrms, "orderings must diverge on the join kernel");
         // SMS takes the tight-deadline multiply before the slack store.
         let pos = |order: &[OpId], op: OpId| order.iter().position(|&x| x == op).unwrap();
@@ -282,7 +237,7 @@ mod tests {
             }
             let Ok(g) = b.build() else { continue };
             let m = &machines[case % machines.len()];
-            let s = SmsScheduler::new()
+            let s = SchedulerKind::Sms
                 .schedule(&g, m, &SchedRequest::default())
                 .unwrap_or_else(|e| panic!("case {case}: {e}\n{g}"));
             s.verify(&g, m).unwrap_or_else(|e| panic!("case {case}: {e}\n{g}\n{s}"));

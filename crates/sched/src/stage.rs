@@ -138,7 +138,7 @@ fn total_lifetime(ddg: &Ddg, start: &[i64], ii: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HrmsScheduler, SchedRequest, Scheduler};
+    use crate::{SchedRequest, Scheduler, SchedulerKind};
     use regpipe_ddg::{DdgBuilder, OpKind};
 
     #[test]
@@ -153,7 +153,7 @@ mod tests {
         }
         let g = b.build().unwrap();
         let machine = MachineConfig::p2l4();
-        let s = HrmsScheduler::new().schedule(&g, &machine, &SchedRequest::default()).unwrap();
+        let s = SchedulerKind::Hrms.schedule(&g, &machine, &SchedRequest::default()).unwrap();
         let post = stage_schedule(&g, &machine, &s);
         assert_eq!(post.ii(), s.ii());
         post.verify(&g, &machine).expect("still valid");

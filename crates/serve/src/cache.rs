@@ -43,9 +43,17 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// Stable shard/index hash of the key (FNV-1a over its fields).
+    /// Stable shard/index hash of the key (FNV-1a over its text form).
     pub fn stable_hash(&self) -> u64 {
-        let text = format!(
+        fnv1a(self.text().as_bytes())
+    }
+
+    /// The key's one text form, `%016x` ddg hash then the other fields,
+    /// `|`-separated: what [`CacheKey::stable_hash`] hashes and what the
+    /// persistent store writes ahead of each payload (`key-text` in
+    /// [`crate::store`]).
+    pub(crate) fn text(&self) -> String {
+        format!(
             "{:016x}|{}|{}|{}|{}|{}",
             self.ddg_hash,
             self.machine,
@@ -53,8 +61,7 @@ impl CacheKey {
             self.strategy,
             self.spill_policy,
             self.budget
-        );
-        fnv1a(text.as_bytes())
+        )
     }
 
     /// Approximate resident bytes of the key itself.

@@ -30,10 +30,11 @@
 //!            "|" spill-policy "|" budget ;
 //! ```
 //!
-//! `key-text` is exactly the text [`crate::CacheKey::stable_hash`] hashes
-//! (`%016x` ddg hash; the canonical machine identity contains no `|` or
-//! newline), and `value` is the rendered id-free response payload (one
-//! JSON object, no interior newlines).
+//! `key-text` is `CacheKey::text`, the one text form of the key, which
+//! [`crate::CacheKey::stable_hash`] also hashes (`%016x` ddg hash; the
+//! canonical machine identity contains no `|` or newline), and `value` is
+//! the rendered id-free response payload (one JSON object, no interior
+//! newlines).
 //!
 //! ## Recovery policy
 //!
@@ -122,14 +123,6 @@ pub struct Store {
     counters: StoreCounters,
 }
 
-/// Renders the key text that [`CacheKey::stable_hash`] hashes.
-fn key_text(key: &CacheKey) -> String {
-    format!(
-        "{:016x}|{}|{}|{}|{}|{}",
-        key.ddg_hash, key.machine, key.scheduler, key.strategy, key.spill_policy, key.budget
-    )
-}
-
 /// Parses a frame's key text back into a [`CacheKey`].
 fn parse_key_text(text: &str) -> Option<CacheKey> {
     let mut parts = text.splitn(6, '|');
@@ -157,7 +150,7 @@ fn segment_index(name: &str) -> Option<u64> {
 
 /// Encodes one `[len][crc][payload]` frame.
 fn encode_frame(key: &CacheKey, payload: &str) -> Vec<u8> {
-    let mut body = key_text(key).into_bytes();
+    let mut body = key.text().into_bytes();
     body.push(b'\n');
     body.extend_from_slice(payload.as_bytes());
     let mut frame = Vec::with_capacity(8 + body.len());
@@ -416,7 +409,7 @@ mod tests {
     #[test]
     fn key_text_parses_back_exactly() {
         let k = key(7);
-        assert_eq!(parse_key_text(&key_text(&k)), Some(k));
+        assert_eq!(parse_key_text(&k.text()), Some(k));
         assert_eq!(parse_key_text("not a key"), None);
         assert_eq!(parse_key_text("0123|m|s"), None);
         // Pre-spill-policy five-component keys no longer parse: stale

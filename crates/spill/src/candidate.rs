@@ -5,6 +5,8 @@ use std::fmt;
 use regpipe_ddg::{Ddg, InvariantId, OpId, OpKind};
 use regpipe_regalloc::LifetimeAnalysis;
 
+use crate::rewrite::reusable_store;
+
 /// A value eligible for spilling, with its heuristic inputs.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SpillCandidate {
@@ -129,19 +131,9 @@ fn spill_cost(ddg: &Ddg, producer: OpId, uses: u32) -> u32 {
         // Reload from the original location: no store.
         return uses;
     }
-    // The reuse-store optimization applies only when one store's
-    // zero-distance consumptions cover every use (see `spill` for why);
-    // it then costs nothing. Everything else takes the general path.
-    let fully_covered_by_store = ddg
-        .reg_consumers(producer)
-        .find(|&(c, dist)| {
-            dist == 0
-                && ddg.op(c).kind() == OpKind::Store
-                && !ddg.in_edges(c).any(regpipe_ddg::Edge::is_fixed)
-        })
-        .map(|(st, _)| ddg.reg_consumers(producer).all(|(c, d)| c == st && d == 0))
-        .unwrap_or(false);
-    if fully_covered_by_store {
+    // A reusable store consumer doubles as the spill store at no cost;
+    // everything else takes the general path.
+    if reusable_store(ddg, producer).is_some() {
         0
     } else {
         uses + 1

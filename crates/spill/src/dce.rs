@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn spill_then_dce_preserves_schedulability() {
         use regpipe_machine::MachineConfig;
-        use regpipe_sched::{HrmsScheduler, SchedRequest, Scheduler};
+        use regpipe_sched::{SchedRequest, Scheduler, SchedulerKind};
         let mut b = DdgBuilder::new("pipeline");
         let ld = b.add_op(OpKind::Load, "ld");
         let a1 = b.add_op(OpKind::Add, "a1");
@@ -193,7 +193,7 @@ mod tests {
         b.reg(a2, st);
         let mut g = b.build().unwrap();
         let m = MachineConfig::p1l4();
-        let sched = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+        let sched = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
         let analysis = LifetimeAnalysis::new(&g, &sched);
         let pool = candidates(&g, &analysis);
         let ctx =
@@ -201,7 +201,7 @@ mod tests {
         let victim = SpillPolicyKind::Paper.select(&pool, &ctx).unwrap().clone();
         spill(&mut g, &victim);
         let r = eliminate_dead_ops(&g);
-        let post = HrmsScheduler::new()
+        let post = SchedulerKind::Hrms
             .schedule(&r.ddg, &m, &SchedRequest::default())
             .expect("cleaned graph schedules");
         post.verify(&r.ddg, &m).unwrap();

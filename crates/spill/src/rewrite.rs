@@ -100,24 +100,9 @@ fn spill_variant(ddg: &mut Ddg, producer: OpId) -> SpillReport {
     let uses: Vec<(OpId, u32)> = ddg.reg_consumers(producer).collect();
     debug_assert!(!uses.is_empty(), "spillable implies live");
 
-    // Decide the shape before mutating. Reusing a store consumer as the
-    // spill store is only safe when it covers *every* use: bonding the
-    // producer to a pre-existing store while other consumers reload would
-    // let pre-existing memory orderings (consumer before that store) close
-    // contradictory zero-distance constraint cycles through the bonds.
+    // Decide the shape before mutating.
     let producer_is_load = ddg.op(producer).kind() == OpKind::Load;
-    let reusable_store = if producer_is_load {
-        None
-    } else {
-        uses.iter()
-            .find(|&&(c, dist)| {
-                dist == 0
-                    && ddg.op(c).kind() == OpKind::Store
-                    && !ddg.in_edges(c).any(Edge::is_fixed)
-            })
-            .map(|&(c, _)| c)
-            .filter(|&st| uses.iter().all(|&(c, d)| c == st && d == 0))
-    };
+    let reusable_store = reusable_store(ddg, producer);
 
     // 1. Remove the spilled value's register edges.
     ddg.remove_edges_where(|e| e.kind() == EdgeKind::RegFlow && e.from() == producer);
@@ -172,6 +157,22 @@ fn spill_variant(ddg: &mut Ddg, producer: OpId) -> SpillReport {
         attach_reload(ddg, load, consumer);
     }
     report
+}
+
+/// The store consumer that can double as `producer`'s spill store, if
+/// any: a store, not yet part of a complex operation, whose zero-distance
+/// consumptions are every use of the value. Reuse is only safe when it
+/// covers *every* use: bonding the producer to a pre-existing store while
+/// other consumers reload would let pre-existing memory orderings
+/// (consumer before that store) close contradictory zero-distance
+/// constraint cycles through the bonds. [`spill`] reuses this store and
+/// [`candidates`](crate::candidates) prices such a spill at zero added
+/// memory operations, so the ranking and the rewrite cannot disagree.
+pub(crate) fn reusable_store(ddg: &Ddg, producer: OpId) -> Option<OpId> {
+    let (st, _) = ddg.reg_consumers(producer).find(|&(c, dist)| {
+        dist == 0 && ddg.op(c).kind() == OpKind::Store && !ddg.in_edges(c).any(Edge::is_fixed)
+    })?;
+    ddg.reg_consumers(producer).all(|(c, d)| c == st && d == 0).then_some(st)
 }
 
 fn spill_invariant(ddg: &mut Ddg, id: regpipe_ddg::InvariantId) -> SpillReport {
@@ -418,7 +419,7 @@ mod tests {
         // pushes the other consumer after it — an unsatisfiable constraint
         // cycle. The general path must be taken and stay schedulable.
         use regpipe_machine::MachineConfig;
-        use regpipe_sched::{HrmsScheduler, SchedRequest, Scheduler};
+        use regpipe_sched::{SchedRequest, Scheduler, SchedulerKind};
         let mut b = DdgBuilder::new("wedge");
         let p = b.add_op(OpKind::Add, "p");
         let st_other = b.add_op(OpKind::Store, "st_other");
@@ -432,7 +433,7 @@ mod tests {
         assert_eq!(report.optimization, SpillOptimization::General);
         g.validate().unwrap();
         let m = MachineConfig::p1l4();
-        let s = HrmsScheduler::new()
+        let s = SchedulerKind::Hrms
             .schedule(&g, &m, &SchedRequest::default())
             .expect("no contradictory bonds");
         s.verify(&g, &m).unwrap();

@@ -7,7 +7,7 @@
 use regpipe::loops::kernels;
 use regpipe::prelude::*;
 use regpipe::regalloc::{pressure_chart, LifetimeAnalysis, MveAllocator};
-use regpipe::sched::{rec_mii, stage_schedule, AsapScheduler, SchedRequest, Scheduler};
+use regpipe::sched::{rec_mii, stage_schedule, SchedRequest, Scheduler};
 
 fn main() {
     let machine = MachineConfig::p2l4();
@@ -17,10 +17,10 @@ fn main() {
         "kernel", "ops", "RecMII", "MII", "II", "regs", "asap", "asap+stage", "MVE"
     );
     for g in kernels::all_kernels() {
-        let hrms = HrmsScheduler::new()
+        let hrms = SchedulerKind::Hrms
             .schedule(&g, &machine, &SchedRequest::default())
             .expect("kernels schedule");
-        let asap = AsapScheduler::new()
+        let asap = SchedulerKind::Asap
             .schedule(&g, &machine, &SchedRequest::default())
             .expect("kernels schedule");
         let asap_staged = stage_schedule(&g, &machine, &asap);
@@ -45,7 +45,7 @@ fn main() {
 
     // Deep dive: the tri-diagonal recurrence, which no machine can speed up.
     let g = kernels::tridiagonal();
-    let s = HrmsScheduler::new().schedule(&g, &machine, &SchedRequest::default()).unwrap();
+    let s = SchedulerKind::Hrms.schedule(&g, &machine, &SchedRequest::default()).unwrap();
     println!("\n--- tridiagonal elimination in detail ---");
     println!("{}", pressure_chart(&LifetimeAnalysis::new(&g, &s)));
     let c = compile(&g, &machine, 4, &CompileOptions::default()).expect("fits 4 registers");

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let machine = MachineConfig::p2l4();
 
     // Unconstrained: schedule at the minimum initiation interval.
-    let sched = HrmsScheduler::new().schedule(&ddg, &machine, &Default::default())?;
+    let sched = SchedulerKind::Hrms.schedule(&ddg, &machine, &Default::default())?;
     let regs = allocate(&ddg, &sched);
     println!(
         "unconstrained: II = {} (MII = {}), {} registers",

@@ -13,7 +13,7 @@ use regpipe::spill::SelectHeuristic;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let g = example_loop();
     let m = MachineConfig::uniform(4, 2); // the paper's didactic machine
-    let scheduler = HrmsScheduler::new();
+    let scheduler = SchedulerKind::Hrms;
 
     println!("loop: x(i) = y(i)*a + y(i-3)\n{g}");
 

@@ -13,7 +13,7 @@ fn main() {
     let loops = suite(2026, 100);
     let machine = MachineConfig::p2l4();
     let spill = CompileOptions { strategy: Strategy::Spill, ..CompileOptions::default() };
-    let scheduler = HrmsScheduler::new();
+    let scheduler = SchedulerKind::Hrms;
 
     // (loops, ideal cycles, constrained cycles, spills) per archetype.
     let mut per_kind: BTreeMap<String, (u32, u64, u64, u64)> = BTreeMap::new();

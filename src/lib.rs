@@ -84,8 +84,6 @@ pub mod prelude {
     pub use regpipe_loops::{generate, load_corpus, write_corpus, BenchLoop, GenParams};
     pub use regpipe_machine::MachineConfig;
     pub use regpipe_regalloc::{allocate, LifetimeAnalysis};
-    pub use regpipe_sched::{
-        mii, AsapScheduler, HrmsScheduler, Schedule, Scheduler, SchedulerKind, SmsScheduler,
-    };
+    pub use regpipe_sched::{mii, Schedule, Scheduler, SchedulerKind};
     pub use regpipe_spill::{SelectHeuristic, SpillPolicy, SpillPolicyKind};
 }

@@ -92,3 +92,19 @@ fn report_json_parses_and_has_the_advertised_shape() {
         );
     }
 }
+
+/// The committed `BENCH_suite.json` is what `regpipe suite --size 50
+/// --seed 7` writes (P2L4, budgets 64 and 32, strategies best, spill and
+/// increase-II, default options), byte for byte, so it cannot go stale
+/// against the compiler.
+#[test]
+fn committed_suite_report_is_fresh() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_suite.json");
+    let committed = std::fs::read_to_string(path).expect("committed BENCH_suite.json");
+    let fresh = run_batch(&suite(7, 50), &request(2)).to_json(false);
+    assert!(
+        fresh == committed,
+        "BENCH_suite.json is stale: regenerate it with `regpipe suite --size 50 --seed 7` \
+         at the repo root"
+    );
+}

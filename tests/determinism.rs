@@ -9,8 +9,8 @@ use regpipe::sched::SchedRequest;
 fn schedules_are_deterministic() {
     let g = paper::apsi50_like();
     let m = MachineConfig::p2l4();
-    let a = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
-    let b = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+    let a = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
+    let b = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
     assert_eq!(a, b);
 }
 
@@ -41,7 +41,7 @@ fn suites_are_seed_stable() {
 #[test]
 fn full_pipeline_fixpoint_snapshot() {
     // A coarse snapshot guarding against silent behavioural drift: if this
-    // changes, the experiment outputs in EXPERIMENTS.md need regenerating.
+    // changes, the `regpipe paper <artifact>` outputs need regenerating.
     let m = MachineConfig::p2l4();
     let g47 = paper::apsi47_like();
     let g50 = paper::apsi50_like();

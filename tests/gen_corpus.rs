@@ -17,7 +17,7 @@ use regpipe::ddg::textfmt;
 use regpipe::exec::{run_batch, BatchRequest};
 use regpipe::loops::{generate, load_corpus, write_corpus, GenParams, WeightDist};
 use regpipe::machine::MachineConfig;
-use regpipe::sched::{mii, HrmsScheduler, SchedRequest, Scheduler};
+use regpipe::sched::{mii, SchedRequest, Scheduler, SchedulerKind};
 
 /// Render a whole generated corpus as the bytes `regpipe gen` would write.
 fn corpus_bytes(seed: u64, count: usize, params: &GenParams) -> Vec<String> {
@@ -63,7 +63,7 @@ proptest! {
         for machine in MachineConfig::paper_configs() {
             for l in &loops {
                 l.ddg.validate().unwrap_or_else(|e| panic!("{}: {e}", l.name));
-                let s = HrmsScheduler::new()
+                let s = SchedulerKind::Hrms
                     .schedule(&l.ddg, &machine, &SchedRequest::default())
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", l.name, machine.name()));
                 s.verify(&l.ddg, &machine)

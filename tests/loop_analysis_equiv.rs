@@ -4,10 +4,10 @@
 //! The per-loop analysis context must be a pure optimization: every
 //! schedule, allocation, spill decision, provenance counter and trace
 //! point has to be byte-identical whether `compile` shares one context
-//! across probes and rounds (the production path) or `compile_with`
+//! across probes and rounds (the production path) or a `LoopRow` over a
+//! wrapper scheduler whose `schedule_in` ignores the context it is handed
 //! rebuilds everything from scratch on every scheduler call (the reference
-//! path, a wrapper scheduler whose `schedule_in` ignores the context it is
-//! handed). A second family of properties checks cache *invalidation*:
+//! path). A second family of properties checks cache *invalidation*:
 //! after each spill rewrite, a context rebuilt on the mutated graph agrees
 //! with the standalone computations (groups, MII, RecMII, ordering,
 //! schedules) on that graph. A third checks that a `LoopRow`, which shares
@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 
-use regpipe::core::{compile_with, CompileError, CompiledLoop, LoopRow, Strategy};
+use regpipe::core::{CompileError, CompiledLoop, LoopRow, Strategy};
 use regpipe::ddg::Ddg;
 use regpipe::loops::paper::example_loop;
 use regpipe::loops::{generate, suite, GenParams};
@@ -32,8 +32,7 @@ use regpipe::spill::{candidates, spill_batch, RankContext};
 /// on every `schedule_in` call instead of using the one it is handed.
 /// Compiles run over this wrapper redo all II-independent analysis per
 /// scheduler call — the pre-cache behaviour.
-#[derive(Clone, Copy, Debug, Default)]
-struct UncachedHrms(HrmsScheduler);
+struct UncachedHrms;
 
 impl Scheduler for UncachedHrms {
     fn schedule_in(
@@ -41,7 +40,7 @@ impl Scheduler for UncachedHrms {
         ctx: &LoopAnalysis<'_>,
         request: &SchedRequest,
     ) -> Result<Schedule, SchedError> {
-        self.0.schedule(ctx.ddg(), ctx.machine(), request)
+        SchedulerKind::Hrms.schedule(ctx.ddg(), ctx.machine(), request)
     }
 }
 
@@ -108,7 +107,7 @@ proptest! {
                 let options = CompileOptions { strategy, ..CompileOptions::default() };
                 let cached = compile(&g, machine, budget, &options);
                 let reference =
-                    compile_with(&UncachedHrms::default(), &g, machine, budget, &options);
+                    LoopRow::new(&UncachedHrms, &g, machine, options.spill).compile(budget, strategy);
                 assert_same_compile(&cached, &reference);
             }
         }
@@ -127,7 +126,7 @@ proptest! {
     ) {
         let machine = paper_machines()[machine_idx].clone();
         let mut g = kernel(seed, ops);
-        let scheduler = HrmsScheduler::new();
+        let scheduler = SchedulerKind::Hrms;
         for _round in 0..4 {
             let ctx = LoopAnalysis::new(&g, &machine);
             // Cached bounds match the standalone functions.

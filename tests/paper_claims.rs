@@ -1,8 +1,8 @@
 //! The paper's headline claims as executable assertions, on a reduced
 //! (seed-stable) suite — guarding the reproduction against silent drift.
-//! The full-scale numbers live in `EXPERIMENTS.md`; these tests check the
-//! *shapes* that make the paper's conclusions: who wins, and where the
-//! technique breaks.
+//! The full-scale numbers come from `regpipe paper <artifact>`; these
+//! tests check the *shapes* that make the paper's conclusions: who wins,
+//! and where the technique breaks.
 
 use regpipe::core::CompiledLoop;
 use regpipe::loops::{suite, BenchLoop};
@@ -38,7 +38,7 @@ fn spill(
 }
 
 fn ideal(l: &BenchLoop, m: &MachineConfig) -> (u32, u32) {
-    let s = HrmsScheduler::new().schedule(&l.ddg, m, &SchedRequest::default()).unwrap();
+    let s = SchedulerKind::Hrms.schedule(&l.ddg, m, &SchedRequest::default()).unwrap();
     let a = allocate(&l.ddg, &s);
     (s.ii(), a.total())
 }

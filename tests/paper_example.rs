@@ -54,7 +54,7 @@ fn figure3_increasing_ii_to_2_needs_7_registers() {
 fn hrms_matches_or_beats_the_hand_schedules() {
     let g = example_loop();
     let m = machine();
-    let s1 = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+    let s1 = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
     assert_eq!(s1.ii(), 1, "resource bound 4 ops / 4 units");
     let lt = LifetimeAnalysis::new(&g, &s1);
     assert!(lt.max_live_variants() <= 11, "register-sensitive placement");

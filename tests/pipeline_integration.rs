@@ -1,12 +1,12 @@
 //! End-to-end integration across all crates: suite loops through every
 //! strategy on every machine, with full verification of the results.
 
-use regpipe::core::{compile_with, CompileError};
+use regpipe::core::CompileError;
 use regpipe::loops::{paper, suite};
 use regpipe::prelude::*;
 use regpipe::regalloc::LifetimeAnalysis;
-use regpipe::sched::{AsapScheduler, SchedRequest};
-use regpipe::spill::SelectHeuristic;
+use regpipe::sched::SchedRequest;
+use regpipe::spill::{candidates, spill, SelectHeuristic};
 
 fn options(strategy: Strategy) -> CompileOptions {
     CompileOptions { strategy, ..CompileOptions::default() }
@@ -61,8 +61,8 @@ fn spill_framework_works_with_the_register_insensitive_scheduler() {
     // techniques": run the strategies over the ASAP baseline.
     let g = paper::apsi50_like();
     let m = MachineConfig::p2l4();
-    let out = compile_with(&AsapScheduler::new(), &g, &m, 32, &options(Strategy::Spill))
-        .expect("spilling converges under ASAP too");
+    let options = CompileOptions { scheduler: SchedulerKind::Asap, ..options(Strategy::Spill) };
+    let out = compile(&g, &m, 32, &options).expect("spilling converges under ASAP too");
     out.schedule().verify(out.ddg(), &m).unwrap();
     assert!(out.registers_used() <= 32);
 }
@@ -76,8 +76,8 @@ fn register_insensitive_scheduling_needs_more_registers() {
     let mut hrms_total = 0u64;
     let mut asap_total = 0u64;
     for l in &loops {
-        let h = HrmsScheduler::new().schedule(&l.ddg, &m, &SchedRequest::default()).unwrap();
-        let a = AsapScheduler::new().schedule(&l.ddg, &m, &SchedRequest::default()).unwrap();
+        let h = SchedulerKind::Hrms.schedule(&l.ddg, &m, &SchedRequest::default()).unwrap();
+        let a = SchedulerKind::Asap.schedule(&l.ddg, &m, &SchedRequest::default()).unwrap();
         // Compare at the same II to isolate placement effects.
         if h.ii() == a.ii() {
             hrms_total += u64::from(LifetimeAnalysis::new(&l.ddg, &h).max_live());
@@ -148,4 +148,28 @@ fn sixty_four_registers_rarely_need_any_spill() {
         }
     }
     assert!(spilled_loops <= 5, "{spilled_loops} of 50 needed spills at 64 regs");
+}
+
+/// Every spill candidate's cost is what its rewrite adds: the ranking
+/// prices the reuse-store and producer-is-load cases exactly as `spill`
+/// rewrites them, so Max(LT/Traf) ranks victims by the memory operations
+/// they really cost.
+#[test]
+fn candidate_costs_equal_the_memory_ops_their_spill_adds() {
+    let mut loops = suite(3, 300);
+    loops.extend(generate(5, 300, &GenParams::default()).expect("valid knobs"));
+    let mut checked = 0;
+    for machine in [MachineConfig::p1l4(), MachineConfig::p2l4()] {
+        for l in &loops {
+            let s = SchedulerKind::Hrms.schedule(&l.ddg, &machine, &SchedRequest::default());
+            let analysis = LifetimeAnalysis::new(&l.ddg, &s.unwrap());
+            for candidate in candidates(&l.ddg, &analysis) {
+                let report = spill(&mut l.ddg.clone(), &candidate);
+                let added = report.stores_added + report.loads_added;
+                assert_eq!(candidate.cost(), added, "{} on {machine}: {candidate}", l.name);
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 10_000, "only {checked} candidates checked");
 }

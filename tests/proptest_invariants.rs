@@ -156,7 +156,7 @@ proptest! {
     #[test]
     fn schedules_always_verify(g in arb_ddg(), m_idx in 0usize..3) {
         let m = &machines()[m_idx];
-        let s = HrmsScheduler::new()
+        let s = SchedulerKind::Hrms
             .schedule(&g, m, &SchedRequest::default())
             .expect("every valid graph is schedulable");
         prop_assert!(s.verify(&g, m).is_ok(), "{:?}", s.verify(&g, m));
@@ -166,7 +166,7 @@ proptest! {
     #[test]
     fn allocation_is_conflict_free_and_at_least_maxlive(g in arb_ddg(), m_idx in 0usize..3) {
         let m = &machines()[m_idx];
-        let s = HrmsScheduler::new().schedule(&g, m, &SchedRequest::default()).unwrap();
+        let s = SchedulerKind::Hrms.schedule(&g, m, &SchedRequest::default()).unwrap();
         let analysis = LifetimeAnalysis::new(&g, &s);
         let alloc = RotatingAllocator::new().allocate(&analysis);
         prop_assert!(alloc.total() >= analysis.max_live());
@@ -203,7 +203,7 @@ proptest! {
         let mut g = g;
         let mut rounds = 0usize;
         loop {
-            let s = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+            let s = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
             let analysis = LifetimeAnalysis::new(&g, &s);
             let pool = candidates(&g, &analysis);
             let heuristic = SelectHeuristic::MaxLtOverTraffic;
@@ -217,7 +217,7 @@ proptest! {
             prop_assert!(g.validate().is_ok());
             // Termination argument: the spillable pool shrinks every round
             // (fresh values are born non-spillable).
-            let s2 = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+            let s2 = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
             let analysis2 = LifetimeAnalysis::new(&g, &s2);
             prop_assert!(candidates(&g, &analysis2).len() < before);
             rounds += 1;
@@ -237,7 +237,7 @@ proptest! {
     #[test]
     fn bonded_graphs_schedule_with_groups_intact(g in arb_bonded_ddg(), m_idx in 0usize..3) {
         let m = &machines()[m_idx];
-        let s = HrmsScheduler::new()
+        let s = SchedulerKind::Hrms
             .schedule(&g, m, &SchedRequest::default())
             .expect("bonded graphs are schedulable");
         prop_assert!(s.verify(&g, m).is_ok(), "{:?}", s.verify(&g, m));
@@ -253,7 +253,7 @@ proptest! {
     #[test]
     fn hrms_ordering_is_pred_xor_succ(g in arb_bonded_ddg(), m_idx in 0usize..3) {
         let m = &machines()[m_idx];
-        let scheduler = HrmsScheduler::new();
+        let scheduler = SchedulerKind::Hrms;
         let base = mii(&g, m).max(1);
         let order = (base..base + 64)
             .find_map(|ii| scheduler.ordering(&g, m, ii))
@@ -329,7 +329,7 @@ proptest! {
     #[test]
     fn lifetime_components_sum(g in arb_ddg()) {
         let m = MachineConfig::p1l4();
-        let s = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+        let s = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
         let analysis = LifetimeAnalysis::new(&g, &s);
         for lt in analysis.lifetimes() {
             prop_assert_eq!(lt.length(), lt.sched_component() + lt.dist_component());

@@ -52,7 +52,7 @@ fn figure2_provenance_counters_match_the_precache_implementation() {
     let g = example_loop();
     for pin in pins() {
         let m = &pin.machine;
-        let s = HrmsScheduler::new().schedule(&g, m, &SchedRequest::default()).unwrap();
+        let s = SchedulerKind::Hrms.schedule(&g, m, &SchedRequest::default()).unwrap();
         assert_eq!(
             (s.ii(), s.iis_tried()),
             pin.unconstrained,
@@ -109,7 +109,7 @@ fn iis_tried_counts_failed_placement_attempts() {
     let params = GenParams { min_ops: 8, max_ops: 8, ..GenParams::default() };
     let l = generate(10, 1, &params).unwrap().remove(0);
     let m = MachineConfig::p2l4();
-    let s = HrmsScheduler::new().schedule(&l.ddg, &m, &SchedRequest::default()).unwrap();
+    let s = SchedulerKind::Hrms.schedule(&l.ddg, &m, &SchedRequest::default()).unwrap();
     assert_eq!(s.ii(), 3);
     assert_eq!(s.iis_tried(), 2, "MII placement fails once before II 3 fits");
 }

@@ -18,7 +18,7 @@ use regpipe::core::{CompileOptions, SchedulerKind, Strategy};
 use regpipe::exec::{json, run_batch, BatchRequest};
 use regpipe::loops::{generate, suite, GenParams};
 use regpipe::machine::MachineConfig;
-use regpipe::sched::{mii, LoopAnalysis, SchedRequest, Scheduler, SmsScheduler};
+use regpipe::sched::{mii, LoopAnalysis, SchedRequest, Scheduler};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -44,7 +44,7 @@ proptest! {
         let loops = generate(seed, 4, &params).expect("valid params");
         for machine in MachineConfig::paper_configs() {
             for l in &loops {
-                let s = SmsScheduler::new()
+                let s = SchedulerKind::Sms
                     .schedule(&l.ddg, &machine, &SchedRequest::default())
                     .unwrap_or_else(|e| panic!("{} on {}: {e}", l.name, machine.name()));
                 s.verify(&l.ddg, &machine)
@@ -64,11 +64,11 @@ proptest! {
         let loops = generate(seed, 3, &GenParams::default()).expect("valid params");
         for machine in MachineConfig::paper_configs() {
             for l in &loops {
-                let direct = SmsScheduler::new()
+                let direct = SchedulerKind::Sms
                     .schedule(&l.ddg, &machine, &SchedRequest::default())
                     .expect("schedulable");
                 let ctx = LoopAnalysis::new(&l.ddg, &machine);
-                let cached = SmsScheduler::new()
+                let cached = SchedulerKind::Sms
                     .schedule_in(&ctx, &SchedRequest::default())
                     .expect("schedulable");
                 prop_assert_eq!(&direct, &cached, "{} on {}", l.name, machine.name());

@@ -213,12 +213,12 @@ fn paper_policy_pins_the_fig2_spill_decisions() {
     let dir = scratch_dir("fig2-pin");
     let ddg = dir.join("fig2.ddg");
     fs::write(&ddg, textfmt::format(&paper::example_loop())).expect("write ddg");
-    let compile_with = |extra: &[&str]| {
+    let compile_fig2 = |extra: &[&str]| {
         let mut c = bin();
         c.arg("compile").arg(&ddg).args(["--strategy", "spill", "--regs", "8"]).args(extra);
         String::from_utf8(run_ok(c).stdout).unwrap()
     };
-    let explicit = compile_with(&["--spill-policy", "paper"]);
+    let explicit = compile_fig2(&["--spill-policy", "paper"]);
     assert_eq!(
         explicit,
         "fig2: II = 2 (MII 1), registers = 8/8, spilled = 2, strategy = Spill\n\
@@ -228,7 +228,7 @@ fn paper_policy_pins_the_fig2_spill_decisions() {
          \x20\x20\x20\x201: Ld.l1[2] +[3] St[5]\n\
          \n"
     );
-    assert_eq!(compile_with(&[]), explicit, "the implicit default must be the paper policy");
+    assert_eq!(compile_fig2(&[]), explicit, "the implicit default must be the paper policy");
     let _ = fs::remove_dir_all(&dir);
 }
 

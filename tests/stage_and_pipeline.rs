@@ -4,7 +4,7 @@
 use regpipe::loops::{kernels, suite};
 use regpipe::prelude::*;
 use regpipe::regalloc::LifetimeAnalysis;
-use regpipe::sched::{stage_schedule, AsapScheduler, PipelinedLoop, SchedRequest, Scheduler};
+use regpipe::sched::{stage_schedule, PipelinedLoop, SchedRequest, Scheduler};
 
 #[test]
 fn stage_scheduling_never_hurts_across_the_suite() {
@@ -12,8 +12,8 @@ fn stage_scheduling_never_hurts_across_the_suite() {
     let m = MachineConfig::p2l4();
     for l in &loops {
         for sched in [
-            HrmsScheduler::new().schedule(&l.ddg, &m, &SchedRequest::default()).unwrap(),
-            AsapScheduler::new().schedule(&l.ddg, &m, &SchedRequest::default()).unwrap(),
+            SchedulerKind::Hrms.schedule(&l.ddg, &m, &SchedRequest::default()).unwrap(),
+            SchedulerKind::Asap.schedule(&l.ddg, &m, &SchedRequest::default()).unwrap(),
         ] {
             let before = LifetimeAnalysis::new(&l.ddg, &sched);
             let post = stage_schedule(&l.ddg, &m, &sched);
@@ -38,7 +38,7 @@ fn stage_scheduling_never_hurts_across_the_suite() {
 fn stage_scheduling_preserves_modulo_slots() {
     let g = kernels::state_fragment();
     let m = MachineConfig::p2l4();
-    let s = AsapScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+    let s = SchedulerKind::Asap.schedule(&g, &m, &SchedRequest::default()).unwrap();
     let post = stage_schedule(&g, &m, &s);
     let ii = i64::from(s.ii());
     for id in g.op_ids() {
@@ -53,7 +53,7 @@ fn pipeline_trace_is_resource_legal_cycle_by_cycle() {
     // functional unit in any absolute cycle; check it directly.
     let g = kernels::hydro_fragment();
     let m = MachineConfig::p1l4();
-    let s = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+    let s = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
     let p = PipelinedLoop::new(&g, &s);
     let trace = p.trace(&s, 12);
     let horizon = trace.iter().map(|e| e.cycle).max().unwrap() + 1;
@@ -73,7 +73,7 @@ fn pipeline_trace_is_resource_legal_cycle_by_cycle() {
 fn pipeline_code_size_grows_with_stage_count() {
     let g = kernels::inner_product();
     let m = MachineConfig::p2l6();
-    let s = HrmsScheduler::new().schedule(&g, &m, &SchedRequest::default()).unwrap();
+    let s = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::default()).unwrap();
     let p = PipelinedLoop::new(&g, &s);
     assert_eq!(p.code_size(), p.prologue_ops() + g.num_ops() + p.epilogue_ops());
     if s.stage_count() == 1 {

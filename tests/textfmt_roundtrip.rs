@@ -55,7 +55,7 @@ fn spilled_graphs_round_trip_with_bonds_intact() {
     let back = textfmt::parse(&text).unwrap();
     assert_equivalent(out.ddg(), &back);
     // The parsed graph schedules to the same II.
-    let s = HrmsScheduler::new().schedule(&back, &m, &SchedRequest::default()).unwrap();
+    let s = SchedulerKind::Hrms.schedule(&back, &m, &SchedRequest::default()).unwrap();
     s.verify(&back, &m).unwrap();
     assert_eq!(s.ii(), out.ii());
 }
