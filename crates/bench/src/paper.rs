@@ -29,7 +29,9 @@ use regpipe_loops::paper::{apsi47_like, apsi50_like, example_loop};
 use regpipe_loops::BenchLoop;
 use regpipe_machine::MachineConfig;
 use regpipe_regalloc::{allocate, LifetimeAnalysis, MveAllocator};
-use regpipe_sched::{mii, stage_schedule, Kernel, SchedRequest, Scheduler, SchedulerKind};
+use regpipe_sched::{
+    mii, stage_schedule, PipelinedLoop, SchedRequest, Scheduler, SchedulerKind,
+};
 use regpipe_spill::{eliminate_dead_ops, SelectHeuristic};
 
 use crate::{
@@ -65,7 +67,7 @@ pub fn example(jobs: NonZeroUsize) {
     let lt1 = LifetimeAnalysis::new(&g, &s1);
     let a1 = allocate(&g, &s1);
     println!("--- Figure 2: II = {} ---", s1.ii());
-    println!("{}", Kernel::new(&g, &s1));
+    println!("{}", PipelinedLoop::new(&g, &s1).kernel());
     for lt in lt1.lifetimes() {
         println!(
             "  {:<4} LT {:>2} = sched {} + dist {}",
@@ -105,7 +107,7 @@ pub fn example(jobs: NonZeroUsize) {
     out.schedule().verify(out.ddg(), &m).expect("valid");
     println!("--- Figures 5/6: spill V1, budget 6 registers (5 variants + invariant a) ---");
     println!("{}", out.ddg());
-    println!("{}", out.kernel());
+    println!("{}", out.pipeline().kernel());
     println!(
         "  II = {} (paper: 2), variant regs = {} (paper: 5), lifetimes spilled = {}",
         out.ii(),

@@ -9,7 +9,7 @@ use regpipe_ddg::Ddg;
 use regpipe_machine::{FuClass, MachineConfig};
 use regpipe_regalloc::{AllocationResult, LifetimeAnalysis, RotatingAllocator};
 use regpipe_sched::{
-    Kernel, LoopAnalysis, SchedError, SchedRequest, Schedule, Scheduler, SchedulerKind,
+    LoopAnalysis, PipelinedLoop, SchedError, SchedRequest, Schedule, Scheduler, SchedulerKind,
 };
 use regpipe_spill::SpillPolicyKind;
 
@@ -161,9 +161,10 @@ impl CompiledLoop {
         self.ddg.memory_ops() as u32
     }
 
-    /// Extracts the kernel (stage-annotated, Figure 2e style).
-    pub fn kernel(&self) -> Kernel {
-        Kernel::new(&self.ddg, &self.schedule)
+    /// The emitted code of the final schedule: prologue, stage-annotated
+    /// kernel (Figure 2e) and epilogue.
+    pub fn pipeline(&self) -> PipelinedLoop {
+        PipelinedLoop::new(&self.ddg, &self.schedule)
     }
 }
 
@@ -737,9 +738,10 @@ pub(crate) mod tests {
         let g = stencil();
         let m = MachineConfig::p2l4();
         let c = compile(&g, &m, 4, &CompileOptions::default()).unwrap();
-        let k = c.kernel();
-        assert_eq!(k.ii(), c.ii());
-        assert_eq!(k.slots().count(), c.ddg().num_ops());
+        let p = c.pipeline();
+        assert_eq!(p.ii(), c.ii());
+        let slots: usize = (0..p.ii()).map(|cycle| p.row(cycle).len()).sum();
+        assert_eq!(slots, c.ddg().num_ops());
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl MveAllocation {
     pub fn total(&self) -> u32 {
         self.variant_regs + self.invariant_regs
     }
-
-    /// Code-size multiplier of the unrolled kernel.
-    pub fn code_growth(&self) -> u32 {
-        self.unroll
-    }
 }
 
 impl fmt::Display for MveAllocation {
@@ -60,38 +55,22 @@ impl fmt::Display for MveAllocation {
     }
 }
 
+/// The most kernel copies MVE unrolls to.
+const UNROLL_CAP: u64 = 64;
+
 /// Modulo-variable-expansion allocator.
 ///
 /// Uses the standard "smallest sufficient unroll" policy: `K` is the least
-/// common multiple of each variant's instance count (capped — beyond the
-/// cap, the maximum instance count is used, which wastes no registers but
-/// forces some copies to be renamed modulo a non-dividing period and is
-/// then accounted conservatively).
-#[derive(Clone, Copy, Debug)]
-pub struct MveAllocator {
-    lcm_cap: u32,
-}
-
-impl Default for MveAllocator {
-    fn default() -> Self {
-        MveAllocator { lcm_cap: 64 }
-    }
-}
+/// common multiple of each variant's instance count, capped at 64 kernel
+/// copies (`min(lcm, 64)`). The register count does not depend on the
+/// cap: each variant keeps one name per concurrently live instance.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MveAllocator;
 
 impl MveAllocator {
-    /// Creates the allocator with the default unroll cap (64 kernel copies).
+    /// Creates the allocator.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the maximum tolerated unroll factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn with_unroll_cap(cap: u32) -> Self {
-        assert!(cap > 0, "unroll cap must be positive");
-        MveAllocator { lcm_cap: cap }
+        MveAllocator
     }
 
     /// Computes the MVE allocation for `analysis`.
@@ -102,7 +81,7 @@ impl MveAllocator {
         for lt in analysis.lifetimes() {
             let k = lt.concurrent_instances(ii).max(1);
             variant_regs += k;
-            unroll = lcm(unroll, u64::from(k)).min(u64::from(self.lcm_cap));
+            unroll = lcm(unroll, u64::from(k)).min(UNROLL_CAP);
         }
         MveAllocation {
             unroll: u32::try_from(unroll).expect("capped"),
@@ -159,20 +138,24 @@ mod tests {
         let alloc = MveAllocator::new().allocate(&LifetimeAnalysis::new(&g, &s));
         assert_eq!(alloc.unroll(), 6, "lcm(2, 3)");
         assert_eq!(alloc.variant_regs(), 5, "2 + 3 names");
-        assert_eq!(alloc.code_growth(), 6);
     }
 
     #[test]
     fn unroll_cap_is_respected() {
+        // II=1: lifetimes of 5, 7 and 9 cycles, whose lcm 315 caps to 64.
         let mut b = DdgBuilder::new("caps");
-        let p = b.add_op(OpKind::Add, "p");
-        let c = b.add_op(OpKind::Copy, "c");
-        b.reg_dist(p, c, 9);
+        let mut starts = Vec::new();
+        for (i, len) in [5, 7, 9].into_iter().enumerate() {
+            let p = b.add_op(OpKind::Add, format!("p{i}"));
+            let c = b.add_op(OpKind::Copy, format!("c{i}"));
+            b.reg(p, c);
+            starts.extend([(p, 0), (c, len)]);
+        }
         let g = b.build().unwrap();
-        let s = Schedule::from_fixed(1, &[(p, 0), (c, 1)]); // lifetime 10
-        let alloc = MveAllocator::with_unroll_cap(4).allocate(&LifetimeAnalysis::new(&g, &s));
-        assert!(alloc.unroll() <= 4);
-        assert_eq!(alloc.variant_regs(), 10);
+        let s = Schedule::from_fixed(1, &starts);
+        let alloc = MveAllocator::new().allocate(&LifetimeAnalysis::new(&g, &s));
+        assert_eq!(alloc.unroll(), 64, "min(lcm(5, 7, 9), 64)");
+        assert_eq!(alloc.variant_regs(), 5 + 7 + 9);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! out the scheduler returns the best schedule found so far and reports
 //! [`ExactStatus::BudgetExhausted`]; it never silently claims optimality.
 
-use regpipe_ddg::{OpId, OpKind};
+use regpipe_ddg::OpId;
 use regpipe_machine::Mrt;
 
 use crate::loop_analysis::LoopAnalysis;
@@ -400,7 +400,6 @@ fn decide(
         order,
         mrt: Mrt::new(ctx.machine(), ii),
         trail: Vec::new(),
-        done: Vec::new(),
     };
     search.dfs(0, budget)
 }
@@ -418,16 +417,13 @@ struct Search<'c, 'a> {
     mrt: Mrt,
     /// Undo log of window tightenings: `(group, bound, previous value)`.
     trail: Vec<(usize, Bound, i64)>,
-    /// Members committed to the MRT within one transactional attempt.
-    done: Vec<(OpKind, i64)>,
 }
 
 impl Search<'_, '_> {
     fn dfs(&mut self, depth: usize, budget: &mut Budget) -> Decision {
+        let (ddg, groups) = (self.ctx.ddg(), self.ctx.groups());
         if depth == self.order.len() {
-            let ctx = self.ctx;
-            let groups = ctx.groups();
-            let starts = (0..ctx.ddg().num_ops())
+            let starts = (0..ddg.num_ops())
                 .map(|v| {
                     let op = OpId::new(v);
                     self.lo[groups.group_of(op)] + groups.offset(op)
@@ -442,7 +438,7 @@ impl Search<'_, '_> {
             if !budget.charge() {
                 return Decision::Exhausted;
             }
-            if self.place_group(gi, t) {
+            if groups.place(ddg, &mut self.mrt, gi, t) {
                 let mark = self.trail.len();
                 self.trail.push((gi, Bound::Lo, self.lo[gi]));
                 self.trail.push((gi, Bound::Hi, self.hi[gi]));
@@ -453,50 +449,18 @@ impl Search<'_, '_> {
                         Decision::Sat(s) => return Decision::Sat(s),
                         Decision::Exhausted => {
                             self.undo(mark);
-                            self.unplace_group(gi, t);
+                            groups.remove(ddg, &mut self.mrt, gi, t);
                             return Decision::Exhausted;
                         }
                         Decision::Unsat => {}
                     }
                 }
                 self.undo(mark);
-                self.unplace_group(gi, t);
+                groups.remove(ddg, &mut self.mrt, gi, t);
             }
             t += 1;
         }
         Decision::Unsat
-    }
-
-    /// Transactionally places all members of group `gi` with its leader
-    /// at `t`; on any member conflict the committed members are removed
-    /// again and the attempt fails as a whole.
-    fn place_group(&mut self, gi: usize, t: i64) -> bool {
-        let ctx = self.ctx;
-        let groups = ctx.groups();
-        self.done.clear();
-        for &m in groups.members_of(groups.leader(gi)) {
-            let kind = ctx.ddg().op(m).kind();
-            let cycle = t + groups.offset(m);
-            if self.mrt.try_place(kind, cycle) {
-                self.done.push((kind, cycle));
-            } else {
-                for i in 0..self.done.len() {
-                    let (k, c) = self.done[i];
-                    self.mrt.remove(k, c);
-                }
-                self.done.clear();
-                return false;
-            }
-        }
-        true
-    }
-
-    fn unplace_group(&mut self, gi: usize, t: i64) {
-        let ctx = self.ctx;
-        let groups = ctx.groups();
-        for &m in groups.members_of(groups.leader(gi)) {
-            self.mrt.remove(ctx.ddg().op(m).kind(), t + groups.offset(m));
-        }
     }
 
     /// Propagates window bounds through the difference constraints to a
@@ -548,7 +512,7 @@ impl Search<'_, '_> {
 mod tests {
     use super::*;
     use crate::mii;
-    use regpipe_ddg::{Ddg, DdgBuilder};
+    use regpipe_ddg::{Ddg, DdgBuilder, OpKind};
     use regpipe_machine::MachineConfig;
 
     fn search(

@@ -12,7 +12,7 @@
 //! cluster leader.
 
 use regpipe_ddg::{Ddg, OpId};
-use regpipe_machine::MachineConfig;
+use regpipe_machine::{MachineConfig, Mrt};
 
 /// The partition of a graph's operations into complex-operation groups.
 ///
@@ -169,6 +169,32 @@ impl ComplexGroups {
     /// The leader (offset-0 member) of group `g`.
     pub fn leader(&self, g: usize) -> OpId {
         self.leaders[g]
+    }
+
+    /// Puts every member of group `g` on `mrt` with the leader at cycle
+    /// `t`, or none of them: on a member's conflict the members placed
+    /// before it are removed again and the attempt fails.
+    pub(crate) fn place(&self, ddg: &Ddg, mrt: &mut Mrt, g: usize, t: i64) -> bool {
+        let members = &self.members[g];
+        for (placed, &m) in members.iter().enumerate() {
+            if !mrt.try_place(ddg.op(m).kind(), t + self.offset(m)) {
+                self.remove_members(ddg, mrt, &members[..placed], t);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Takes group `g`, placed by [`ComplexGroups::place`] with its leader
+    /// at cycle `t`, off `mrt`.
+    pub(crate) fn remove(&self, ddg: &Ddg, mrt: &mut Mrt, g: usize, t: i64) {
+        self.remove_members(ddg, mrt, &self.members[g], t);
+    }
+
+    fn remove_members(&self, ddg: &Ddg, mrt: &mut Mrt, members: &[OpId], t: i64) {
+        for &m in members {
+            mrt.remove(ddg.op(m).kind(), t + self.offset(m));
+        }
     }
 }
 

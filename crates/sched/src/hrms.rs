@@ -287,14 +287,11 @@ pub(crate) enum PlaceMode {
 pub(crate) struct PlaceScratch {
     /// Tentative start cycle per op (`None` = not yet placed).
     start: Vec<Option<i64>>,
-    /// Members already committed to the MRT within one transactional slot
-    /// attempt (unwound on conflict).
-    done: Vec<(regpipe_ddg::OpKind, i64)>,
 }
 
 impl PlaceScratch {
     pub(crate) fn new(n: usize) -> Self {
-        PlaceScratch { start: vec![None; n], done: Vec::new() }
+        PlaceScratch { start: vec![None; n] }
     }
 }
 
@@ -390,7 +387,7 @@ pub(crate) fn place_order(
             .expect("groups are non-empty");
 
         // Candidate slots, at most II of them.
-        let candidates: SlotScan = match (early, late) {
+        let mut candidates: SlotScan = match (early, late) {
             (Some(e), Some(l)) => {
                 if l < e {
                     return None;
@@ -429,26 +426,8 @@ pub(crate) fn place_order(
             (None, None) => SlotScan::Up { next: g_asap, last: g_asap + ii64 - 1 },
         };
 
-        let mut placed_at: Option<i64> = None;
-        'slots: for t in candidates {
-            // Transactionally place all members.
-            scratch.done.clear();
-            for &m in members {
-                let kind = ddg.op(m).kind();
-                let cycle = t + groups.offset(m);
-                if mrt.try_place(kind, cycle) {
-                    scratch.done.push((kind, cycle));
-                } else {
-                    for (k, c) in scratch.done.drain(..) {
-                        mrt.remove(k, c);
-                    }
-                    continue 'slots;
-                }
-            }
-            placed_at = Some(t);
-            break;
-        }
-        let t = placed_at?;
+        let g = groups.group_of(leader);
+        let t = candidates.find(|&t| groups.place(ddg, &mut mrt, g, t))?;
         for &m in members {
             start[m.index()] = Some(t + groups.offset(m));
         }

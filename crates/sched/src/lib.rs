@@ -22,7 +22,9 @@
 //!   [`ExactStatus::Proven`] or [`ExactStatus::BudgetExhausted`] so
 //!   results are never silently wrong (`regpipe gap` measures every
 //!   heuristic against it).
-//! * [`Kernel`] — kernel extraction with stage annotations (Figure 2e).
+//! * [`PipelinedLoop`] — the emitted code of a schedule: the prologue, the
+//!   stage-annotated kernel (Figure 2e) and the epilogue, with a flat trace
+//!   that replays them.
 //!
 //! `docs/algorithms.md` in the repository walks the HRMS and SMS ordering
 //! and placement phases step by step on the same kernels, with the
@@ -66,7 +68,6 @@ mod analysis;
 mod exact;
 mod groups;
 mod hrms;
-mod kernel;
 mod loop_analysis;
 mod pipeline;
 mod recmii;
@@ -80,9 +81,8 @@ pub mod deadline;
 pub use analysis::TimeAnalysis;
 pub use exact::{ExactOutcome, ExactScheduler, ExactStatus, DEFAULT_NODE_BUDGET};
 pub use groups::ComplexGroups;
-pub use kernel::{Kernel, KernelSlot};
 pub use loop_analysis::LoopAnalysis;
-pub use pipeline::{PipelinedLoop, TraceEntry};
+pub use pipeline::{KernelSlot, PipelinedLoop, TraceEntry};
 pub use recmii::{per_recurrence_bounds, rec_mii, RecurrenceBound};
 pub use registry::SchedulerKind;
 pub use schedule::{Schedule, VerifyError};

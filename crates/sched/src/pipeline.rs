@@ -4,14 +4,28 @@
 //! requires a ramp-up (prologue) that starts iterations 0..SC−1, the
 //! repeating kernel, and a ramp-down (epilogue) that drains the last SC−1
 //! iterations (paper Section 2.2). This module materializes all three —
-//! what a compiler backend would emit — plus a flat execution trace for
-//! small iteration counts, used by tests to cross-check the model.
+//! what a compiler backend would emit. The kernel is the II-cycle block
+//! the steady state iterates on: each operation appears once, at cycle
+//! `t mod II`, annotated with its stage `⌊t / II⌋` (Figure 2e). The flat
+//! execution trace replays the emitted sections, so tests can check them
+//! against the modulo model.
 
 use std::fmt;
 
 use regpipe_ddg::{Ddg, OpId};
 
 use crate::schedule::Schedule;
+
+/// One operation's position in the kernel.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct KernelSlot {
+    /// The operation.
+    pub op: OpId,
+    /// Kernel row (cycle modulo II).
+    pub cycle: u32,
+    /// Stage index (0 = newest iteration).
+    pub stage: u32,
+}
 
 /// An operation instance in the flat execution trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,13 +43,14 @@ pub struct TraceEntry {
 pub struct PipelinedLoop {
     ii: u32,
     stage_count: u32,
-    /// `(relative cycle, op, iteration-offset)` triples of the prologue:
-    /// iteration-offset counts from the first iteration (0-based).
+    /// `(cycle, op, iteration)` triples of the prologue: the cycle counts
+    /// from the loop's start, the iteration from the first (0-based).
     prologue: Vec<(i64, OpId, u32)>,
-    /// `(kernel row, op, stage)` of the steady state.
-    kernel: Vec<(u32, OpId, u32)>,
-    /// `(relative cycle, op, iterations-from-last)` of the epilogue:
-    /// offset 0 is the final iteration.
+    /// Kernel rows indexed by cycle; each row sorted by stage then op.
+    rows: Vec<Vec<KernelSlot>>,
+    /// `(cycle, op, iterations-from-last)` of the epilogue: the cycle
+    /// counts from the start of the last kernel repetition, and offset 0
+    /// is the final iteration.
     epilogue: Vec<(i64, OpId, u32)>,
     names: Vec<String>,
 }
@@ -66,11 +81,14 @@ impl PipelinedLoop {
         prologue.sort_by_key(|&(t, op, _)| (t, op));
 
         // Kernel: one slot per op, annotated with its stage.
-        let mut kernel: Vec<(u32, OpId, u32)> = ddg
-            .ops()
-            .map(|(id, _)| ((schedule.start(id) % ii) as u32, id, schedule.stage(id)))
-            .collect();
-        kernel.sort_by_key(|&(row, op, _)| (row, op));
+        let mut rows: Vec<Vec<KernelSlot>> = vec![Vec::new(); schedule.ii() as usize];
+        for (id, _) in ddg.ops() {
+            let cycle = (schedule.start(id) % ii) as u32;
+            rows[cycle as usize].push(KernelSlot { op: id, cycle, stage: schedule.stage(id) });
+        }
+        for row in &mut rows {
+            row.sort_by_key(|s| (s.stage, s.op));
+        }
 
         // Epilogue: instances still in flight after the last iteration has
         // issued its stage-0 part; offset o = SC-1-stage iterations from
@@ -92,13 +110,13 @@ impl PipelinedLoop {
             ii: schedule.ii(),
             stage_count: sc,
             prologue,
-            kernel,
+            rows,
             epilogue,
             names: ddg.ops().map(|(_, n)| n.name().to_string()).collect(),
         }
     }
 
-    /// The initiation interval.
+    /// The initiation interval (number of kernel rows).
     pub fn ii(&self) -> u32 {
         self.ii
     }
@@ -106,6 +124,15 @@ impl PipelinedLoop {
     /// The stage count.
     pub fn stage_count(&self) -> u32 {
         self.stage_count
+    }
+
+    /// The kernel slots issued at kernel `cycle`, sorted by stage then op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle >= ii`.
+    pub fn row(&self, cycle: u32) -> &[KernelSlot] {
+        &self.rows[cycle as usize]
     }
 
     /// Prologue length in cycles.
@@ -125,28 +152,66 @@ impl PipelinedLoop {
 
     /// Code-size estimate in operation slots: prologue + kernel + epilogue.
     pub fn code_size(&self) -> usize {
-        self.prologue.len() + self.kernel.len() + self.epilogue.len()
+        self.prologue.len() + self.names.len() + self.epilogue.len()
     }
 
-    /// The flat execution trace for `iterations` iterations: every dynamic
-    /// operation instance with its absolute issue cycle, sorted by cycle.
-    ///
-    /// Iteration `k`'s instance of op `v` issues at `start(v) + k·II` —
-    /// the defining equation of modulo scheduling; tests use this to verify
-    /// that prologue/kernel/epilogue views agree with the model.
-    pub fn trace(&self, schedule: &Schedule, iterations: u64) -> Vec<TraceEntry> {
-        let ii = i64::from(self.ii);
-        let mut out = Vec::new();
-        for k in 0..iterations {
-            for (idx, _) in self.names.iter().enumerate() {
-                let op = OpId::new(idx);
-                out.push(TraceEntry {
-                    cycle: schedule.start(op) + k as i64 * ii,
-                    op,
-                    iteration: k,
-                });
+    /// The stage-annotated kernel as Figure 2e draws it: one line per
+    /// kernel row, each slot as `name[stage]`.
+    pub fn kernel(&self) -> String {
+        let mut out = format!("kernel: II={}, SC={}\n", self.ii, self.stage_count);
+        for (cycle, row) in self.rows.iter().enumerate() {
+            out += &format!("  {cycle:>3}:");
+            for slot in row {
+                out += &format!(" {}[{}]", self.names[slot.op.index()], slot.stage);
             }
+            out.push('\n');
         }
+        out
+    }
+
+    /// The flat execution trace of the emitted code run for `iterations`
+    /// iterations: the prologue, `iterations − SC + 1` kernel repetitions
+    /// and the epilogue, every dynamic operation instance with its
+    /// absolute issue cycle, sorted by cycle then op.
+    ///
+    /// Kernel repetition `j` starts at cycle `(SC − 1 + j)·II`, and its
+    /// stage-`s` slots run iteration `SC − 1 + j − s`; the epilogue
+    /// follows the last repetition. Tests check that iteration `k`'s
+    /// instance of op `v` issues at `start(v) + k·II`, the defining
+    /// equation of modulo scheduling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `iterations < SC − 1`: the prologue alone starts SC − 1
+    /// iterations, so the emitted code cannot run fewer.
+    pub fn trace(&self, iterations: u64) -> Vec<TraceEntry> {
+        let sc = u64::from(self.stage_count);
+        assert!(
+            iterations + 1 >= sc,
+            "the emitted code runs at least SC - 1 = {} iterations, not {iterations}",
+            sc - 1
+        );
+        let ii = i64::from(self.ii);
+        let mut out: Vec<TraceEntry> = self
+            .prologue
+            .iter()
+            .map(|&(cycle, op, k)| TraceEntry { cycle, op, iteration: u64::from(k) })
+            .collect();
+        for j in 0..iterations + 1 - sc {
+            let newest = sc - 1 + j;
+            let start = newest as i64 * ii;
+            out.extend(self.rows.iter().flatten().map(|s| TraceEntry {
+                cycle: start + i64::from(s.cycle),
+                op: s.op,
+                iteration: newest - u64::from(s.stage),
+            }));
+        }
+        let last = (iterations as i64 - 1) * ii;
+        out.extend(self.epilogue.iter().map(|&(t, op, back)| TraceEntry {
+            cycle: last + t,
+            op,
+            iteration: iterations - 1 - u64::from(back),
+        }));
         out.sort_by_key(|e| (e.cycle, e.op));
         out
     }
@@ -166,8 +231,12 @@ impl fmt::Display for PipelinedLoop {
             writeln!(f, "  {t:>4}: {}(i{iter})", self.names[op.index()])?;
         }
         writeln!(f, "kernel (repeat; op(i-s) reads iteration i-s):")?;
-        for &(row, op, stage) in &self.kernel {
-            writeln!(f, "  {row:>4}: {}(i-{stage})", self.names[op.index()])?;
+        for (row, slots) in self.rows.iter().enumerate() {
+            let mut slots: Vec<&KernelSlot> = slots.iter().collect();
+            slots.sort_by_key(|s| s.op);
+            for s in slots {
+                writeln!(f, "  {row:>4}: {}(i-{})", self.names[s.op.index()], s.stage)?;
+            }
         }
         writeln!(f, "epilogue:")?;
         for &(t, op, back) in &self.epilogue {
@@ -192,7 +261,40 @@ mod tests {
         b.reg_dist(ld, add, 3);
         b.reg(mul, add);
         b.reg(add, st);
+        // The paper's Figure 2c schedule: Ld@0, *@2, +@4, St@6, II = 1.
         (b.build().unwrap(), Schedule::new(1, vec![0, 2, 4, 6]))
+    }
+
+    #[test]
+    fn fig2_kernel_has_seven_stages() {
+        let (g, s) = fig2();
+        let p = PipelinedLoop::new(&g, &s);
+        assert_eq!(p.ii(), 1);
+        assert_eq!(p.stage_count(), 7);
+        // One row with all four ops at stages 0, 2, 4, 6 (Figure 2e).
+        let stages: Vec<u32> = p.row(0).iter().map(|s| s.stage).collect();
+        assert_eq!(stages, vec![0, 2, 4, 6]);
+        assert_eq!(p.prologue_cycles(), 6);
+    }
+
+    #[test]
+    fn kernel_rows_partition_ops() {
+        let (g, _) = fig2();
+        let s = Schedule::new(2, vec![0, 2, 4, 6]);
+        let p = PipelinedLoop::new(&g, &s);
+        assert_eq!(p.ii(), 2);
+        assert_eq!(p.stage_count(), 4);
+        assert_eq!(p.row(0).len(), 4, "all starts are even");
+        assert_eq!(p.row(1).len(), 0);
+    }
+
+    #[test]
+    fn kernel_prints_rows() {
+        let (g, s) = fig2();
+        let txt = PipelinedLoop::new(&g, &s).kernel();
+        assert!(txt.contains("II=1"));
+        assert!(txt.contains("Ld[0]"));
+        assert!(txt.contains("St[6]"));
     }
 
     #[test]
@@ -211,7 +313,7 @@ mod tests {
     fn trace_matches_the_modulo_model() {
         let (g, s) = fig2();
         let p = PipelinedLoop::new(&g, &s);
-        let trace = p.trace(&s, 10);
+        let trace = p.trace(10);
         assert_eq!(trace.len(), 40, "4 ops x 10 iterations");
         for e in &trace {
             assert_eq!(e.cycle, s.start(e.op) + e.iteration as i64);

@@ -17,6 +17,11 @@ use std::path::Path;
 
 use crate::server::Server;
 
+/// How long an acknowledged `shutdown` waits for the other in-flight
+/// connections before closing them forcibly.
+#[cfg(unix)]
+const DRAIN_MS: u64 = 2000;
+
 /// One bounded read from a JSON-lines stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReadLine {
@@ -160,10 +165,9 @@ pub fn claim_socket(path: &Path) -> io::Result<()> {
 /// Runs the daemon on a unix socket at `path` (a provably-stale socket
 /// file is reclaimed, see [`claim_socket`]), one thread per connection,
 /// until a client's `shutdown` request is acknowledged. Shutdown then
-/// *drains*: other in-flight connections get up to
-/// [`Server::drain_ms`] to finish their current request, after which
-/// any stragglers are closed forcibly. The socket file is removed on
-/// exit.
+/// *drains*: other in-flight connections get up to two seconds to
+/// finish their current request, after which any stragglers are closed
+/// forcibly. The socket file is removed on exit.
 ///
 /// # Errors
 ///
@@ -211,7 +215,7 @@ pub fn serve_socket(server: &Server, path: &Path) -> io::Result<()> {
         }
         // Bounded drain: let in-flight requests complete, then force the
         // rest closed so the scope's joins cannot hang on idle clients.
-        let deadline = Instant::now() + Duration::from_millis(server.drain_ms());
+        let deadline = Instant::now() + Duration::from_millis(DRAIN_MS);
         while server.active_connections() > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }

@@ -50,18 +50,11 @@ pub struct ServeOptions {
     /// (`--deadline-ms`). A compile that exceeds it is cancelled at the
     /// next scheduler check-point and answered with a `deadline` error.
     pub deadline_ms: Option<u64>,
-    /// Appends to the active log segment before a compaction snapshot is
-    /// written (`--compact-appends`).
-    pub compact_appends: u64,
-    /// How long `shutdown` waits for other in-flight connections to
-    /// finish before closing them forcibly (`--drain-ms`).
-    pub drain_ms: u64,
-    /// Spill policy for compile requests that omit the `spill_policy`
-    /// field (`--spill-policy`). Cache keys always carry the *resolved*
-    /// policy, so daemons with different defaults can share a cache dir
-    /// without aliasing entries.
-    pub default_spill_policy: SpillPolicyKind,
 }
+
+/// Appends to the active log segment before a compaction snapshot is
+/// written.
+const COMPACT_APPENDS: u64 = 8192;
 
 impl Default for ServeOptions {
     fn default() -> Self {
@@ -72,9 +65,6 @@ impl Default for ServeOptions {
             max_request_bytes: 1 << 20,
             cache_dir: None,
             deadline_ms: None,
-            compact_appends: 8192,
-            drain_ms: 2000,
-            default_spill_policy: SpillPolicyKind::default(),
         }
     }
 }
@@ -249,11 +239,6 @@ impl Server {
         self.options.max_request_bytes
     }
 
-    /// The configured drain budget for `shutdown`.
-    pub fn drain_ms(&self) -> u64 {
-        self.options.drain_ms
-    }
-
     /// Whether a `shutdown` request has been acknowledged.
     pub fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
@@ -359,7 +344,7 @@ impl Server {
     }
 
     fn handle_compile(&self, id: Option<i64>, doc: &Value) -> String {
-        let params = match CompileParams::from_request(doc, self.options.default_spill_policy) {
+        let params = match CompileParams::from_request(doc) {
             Ok(p) => p,
             Err(e) => return self.error_response(id, ErrorKind::Invalid, &e),
         };
@@ -431,7 +416,7 @@ impl Server {
             eprintln!("regpipe serve: cache store append failed: {e}");
             return;
         }
-        if store.active_appends() >= self.options.compact_appends {
+        if store.active_appends() >= COMPACT_APPENDS {
             let live = self.cache.dump();
             if let Err(e) = store.compact(&live) {
                 eprintln!("regpipe serve: cache store compaction failed: {e}");
@@ -571,10 +556,7 @@ struct CompileParams {
 }
 
 impl CompileParams {
-    fn from_request(
-        doc: &Value,
-        default_spill_policy: SpillPolicyKind,
-    ) -> Result<CompileParams, String> {
+    fn from_request(doc: &Value) -> Result<CompileParams, String> {
         let text = doc
             .get("ddg")
             .and_then(Value::as_str)
@@ -602,7 +584,7 @@ impl CompileParams {
             }
         };
         let spill_policy = match doc.get("spill_policy") {
-            None => default_spill_policy,
+            None => SpillPolicyKind::default(),
             Some(v) => {
                 let slug = v.as_str().ok_or("compile: 'spill_policy' must be a string")?;
                 SpillPolicyKind::parse(slug).map_err(|e| format!("compile: {e}"))?
@@ -923,35 +905,6 @@ mod tests {
         // requests (including both explicit "paper" ones) hit.
         assert_eq!(totals.get("misses").unwrap().as_i64(), Some(4));
         assert_eq!(totals.get("hits").unwrap().as_i64(), Some(6));
-    }
-
-    /// `--spill-policy` on the daemon changes what an *absent* request
-    /// field resolves to, and the cache key carries the resolved policy.
-    #[test]
-    fn the_daemon_default_policy_resolves_into_the_cache_key() {
-        let server = Server::new(ServeOptions {
-            default_spill_policy: SpillPolicyKind::MinNextUse,
-            ..ServeOptions::default()
-        });
-        let with_policy = |policy: &str| {
-            format!(
-                "{{\"op\":\"compile\",\"ddg\":{},\"spill_policy\":\"{policy}\"}}",
-                Value::Str(LOOP.into()).render()
-            )
-        };
-        let implicit = server.handle_line(&format!(
-            "{{\"op\":\"compile\",\"ddg\":{}}}",
-            Value::Str(LOOP.into()).render()
-        ));
-        assert!(implicit.line.contains("\"status\":\"fitted\""), "{}", implicit.line);
-        // The implicit request filed under min-next-use: an explicit
-        // spelling hits, the paper policy is a distinct entry.
-        server.handle_line(&with_policy("min-next-use"));
-        server.handle_line(&with_policy("paper"));
-        let stats = parse_json(&server.stats_payload()).unwrap();
-        let totals = stats.get("totals").unwrap();
-        assert_eq!(totals.get("hits").unwrap().as_i64(), Some(1));
-        assert_eq!(totals.get("misses").unwrap().as_i64(), Some(2));
     }
 
     /// Equivalent formattings of the same loop share one cache entry.

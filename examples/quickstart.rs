@@ -46,6 +46,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The kernel the hardware would iterate on, stage-annotated.
-    println!("\n{}", compiled.kernel());
+    println!("\n{}", compiled.pipeline().kernel());
     Ok(())
 }

@@ -63,6 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         g.memory_ops(),
         out.ddg().memory_ops()
     );
-    println!("\nfinal kernel:\n{}", out.kernel());
+    println!("\nfinal kernel:\n{}", out.pipeline().kernel());
     Ok(())
 }

@@ -29,7 +29,7 @@ use regpipe::loops::{
 };
 use regpipe::machine::MachineConfig;
 use regpipe::regalloc::allocate;
-use regpipe::sched::{mii, rec_mii, PipelinedLoop, SchedRequest, Scheduler, SchedulerKind};
+use regpipe::sched::{mii, rec_mii, SchedRequest, Scheduler, SchedulerKind};
 use regpipe::serve::{
     base_requests, replay_in_process, serve_stdin, IdPolicy, ReplayConfig, ReplaySource,
     ServeOptions, Server,
@@ -231,18 +231,11 @@ regpipe serve [options]
                        instead of stdin/stdout
   --no-cache           disable the result cache (every request compiles)
   --cache-bytes <n>    total cache budget in bytes     (default 67108864)
-  --shards <n>         cache shards                    (default 8)
   --max-request-bytes <n>  per-line request bound      (default 1048576)
   --cache-dir <dir>    persist the cache to a CRC-framed append log;
                        recovery after a crash drops only damaged entries
-  --compact-appends <n>  appends between log compactions (default 8192)
   --deadline-ms <n>    per-compile cooperative deadline; blown deadlines
                        answer with error.kind \"deadline\"
-  --drain-ms <n>       shutdown drain bound for in-flight connections
-                       (default 2000)
-  --spill-policy <p>   default policy for requests that omit the
-                       spill_policy field: paper|min-next-use|
-                       furthest-next-use|round-robin  (default paper)
 ";
 const REPLAY: &str = "\
 regpipe replay [options]
@@ -254,7 +247,9 @@ regpipe replay [options]
   --seed <s>        workload seed                      (default 49626)
   --count <k>       kernels (gen) / loops (suite)      (default 100)
   --file <path>     replay raw request lines from a file instead
-                    (lines are sent verbatim; ids are yours to manage)
+                    (lines are sent verbatim; ids are yours to manage);
+                    excludes --source, --seed, --count, --budgets,
+                    --strategy, --scheduler, --spill-policy, --machine
   --repeat <n>      passes over the stream; pass 2+ exercise the cache
                     hit path                           (default 1)
   --jobs <n>        client connections (socket) or worker threads
@@ -511,8 +506,8 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
     let regs: u32 = args.value("--regs", 32)?;
     let options = CompileOptions { strategy: args.strategy()?, ..args.compile_options()? };
     let emit: fn(&CompiledLoop) -> String = match args.get("--emit").unwrap_or("kernel") {
-        "kernel" => |c| format!("\n{}", c.kernel()),
-        "pipeline" => |c| format!("\n{}", PipelinedLoop::new(c.ddg(), c.schedule())),
+        "kernel" => |c| format!("\n{}", c.pipeline().kernel()),
+        "pipeline" => |c| format!("\n{}", c.pipeline()),
         "dot" => |c| to_dot(c.ddg()),
         "text" => |c| textfmt::format(c.ddg()),
         other => return Err(format!("unknown emit mode '{other}'")),
@@ -781,13 +776,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let server = Server::open(ServeOptions {
         cache: !args.has("--no-cache"),
         capacity_bytes: args.at_least("--cache-bytes", d.capacity_bytes, 1)?,
-        shards: args.at_least("--shards", d.shards, 1)?,
         max_request_bytes: args.at_least("--max-request-bytes", d.max_request_bytes, 1)?,
         cache_dir: args.get("--cache-dir").map(PathBuf::from),
         deadline_ms: deadline_ms.transpose()?,
-        compact_appends: args.at_least("--compact-appends", d.compact_appends, 1)?,
-        drain_ms: args.at_least("--drain-ms", d.drain_ms, 1)?,
-        default_spill_policy: args.spill_policy()?,
+        ..d
     })?;
     match args.get("--socket") {
         None => serve_stdin(&server).map_err(|e| format!("serve: {e}")),
@@ -809,6 +801,25 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 /// `regpipe replay`: drive a request stream at a daemon.
 fn cmd_replay(args: &Args) -> Result<(), String> {
+    if args.has("--file") {
+        // The file's lines are sent verbatim, so no flag that builds a
+        // request stream applies to them.
+        let stream = [
+            "--source",
+            "--seed",
+            "--count",
+            "--budgets",
+            "--strategy",
+            "--scheduler",
+            "--spill-policy",
+            "--machine",
+        ];
+        if let Some(flag) = stream.iter().find(|flag| args.has(flag)) {
+            return Err(format!(
+                "--file (verbatim request lines) cannot be combined with {flag}"
+            ));
+        }
+    }
     let seed = args.value("--seed", DEFAULT_SEED)?;
     let count = args.at_least("--count", 100, 1)?;
     let repeat = args.at_least("--repeat", 1, 1)?;
@@ -836,7 +847,6 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
             let server = Server::open(ServeOptions {
                 cache: !args.has("--no-cache"),
                 cache_dir: args.get("--cache-dir").map(PathBuf::from),
-                default_spill_policy: config.spill_policy,
                 ..ServeOptions::default()
             })?;
             let outcome = replay_in_process(&server, &base, repeat, jobs, ids);

@@ -84,6 +84,70 @@ fn compile_best_meets_an_8_register_budget_on_the_example() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `--emit pipeline` prints the whole emitted loop of the same compile:
+/// the prologue that starts SC − 1 iterations, the kernel, and the
+/// epilogue that drains them, its cycles counted from the start of the
+/// last kernel repetition.
+#[test]
+fn compile_emits_the_example_pipeline() {
+    let dir = scratch_dir("pipeline");
+    let ddg = example_ddg(&dir);
+    let out = run_ok({
+        let mut c = bin();
+        c.arg("compile").arg(&ddg);
+        c.args(["--strategy", "best", "--regs", "8", "--emit", "pipeline"]);
+        c
+    });
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        stdout,
+        "fig2: II = 2 (MII 1), registers = 8/8, spilled = 2, strategy = Spill\n\
+         \n\
+         pipelined loop: II=2, SC=6, code size 36 slots\n\
+         prologue (10 cycles):\n\
+         \x20\x20\x20\x20\x200: Ld(i0)\n\
+         \x20\x20\x20\x20\x200: Ld.l0(i0)\n\
+         \x20\x20\x20\x20\x202: Ld(i1)\n\
+         \x20\x20\x20\x20\x202: *(i0)\n\
+         \x20\x20\x20\x20\x202: Ld.l0(i1)\n\
+         \x20\x20\x20\x20\x204: Ld(i2)\n\
+         \x20\x20\x20\x20\x204: *(i1)\n\
+         \x20\x20\x20\x20\x204: Ld.l0(i2)\n\
+         \x20\x20\x20\x20\x205: Ld.l1(i0)\n\
+         \x20\x20\x20\x20\x206: Ld(i3)\n\
+         \x20\x20\x20\x20\x206: *(i2)\n\
+         \x20\x20\x20\x20\x206: Ld.l0(i3)\n\
+         \x20\x20\x20\x20\x207: +(i0)\n\
+         \x20\x20\x20\x20\x207: Ld.l1(i1)\n\
+         \x20\x20\x20\x20\x208: Ld(i4)\n\
+         \x20\x20\x20\x20\x208: *(i3)\n\
+         \x20\x20\x20\x20\x208: Ld.l0(i4)\n\
+         \x20\x20\x20\x20\x209: +(i1)\n\
+         \x20\x20\x20\x20\x209: Ld.l1(i2)\n\
+         kernel (repeat; op(i-s) reads iteration i-s):\n\
+         \x20\x20\x20\x20\x200: Ld(i-0)\n\
+         \x20\x20\x20\x20\x200: *(i-1)\n\
+         \x20\x20\x20\x20\x200: Ld.l0(i-0)\n\
+         \x20\x20\x20\x20\x201: +(i-3)\n\
+         \x20\x20\x20\x20\x201: St(i-5)\n\
+         \x20\x20\x20\x20\x201: Ld.l1(i-2)\n\
+         epilogue:\n\
+         \x20\x20\x20\x20\x202: *(N-0)\n\
+         \x20\x20\x20\x20\x203: +(N-2)\n\
+         \x20\x20\x20\x20\x203: St(N-4)\n\
+         \x20\x20\x20\x20\x203: Ld.l1(N-1)\n\
+         \x20\x20\x20\x20\x205: +(N-1)\n\
+         \x20\x20\x20\x20\x205: St(N-3)\n\
+         \x20\x20\x20\x20\x205: Ld.l1(N-0)\n\
+         \x20\x20\x20\x20\x207: +(N-0)\n\
+         \x20\x20\x20\x20\x207: St(N-2)\n\
+         \x20\x20\x20\x20\x209: St(N-1)\n\
+         \x20\x20\x20\x2011: St(N-0)\n\
+         \n"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn suite_emits_a_parseable_deterministic_corpus() {
     let dir = scratch_dir("suite");
@@ -587,6 +651,9 @@ fn dropped_arguments_are_errors_naming_them() {
     let dir = scratch_dir("dropped-args");
     let ddg = example_ddg(&dir);
     let ddg = ddg.to_str().unwrap();
+    // A valid request file, so each `--file` case below fails only on
+    // the stream flag it names.
+    fs::write(dir.join("f"), "{\"op\":\"ping\"}\n").expect("write request file");
     for (args, needle) in [
         (&["compile", ddg, "--stratgy", "increase-ii"][..], "unknown flag '--stratgy'"),
         (&["compile", ddg, "--heuristic", "lt"], "unknown flag '--heuristic'"),
@@ -603,6 +670,14 @@ fn dropped_arguments_are_errors_naming_them() {
         (&["suite", "--size", "3", "--budgets", "32,32"], "--budgets lists '32' more than"),
         (&["suite", "--size", "3", "--strategies", "best,best"], "--strategies lists 'best'"),
         (&["replay", "--count", "2", "--budgets", "64,32,64"], "--budgets lists '64'"),
+        (&["replay", "--file", "f", "--source", "suite"], "combined with --source"),
+        (&["replay", "--file", "f", "--seed", "99"], "combined with --seed"),
+        (&["replay", "--file", "f", "--count", "5"], "combined with --count"),
+        (&["replay", "--file", "f", "--budgets", "8"], "combined with --budgets"),
+        (&["replay", "--file", "f", "--strategy", "spill"], "combined with --strategy"),
+        (&["replay", "--file", "f", "--scheduler", "sms"], "combined with --scheduler"),
+        (&["replay", "--file", "f", "--spill-policy", "paper"], "combined with --spill-policy"),
+        (&["replay", "--file", "f", "--machine", "p1l4"], "combined with --machine"),
     ] {
         let out = bin().args(args).current_dir(&dir).output().expect("spawn regpipe");
         assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
@@ -616,14 +691,7 @@ fn dropped_arguments_are_errors_naming_them() {
     // `replay` accepts what its help lists, not the daemon-only knobs.
     let out = bin().args(["help", "replay"]).output().expect("spawn regpipe");
     let help = String::from_utf8(out.stdout).unwrap();
-    for flag in [
-        "--cache-bytes",
-        "--shards",
-        "--max-request-bytes",
-        "--deadline-ms",
-        "--compact-appends",
-        "--drain-ms",
-    ] {
+    for flag in ["--cache-bytes", "--max-request-bytes", "--deadline-ms"] {
         assert!(!help.contains(flag), "help replay lists {flag}");
         let out = bin()
             .args(["replay", "--count", "2", flag, "1"])

@@ -4,7 +4,7 @@
 use regpipe::loops::paper::example_loop;
 use regpipe::prelude::*;
 use regpipe::regalloc::LifetimeAnalysis;
-use regpipe::sched::{Kernel, SchedRequest, Schedule};
+use regpipe::sched::{PipelinedLoop, SchedRequest, Schedule};
 use regpipe::spill::SelectHeuristic;
 
 /// The didactic machine of the example: 4 universal units, latency 2.
@@ -32,7 +32,7 @@ fn figure2_hand_schedule_is_valid_and_needs_11_registers() {
 #[test]
 fn figure2_kernel_has_seven_stages() {
     let g = example_loop();
-    let k = Kernel::new(&g, &hand_schedule(1));
+    let k = PipelinedLoop::new(&g, &hand_schedule(1));
     assert_eq!(k.stage_count(), 7, "Figure 2e shows stages 0..6");
     let stages: Vec<u32> = k.row(0).iter().map(|s| s.stage).collect();
     assert_eq!(stages, vec![0, 2, 4, 6]);

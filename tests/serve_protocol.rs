@@ -412,8 +412,8 @@ fn replay_stats_account_for_every_request_across_passes() {
 }
 
 /// The serve verbs are documented (with their flags) in `help`, bad flag
-/// values fail cleanly, and neither a `chaos` verb nor replay retry flags
-/// exist.
+/// values fail cleanly, and neither a `chaos` verb, replay retry flags
+/// nor the daemon's fixed-value knobs and default spill policy exist.
 #[test]
 fn serve_verbs_are_documented_and_validated() {
     let out = run_ok({
@@ -447,7 +447,10 @@ fn serve_verbs_are_documented_and_validated() {
         (&["replay", "--source", "warp"], "unknown --source"),
         (&["replay", "--scheduler", "warp"], "unknown scheduler"),
         (&["replay", "--spill-policy", "warp"], "unknown spill policy"),
-        (&["serve", "--spill-policy", "warp"], "unknown spill policy"),
+        (&["serve", "--spill-policy", "warp"], "unknown flag '--spill-policy'"),
+        (&["serve", "--shards", "8"], "unknown flag '--shards'"),
+        (&["serve", "--compact-appends", "8192"], "unknown flag '--compact-appends'"),
+        (&["serve", "--drain-ms", "2000"], "unknown flag '--drain-ms'"),
         (&["serve", "--cache-bytes", "0"], "--cache-bytes"),
         (&["serve", "--deadline-ms", "0"], "--deadline-ms"),
         (&["chaos"], "unknown command 'chaos'"),
