@@ -25,11 +25,11 @@
 //!
 //! Everything II-independent — groups, the super graph, recurrence sets and
 //! their bounds, reachability, the fallback order — lives in
-//! [`LoopAnalysis`] and is computed once per loop; the II search below only
-//! re-runs the (warm-started) timing analysis, the alternating-direction
-//! inner ordering and the placement scan per candidate II.
-
-use std::collections::BTreeSet;
+//! [`LoopAnalysis`] and is computed once per loop. Per candidate II the
+//! search below re-runs only the (warm-started) timing analysis and the
+//! two phases, interleaved: the ordering hands each group straight to
+//! placement and stops at the first group that does not fit, so the groups
+//! after it are never ordered.
 
 use regpipe_ddg::{Ddg, OpId};
 use regpipe_machine::Mrt;
@@ -41,10 +41,17 @@ use crate::{SchedError, SchedRequest, Schedule};
 
 const NEG_INF: i64 = i64::MIN / 4;
 
+/// An ordering phase: hands the group leaders to the sink in scheduling
+/// order until the sink returns false, and returns whether the sink
+/// accepted every group.
+pub(crate) type OrderWalk =
+    fn(&LoopAnalysis<'_>, &TimeAnalysis, &mut dyn FnMut(OpId) -> bool) -> bool;
+
 /// The II walk shared by the list schedulers, from `max(MII, min_ii)` up
 /// to the request's ceiling. Each candidate II gets a warm-started timing
 /// analysis and a bidirectional placement of the group leaders in the
-/// order the `ordering` phase gives.
+/// order the `ordering` phase gives, each group placed as soon as it is
+/// ordered; the ordering stops at the first group that does not fit.
 /// When that wedges, or when there is no ordering (the ASAP baseline),
 /// the context's forward topological order is placed ASAP-clamped: it
 /// cannot drift and converges as the II grows, so the search degrades
@@ -54,14 +61,14 @@ pub(crate) fn ii_search(
     ctx: &LoopAnalysis<'_>,
     request: &SchedRequest,
     slug: &'static str,
-    ordering: Option<fn(&LoopAnalysis<'_>, &TimeAnalysis) -> Vec<OpId>>,
+    ordering: Option<OrderWalk>,
 ) -> Result<Schedule, SchedError> {
     let lower = ctx.mii().max(request.min_ii.unwrap_or(1));
     let upper = request.max_ii.unwrap_or_else(|| ctx.fallback_max_ii());
     if upper < lower {
         return Err(SchedError::InfeasibleRequest { min_ii: lower, max_ii: upper });
     }
-    let mut scratch = PlaceScratch::new(ctx.ddg().num_ops());
+    let mut start = vec![None; ctx.ddg().num_ops()];
     let mut tried = 0u32;
     let mut prev: Option<TimeAnalysis> = None;
     for ii in lower..=upper {
@@ -71,12 +78,14 @@ pub(crate) fn ii_search(
         };
         let placed = ordering
             .and_then(|order| {
-                let order = order(ctx, &analysis);
-                place_order(ctx, ii, &order, &analysis, PlaceMode::Hrms, &mut scratch)
+                let mut placer = Placer::new(ctx, ii, &analysis, PlaceMode::Hrms, &mut start)?;
+                order(ctx, &analysis, &mut |leader| placer.place(leader))
+                    .then(|| placer.finish())
             })
             .or_else(|| {
-                let fallback = &ctx.fallback;
-                place_order(ctx, ii, fallback, &analysis, PlaceMode::AsapClamped, &mut scratch)
+                let mode = PlaceMode::AsapClamped;
+                let mut placer = Placer::new(ctx, ii, &analysis, mode, &mut start)?;
+                ctx.fallback.iter().all(|&leader| placer.place(leader)).then(|| placer.finish())
             });
         if let Some(starts) = placed {
             return Ok(Schedule::with_provenance(ii, starts, slug, tried));
@@ -121,89 +130,8 @@ pub(crate) fn group_priorities(
     (g_asap, g_alap, g_mob)
 }
 
-/// Produces the scheduling order as a list of group leaders, walking the
-/// context's precomputed priority sets with the timing analysis for this II.
-pub(crate) fn ordering_in(ctx: &LoopAnalysis<'_>, analysis: &TimeAnalysis) -> Vec<OpId> {
-    let sg = &ctx.sg;
-    let (g_asap, g_alap, g_mob) = group_priorities(ctx, analysis);
-    let horizon: i64 = g_alap.iter().copied().max().unwrap_or(0);
-    frontier_walk(
-        ctx,
-        // Fresh start: most critical (min mobility), earliest.
-        |remaining| {
-            remaining
-                .iter()
-                .copied()
-                .min_by_key(|&v| (g_mob[v], g_asap[v], v))
-                .expect("non-empty")
-        },
-        |frontier, remaining, dir| {
-            pick(frontier, remaining, sg, dir, &g_asap, &g_alap, &g_mob, horizon)
-        },
-    )
-}
-
-/// The ordering walk shared by the HRMS and SMS schedulers: alternating
-/// top-down/bottom-up sweeps over the context's precomputed priority
-/// sets, expanding a frontier from the already-ordered groups. The two
-/// schedulers differ only in their plug-ins — `seed` chooses the fresh
-/// start of a set no ordered group connects to yet, `pick(frontier,
-/// remaining, dir)` the next group for the current sweep direction.
-pub(crate) fn frontier_walk(
-    ctx: &LoopAnalysis<'_>,
-    seed: impl Fn(&BTreeSet<usize>) -> usize,
-    pick: impl Fn(&BTreeSet<usize>, &BTreeSet<usize>, Direction) -> Option<usize>,
-) -> Vec<OpId> {
-    let groups = ctx.groups();
-    let sg = &ctx.sg;
-    let mut order: Vec<usize> = Vec::with_capacity(groups.len());
-    let mut ordered = vec![false; groups.len()];
-    for set in &ctx.sets {
-        let mut remaining: BTreeSet<usize> = set.iter().copied().collect();
-        while !remaining.is_empty() {
-            let td: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&v| sg.preds[v].iter().any(|&p| ordered[p]))
-                .collect();
-            let bu: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&v| sg.succs[v].iter().any(|&s| ordered[s]))
-                .collect();
-            let (mut frontier, dir): (BTreeSet<usize>, Direction) =
-                if !td.is_empty() && bu.is_empty() {
-                    (td.into_iter().collect(), Direction::TopDown)
-                } else if !bu.is_empty() && td.is_empty() {
-                    (bu.into_iter().collect(), Direction::BottomUp)
-                } else if td.is_empty() && bu.is_empty() {
-                    ([seed(&remaining)].into_iter().collect(), Direction::TopDown)
-                } else {
-                    (td.into_iter().collect(), Direction::TopDown)
-                };
-            while let Some(v) = pick(&frontier, &remaining, dir) {
-                frontier.remove(&v);
-                if !remaining.remove(&v) {
-                    continue;
-                }
-                ordered[v] = true;
-                order.push(v);
-                let next = match dir {
-                    Direction::TopDown => &sg.succs[v],
-                    Direction::BottomUp => &sg.preds[v],
-                };
-                for &w in next {
-                    if remaining.contains(&w) {
-                        frontier.insert(w);
-                    }
-                }
-            }
-        }
-    }
-    order.into_iter().map(|gi| groups.leader(gi)).collect()
-}
-
-/// Picks the next group from the frontier.
+/// The HRMS ordering: walks the context's precomputed priority sets with
+/// the timing analysis for this II (an [`OrderWalk`]).
 ///
 /// Groups that are *ready* — all their same-set predecessors (top-down) or
 /// successors (bottom-up) already ordered — are strongly preferred: ordering
@@ -211,31 +139,133 @@ pub(crate) fn frontier_walk(
 /// versa) can anchor the two against different neighbours and leave the
 /// in-between node an unsatisfiable window at every II. Ties fall back to
 /// criticality, then mobility, then index.
-#[allow(clippy::too_many_arguments)]
-fn pick(
-    frontier: &BTreeSet<usize>,
-    remaining: &BTreeSet<usize>,
-    sg: &crate::loop_analysis::SuperGraph,
-    dir: Direction,
-    g_asap: &[i64],
-    g_alap: &[i64],
-    g_mob: &[i64],
-    horizon: i64,
-) -> Option<usize> {
-    frontier.iter().copied().min_by_key(|&v| {
-        let blocked_by = match dir {
-            Direction::TopDown => &sg.preds[v],
-            Direction::BottomUp => &sg.succs[v],
-        };
-        let not_ready = blocked_by.iter().any(|w| remaining.contains(w) && *w != v);
-        let criticality = match dir {
-            // Top-down: prefer the node with the longest path below it.
-            Direction::TopDown => -(horizon - g_alap[v]),
-            // Bottom-up: prefer the node with the longest path above it.
-            Direction::BottomUp => -g_asap[v],
-        };
-        (not_ready, criticality, g_mob[v], v)
-    })
+pub(crate) fn ordering_in(
+    ctx: &LoopAnalysis<'_>,
+    analysis: &TimeAnalysis,
+    sink: &mut dyn FnMut(OpId) -> bool,
+) -> bool {
+    let (g_asap, g_alap, g_mob) = group_priorities(ctx, analysis);
+    let horizon: i64 = g_alap.iter().copied().max().unwrap_or(0);
+    frontier_walk(
+        ctx,
+        // Fresh start: most critical (min mobility), earliest.
+        |v| (g_mob[v], g_asap[v], v),
+        |v, dir, ready| {
+            let criticality = match dir {
+                // Top-down: prefer the node with the longest path below it.
+                Direction::TopDown => -(horizon - g_alap[v]),
+                // Bottom-up: prefer the node with the longest path above it.
+                Direction::BottomUp => -g_asap[v],
+            };
+            (!ready, criticality, g_mob[v], v)
+        },
+        sink,
+    )
+}
+
+/// The ordering walk shared by the HRMS and SMS schedulers: alternating
+/// top-down/bottom-up sweeps over the context's precomputed priority
+/// sets, expanding a frontier from the already-ordered groups. The two
+/// schedulers differ only in their keys, and the smallest key wins:
+/// `seed_key` ranks a set's unordered groups for a fresh start when no
+/// ordered group connects to them, and `pick_key(group, dir, ready)` ranks
+/// the frontier for the sweep direction, where `ready` says that all the
+/// group's same-set predecessors (top-down) or successors (bottom-up) are
+/// already ordered. Every key ends in the group index, so keys never tie.
+///
+/// Each ordered group's leader goes straight to `sink`; the walk stops as
+/// soon as `sink` returns false and returns whether `sink` accepted every
+/// group.
+/// Readiness comes from per-group counts of unordered same-set neighbours,
+/// kept up to date as groups are ordered.
+pub(crate) fn frontier_walk<S: Ord, K: Ord>(
+    ctx: &LoopAnalysis<'_>,
+    seed_key: impl Fn(usize) -> S,
+    pick_key: impl Fn(usize, Direction, bool) -> K,
+    sink: &mut dyn FnMut(OpId) -> bool,
+) -> bool {
+    let groups = ctx.groups();
+    let sg = &ctx.sg;
+    let g = groups.len();
+    let mut ordered = vec![false; g];
+    // Members of the current set that are not ordered yet.
+    let mut remaining = vec![false; g];
+    let mut preds_left = vec![0usize; g];
+    let mut succs_left = vec![0usize; g];
+    let mut in_frontier = vec![false; g];
+    for set in &ctx.sets {
+        for &v in set {
+            remaining[v] = true;
+        }
+        for &v in set {
+            preds_left[v] = sg.preds[v].iter().filter(|&&p| remaining[p]).count();
+            succs_left[v] = sg.succs[v].iter().filter(|&&s| remaining[s]).count();
+        }
+        let mut left = set.len();
+        while left > 0 {
+            let unordered = set.iter().copied().filter(|&v| remaining[v]);
+            let td: Vec<usize> = unordered
+                .clone()
+                .filter(|&v| sg.preds[v].iter().any(|&p| ordered[p]))
+                .collect();
+            let (dir, start) = if !td.is_empty() {
+                (Direction::TopDown, td)
+            } else {
+                let bu: Vec<usize> = unordered
+                    .clone()
+                    .filter(|&v| sg.succs[v].iter().any(|&s| ordered[s]))
+                    .collect();
+                if bu.is_empty() {
+                    let seed = unordered.min_by_key(|&v| seed_key(v)).expect("non-empty");
+                    (Direction::TopDown, vec![seed])
+                } else {
+                    (Direction::BottomUp, bu)
+                }
+            };
+            for &v in &start {
+                in_frontier[v] = true;
+            }
+            let mut frontier = start;
+            while let Some(i) = (0..frontier.len()).min_by_key(|&i| {
+                let v = frontier[i];
+                let blocked = match dir {
+                    Direction::TopDown => preds_left[v],
+                    Direction::BottomUp => succs_left[v],
+                };
+                pick_key(v, dir, blocked == 0)
+            }) {
+                let v = frontier.swap_remove(i);
+                in_frontier[v] = false;
+                ordered[v] = true;
+                remaining[v] = false;
+                left -= 1;
+                for &s in &sg.succs[v] {
+                    if remaining[s] {
+                        preds_left[s] -= 1;
+                    }
+                }
+                for &p in &sg.preds[v] {
+                    if remaining[p] {
+                        succs_left[p] -= 1;
+                    }
+                }
+                if !sink(groups.leader(v)) {
+                    return false;
+                }
+                let next = match dir {
+                    Direction::TopDown => &sg.succs[v],
+                    Direction::BottomUp => &sg.preds[v],
+                };
+                for &w in next {
+                    if remaining[w] && !in_frontier[w] {
+                        in_frontier[w] = true;
+                        frontier.push(w);
+                    }
+                }
+            }
+        }
+    }
+    true
 }
 
 /// Group leaders in a forward topological order of the zero-distance edge
@@ -266,7 +296,7 @@ pub(crate) fn topo_leader_order(ddg: &Ddg, groups: &ComplexGroups) -> Vec<OpId> 
 // Placement phase (shared with the ASAP baseline)
 // ----------------------------------------------------------------------
 
-/// Placement policy for [`place_order`].
+/// Placement policy for a [`Placer`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum PlaceMode {
     /// HRMS: operations hug their scheduled neighbours — upward scans from
@@ -280,19 +310,6 @@ pub(crate) enum PlaceMode {
     /// converge as II grows (placing everything at its ASAP fixpoint is
     /// dependence-feasible, and resource conflicts vanish at large II).
     AsapClamped,
-}
-
-/// Reusable buffers for [`place_order`]'s inner slot search, allocated once
-/// per II sweep instead of per placement attempt.
-pub(crate) struct PlaceScratch {
-    /// Tentative start cycle per op (`None` = not yet placed).
-    start: Vec<Option<i64>>,
-}
-
-impl PlaceScratch {
-    pub(crate) fn new(n: usize) -> Self {
-        PlaceScratch { start: vec![None; n] }
-    }
 }
 
 /// The slot sequence scanned for one group: at most II candidate start
@@ -331,32 +348,46 @@ impl Iterator for SlotScan {
     }
 }
 
-/// Places groups following `order`; returns per-op start cycles or `None`
-/// if some group cannot be placed at this II.
-pub(crate) fn place_order(
-    ctx: &LoopAnalysis<'_>,
-    ii: u32,
-    order: &[OpId],
-    analysis: &TimeAnalysis,
+/// One placement attempt at one II: groups are placed one leader at a
+/// time, in the order they are handed in, each into the first free slot of
+/// its window.
+pub(crate) struct Placer<'p, 'a> {
+    ctx: &'p LoopAnalysis<'a>,
+    analysis: &'p TimeAnalysis,
     mode: PlaceMode,
-    scratch: &mut PlaceScratch,
-) -> Option<Vec<i64>> {
-    let ddg = ctx.ddg();
-    let groups = ctx.groups();
-    let ii64 = i64::from(ii);
-    scratch.start.fill(None);
-    let start = &mut scratch.start;
-    let mut mrt = Mrt::new(ctx.machine(), ii);
+    ii: i64,
+    mrt: Mrt,
+    /// Start cycle per op (`None` = not yet placed); a buffer the II
+    /// search reuses across attempts.
+    start: &'p mut [Option<i64>],
+}
 
-    // Pre-check: free edges internal to a group must be consistent with the
-    // bond offsets at this II.
-    for e in &ctx.intra_free {
-        if e.sep < e.lat - ii64 * e.dist {
+impl<'p, 'a> Placer<'p, 'a> {
+    /// An empty placement at `ii`, or `None` when the free edges inside
+    /// some group cannot hold at this II, whatever the order.
+    pub(crate) fn new(
+        ctx: &'p LoopAnalysis<'a>,
+        ii: u32,
+        analysis: &'p TimeAnalysis,
+        mode: PlaceMode,
+        start: &'p mut [Option<i64>],
+    ) -> Option<Self> {
+        let ii64 = i64::from(ii);
+        // Free edges internal to a group must be consistent with the bond
+        // offsets at this II.
+        if ctx.intra_free.iter().any(|e| e.sep < e.lat - ii64 * e.dist) {
             return None;
         }
+        start.fill(None);
+        Some(Placer { ctx, analysis, mode, ii: ii64, mrt: Mrt::new(ctx.machine(), ii), start })
     }
 
-    for &leader in order {
+    /// Places the group led by `leader`; false when no slot of its window
+    /// fits.
+    pub(crate) fn place(&mut self, leader: OpId) -> bool {
+        let ddg = self.ctx.ddg();
+        let groups = self.ctx.groups();
+        let (ii64, start) = (self.ii, &mut *self.start);
         let members = groups.members_of(leader);
         debug_assert_eq!(groups.offset(leader), 0);
 
@@ -365,13 +396,13 @@ pub(crate) fn place_order(
         let mut late: Option<i64> = None;
         for &m in members {
             let m_off = groups.offset(m);
-            for e in &ctx.in_cross[m.index()] {
+            for e in &self.ctx.in_cross[m.index()] {
                 if let Some(tp) = start[e.other] {
                     let c = tp + e.lat - ii64 * e.dist - m_off;
                     early = Some(early.map_or(c, |x: i64| x.max(c)));
                 }
             }
-            for e in &ctx.out_cross[m.index()] {
+            for e in &self.ctx.out_cross[m.index()] {
                 if let Some(ts) = start[e.other] {
                     let c = ts - e.lat + ii64 * e.dist - m_off;
                     late = Some(late.map_or(c, |x: i64| x.min(c)));
@@ -382,7 +413,7 @@ pub(crate) fn place_order(
         // The group's ASAP level on the leader's clock.
         let g_asap = members
             .iter()
-            .map(|&m| analysis.asap(m) - groups.offset(m))
+            .map(|&m| self.analysis.asap(m) - groups.offset(m))
             .max()
             .expect("groups are non-empty");
 
@@ -390,9 +421,9 @@ pub(crate) fn place_order(
         let mut candidates: SlotScan = match (early, late) {
             (Some(e), Some(l)) => {
                 if l < e {
-                    return None;
+                    return false;
                 }
-                let lo = match mode {
+                let lo = match self.mode {
                     PlaceMode::Hrms => e,
                     // Clamp toward the dataflow level when the window allows.
                     PlaceMode::AsapClamped => {
@@ -406,19 +437,19 @@ pub(crate) fn place_order(
                 SlotScan::Up { next: lo, last: l.min(lo + ii64 - 1) }
             }
             (Some(e), None) => {
-                let lo = match mode {
+                let lo = match self.mode {
                     PlaceMode::Hrms => e,
                     PlaceMode::AsapClamped => e.max(g_asap),
                 };
                 SlotScan::Up { next: lo, last: lo + ii64 - 1 }
             }
-            (None, Some(l)) => match mode {
+            (None, Some(l)) => match self.mode {
                 // Scan downward: place as late as possible, next to the
                 // already-scheduled consumers.
                 PlaceMode::Hrms => SlotScan::Down { next: l, last: l - ii64 + 1 },
                 PlaceMode::AsapClamped => {
                     if l < g_asap {
-                        return None;
+                        return false;
                     }
                     SlotScan::Up { next: g_asap, last: l.min(g_asap + ii64 - 1) }
                 }
@@ -427,18 +458,29 @@ pub(crate) fn place_order(
         };
 
         let g = groups.group_of(leader);
-        let t = candidates.find(|&t| groups.place(ddg, &mut mrt, g, t))?;
+        let Some(t) = candidates.find(|&t| groups.place(ddg, &mut self.mrt, g, t)) else {
+            return false;
+        };
         for &m in members {
             start[m.index()] = Some(t + groups.offset(m));
         }
+        true
     }
-    Some(start.iter().map(|t| t.expect("all ops ordered")).collect())
+
+    /// Per-op start cycles, once every group is placed.
+    pub(crate) fn finish(self) -> Vec<i64> {
+        self.start.iter().map(|t| t.expect("all ops placed")).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::{mii, SchedError, Scheduler, SchedulerKind};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
     use regpipe_ddg::DdgBuilder;
     use regpipe_ddg::OpKind;
     use regpipe_machine::MachineConfig;
@@ -607,41 +649,51 @@ mod tests {
         assert_eq!(s.ii(), 4);
     }
 
+    /// A random loop of up to 23 ops of mixed kinds and random edges, the
+    /// loop-carried ones free to run backwards. With `bonds`, some
+    /// neighbouring ops are then bonded into complex-operation chains.
+    /// `None` when the draw is not a valid loop.
+    fn random_graph(rng: &mut StdRng, case: usize, bonds: bool) -> Option<Ddg> {
+        let n = rng.random_range(2..24usize);
+        let mut b = DdgBuilder::new(format!("s{case}"));
+        let kinds =
+            [OpKind::Load, OpKind::Store, OpKind::Add, OpKind::Mul, OpKind::Copy, OpKind::Div];
+        let ops: Vec<(OpId, OpKind)> = (0..n)
+            .map(|i| {
+                let kind = kinds[rng.random_range(0..kinds.len())];
+                (b.add_op(kind, format!("n{i}")), kind)
+            })
+            .collect();
+        for _ in 0..rng.random_range(0..2 * n) {
+            let (f, f_kind) = ops[rng.random_range(0..n)];
+            let t = ops[rng.random_range(0..n)].0;
+            if f == t {
+                continue;
+            }
+            let dist =
+                if t > f { rng.random_range(0..3u32) } else { rng.random_range(1..3u32) };
+            if f_kind == OpKind::Store {
+                b.mem(f, t, dist.max(if t > f { 0 } else { 1 }));
+            } else {
+                b.reg_dist(f, t, dist);
+            }
+        }
+        if bonds {
+            for pair in ops.windows(2) {
+                if pair[0].1 != OpKind::Store && rng.random_range(0..3u32) == 0 {
+                    b.bond(pair[0].0, pair[1].0);
+                }
+            }
+        }
+        b.build().ok()
+    }
+
     #[test]
     fn stress_random_graphs_schedule_and_verify() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
         let machines = [MachineConfig::p1l4(), MachineConfig::p2l4(), MachineConfig::p2l6()];
         for case in 0..150 {
-            let n = rng.random_range(2..24usize);
-            let mut b = DdgBuilder::new(format!("s{case}"));
-            let kinds = [
-                OpKind::Load,
-                OpKind::Store,
-                OpKind::Add,
-                OpKind::Mul,
-                OpKind::Copy,
-                OpKind::Div,
-            ];
-            let ops: Vec<OpId> = (0..n)
-                .map(|i| b.add_op(kinds[rng.random_range(0..kinds.len())], format!("n{i}")))
-                .collect();
-            for _ in 0..rng.random_range(0..2 * n) {
-                let f = ops[rng.random_range(0..n)];
-                let t = ops[rng.random_range(0..n)];
-                if f == t {
-                    continue;
-                }
-                let dist =
-                    if t > f { rng.random_range(0..3u32) } else { rng.random_range(1..3u32) };
-                if b.clone().build_unchecked().op(f).kind() == OpKind::Store {
-                    b.mem(f, t, dist.max(if t > f { 0 } else { 1 }));
-                } else {
-                    b.reg_dist(f, t, dist);
-                }
-            }
-            let Ok(g) = b.build() else { continue };
+            let Some(g) = random_graph(&mut rng, case, false) else { continue };
             let m = &machines[case % machines.len()];
             let s = SchedulerKind::Hrms
                 .schedule(&g, m, &SchedRequest::default())
@@ -650,6 +702,184 @@ mod tests {
             assert!(s.ii() >= mii(&g, m));
         }
     }
+
+    /// The ordering walk the linear one replaced, kept as its reference: a
+    /// `BTreeSet` frontier, and readiness recomputed from `remaining` at
+    /// every pick.
+    fn reference_walk(
+        ctx: &LoopAnalysis<'_>,
+        seed: impl Fn(&BTreeSet<usize>) -> usize,
+        pick: impl Fn(&BTreeSet<usize>, &BTreeSet<usize>, Direction) -> Option<usize>,
+    ) -> Vec<OpId> {
+        let groups = ctx.groups();
+        let sg = &ctx.sg;
+        let mut order: Vec<usize> = Vec::with_capacity(groups.len());
+        let mut ordered = vec![false; groups.len()];
+        for set in &ctx.sets {
+            let mut remaining: BTreeSet<usize> = set.iter().copied().collect();
+            while !remaining.is_empty() {
+                let td: Vec<usize> = remaining
+                    .iter()
+                    .copied()
+                    .filter(|&v| sg.preds[v].iter().any(|&p| ordered[p]))
+                    .collect();
+                let bu: Vec<usize> = remaining
+                    .iter()
+                    .copied()
+                    .filter(|&v| sg.succs[v].iter().any(|&s| ordered[s]))
+                    .collect();
+                let (mut frontier, dir): (BTreeSet<usize>, Direction) =
+                    if !td.is_empty() && bu.is_empty() {
+                        (td.into_iter().collect(), Direction::TopDown)
+                    } else if !bu.is_empty() && td.is_empty() {
+                        (bu.into_iter().collect(), Direction::BottomUp)
+                    } else if td.is_empty() && bu.is_empty() {
+                        ([seed(&remaining)].into_iter().collect(), Direction::TopDown)
+                    } else {
+                        (td.into_iter().collect(), Direction::TopDown)
+                    };
+                while let Some(v) = pick(&frontier, &remaining, dir) {
+                    frontier.remove(&v);
+                    if !remaining.remove(&v) {
+                        continue;
+                    }
+                    ordered[v] = true;
+                    order.push(v);
+                    let next = match dir {
+                        Direction::TopDown => &sg.succs[v],
+                        Direction::BottomUp => &sg.preds[v],
+                    };
+                    for &w in next {
+                        if remaining.contains(&w) {
+                            frontier.insert(w);
+                        }
+                    }
+                }
+            }
+        }
+        order.into_iter().map(|gi| groups.leader(gi)).collect()
+    }
+
+    /// The reference HRMS order: readiness probed in `remaining`.
+    fn reference_hrms(ctx: &LoopAnalysis<'_>, analysis: &TimeAnalysis) -> Vec<OpId> {
+        let sg = &ctx.sg;
+        let (g_asap, g_alap, g_mob) = group_priorities(ctx, analysis);
+        let horizon: i64 = g_alap.iter().copied().max().unwrap_or(0);
+        reference_walk(
+            ctx,
+            |remaining| {
+                remaining.iter().copied().min_by_key(|&v| (g_mob[v], g_asap[v], v)).unwrap()
+            },
+            |frontier, remaining, dir| {
+                frontier.iter().copied().min_by_key(|&v| {
+                    let blocked_by = match dir {
+                        Direction::TopDown => &sg.preds[v],
+                        Direction::BottomUp => &sg.succs[v],
+                    };
+                    let not_ready = blocked_by.iter().any(|w| remaining.contains(w) && *w != v);
+                    let criticality = match dir {
+                        Direction::TopDown => -(horizon - g_alap[v]),
+                        Direction::BottomUp => -g_asap[v],
+                    };
+                    (not_ready, criticality, g_mob[v], v)
+                })
+            },
+        )
+    }
+
+    /// The reference SMS order: the swing priority over a `BTreeSet`.
+    fn reference_sms(ctx: &LoopAnalysis<'_>, analysis: &TimeAnalysis) -> Vec<OpId> {
+        let (g_asap, g_alap, g_mob) = group_priorities(ctx, analysis);
+        reference_walk(
+            ctx,
+            |remaining| {
+                remaining.iter().copied().min_by_key(|&v| (g_mob[v], g_alap[v], v)).unwrap()
+            },
+            |frontier, _remaining, dir| {
+                frontier.iter().copied().min_by_key(|&v| {
+                    let swing = match dir {
+                        Direction::TopDown => g_alap[v],
+                        Direction::BottomUp => -g_asap[v],
+                    };
+                    (swing, g_mob[v], v)
+                })
+            },
+        )
+    }
+
+    /// Runs `order` until it has emitted `limit` leaders: the leaders, and
+    /// whether the walk finished.
+    fn walk(
+        order: OrderWalk,
+        ctx: &LoopAnalysis<'_>,
+        analysis: &TimeAnalysis,
+        limit: usize,
+    ) -> (Vec<OpId>, bool) {
+        let mut leaders = Vec::new();
+        let finished = order(ctx, analysis, &mut |leader| {
+            leaders.push(leader);
+            leaders.len() < limit
+        });
+        (leaders, finished)
+    }
+
+    /// At MII, MII+1 and MII+3, the HRMS and SMS walks emit the reference
+    /// order in full, and a walk stopped after k leaders emits exactly the
+    /// reference's first k and reports that it did not finish.
+    fn assert_walks_match_the_reference(g: &Ddg, m: &MachineConfig) {
+        type Reference = fn(&LoopAnalysis<'_>, &TimeAnalysis) -> Vec<OpId>;
+        let walks: [(&str, OrderWalk, Reference); 2] = [
+            ("hrms", ordering_in, reference_hrms),
+            ("sms", crate::sms::swing_ordering, reference_sms),
+        ];
+        let ctx = LoopAnalysis::new(g, m);
+        for ii in [ctx.mii(), ctx.mii() + 1, ctx.mii() + 3] {
+            let analysis = ctx.time_analysis(ii, None).expect("II at or above RecMII");
+            for (name, order, reference) in walks {
+                let expected = reference(&ctx, &analysis);
+                let cell = format!("{name} on {} at II {ii} ({m})", g.name());
+                assert_eq!(
+                    walk(order, &ctx, &analysis, usize::MAX),
+                    (expected.clone(), true),
+                    "{cell}"
+                );
+                let n = expected.len();
+                for k in [1, n / 2, n.saturating_sub(1)].into_iter().filter(|&k| 0 < k && k < n)
+                {
+                    let (prefix, finished) = walk(order, &ctx, &analysis, k);
+                    assert_eq!(prefix, expected[..k], "{cell}, stopped after {k}");
+                    assert!(!finished, "{cell}, stopped after {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn linear_walk_matches_the_reference_walk() {
+        use regpipe_loops::{generate, suite, GenParams};
+        let big = GenParams { min_ops: 256, max_ops: 256, ..GenParams::default() };
+        let loops = suite(49626, 300)
+            .into_iter()
+            .chain(generate(7, 200, &GenParams::default()).unwrap())
+            .chain(generate(49626, 4, &big).unwrap());
+        let machines = [MachineConfig::p1l4(), MachineConfig::p2l4(), MachineConfig::p2l6()];
+        for l in loops {
+            for m in &machines {
+                assert_walks_match_the_reference(&l.ddg, m);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut bonded = 0;
+        for case in 0..300 {
+            let Some(g) = random_graph(&mut rng, case, true) else { continue };
+            bonded += usize::from(ComplexGroups::new(&g, &machines[0]).len() < g.num_ops());
+            for m in &machines {
+                assert_walks_match_the_reference(&g, m);
+            }
+        }
+        assert!(bonded >= 100, "only {bonded} random graphs have a bonded group");
+    }
+
     #[test]
     fn self_recurrence_group_is_ordered_first() {
         // An accumulator self-recurrence is a one-group recurrence: the

@@ -5,11 +5,14 @@
 //!
 //! Before this layer existed every II probe rebuilt the complex-operation
 //! groups, the group-level super graph, its SCCs, the per-recurrence RecMII
-//! bounds (each a Floyd–Warshall binary search!), the reachability queries
+//! bounds (each a Bellman–Ford binary search), the reachability queries
 //! of the ordering phase and the fallback topological order from scratch.
 //! All of that is II-independent. [`LoopAnalysis`] hoists it out of the
-//! loop; what remains per II is one (warm-started) timing analysis, the
-//! alternating-direction inner ordering and the placement scan.
+//! loop. The per-recurrence bounds also give the loop's RecMII, the
+//! largest of them, so no whole-graph search runs. What remains per II is
+//! one (warm-started) timing analysis and the placement scan, fed one
+//! group at a time by the alternating-direction inner ordering, which
+//! stops at the first group that does not fit.
 //!
 //! # Invalidation
 //!
@@ -26,7 +29,7 @@ use regpipe_machine::{res_mii, MachineConfig};
 
 use crate::analysis::TimeAnalysis;
 use crate::groups::ComplexGroups;
-use crate::recmii::{rec_mii_over, subset_rec_bound};
+use crate::recmii::subset_rec_bound;
 use crate::{edge_latency, fallback_max_ii};
 
 /// One dependence edge with its timing resolved against the machine model:
@@ -209,11 +212,8 @@ impl<'a> LoopAnalysis<'a> {
         }
 
         let sg = SuperGraph::new(ddg, &groups);
-        let sets = priority_sets(ddg, machine, &groups, &sg);
+        let (sets, rec_mii) = priority_sets(ddg, machine, &groups, &sg);
         let fallback = crate::hrms::topo_leader_order(ddg, &groups);
-
-        let has_recurrence = !regpipe_ddg::algo::recurrences(ddg).is_empty();
-        let rec_mii = rec_mii_over(n, &edges, has_recurrence);
         LoopAnalysis {
             res_mii: res_mii(machine, ddg),
             rec_mii,
@@ -288,7 +288,9 @@ impl<'a> LoopAnalysis<'a> {
 /// The II-independent half of the HRMS ordering phase: recurrence sets by
 /// decreasing RecMII bound, each augmented with the groups on paths
 /// connecting it to previously chosen sets, and a final set with the
-/// acyclic rest.
+/// acyclic rest. Also returns the loop's RecMII: every dependence cycle
+/// lies inside one cyclic component of the super graph, so RecMII is the
+/// largest component bound (1 without one).
 ///
 /// Reachability runs on a word-packed transitive closure of the super graph
 /// ([`BitClosure`]) instead of one BFS per query; chosen/recurrence rows are
@@ -298,7 +300,7 @@ fn priority_sets(
     machine: &MachineConfig,
     groups: &ComplexGroups,
     sg: &SuperGraph,
-) -> Vec<Vec<usize>> {
+) -> (Vec<Vec<usize>>, u32) {
     let g = groups.len();
     let sccs = regpipe_ddg::algo::sccs_of(&sg.succs);
     let mut rec_sets: Vec<(u32, Vec<usize>)> = Vec::new();
@@ -314,6 +316,7 @@ fn priority_sets(
         }
     }
     rec_sets.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    let rec_mii = rec_sets.first().map_or(1, |&(bound, _)| bound);
 
     let (fwd, bwd) = if rec_sets.len() > 1 {
         (BitClosure::new(&sg.succs), BitClosure::transposed(&sg.succs))
@@ -375,7 +378,7 @@ fn priority_sets(
     if !rest.is_empty() {
         sets.push(rest);
     }
-    sets
+    (sets, rec_mii)
 }
 
 #[cfg(test)]

@@ -24,9 +24,9 @@ pub fn rec_mii(ddg: &Ddg, machine: &MachineConfig) -> u32 {
     rec_mii_over(ddg.num_ops(), &timed_edges(ddg, machine), !recurrences(ddg).is_empty())
 }
 
-/// [`rec_mii`] over pre-resolved edge timings (the cached entry point used
-/// by [`crate::LoopAnalysis`]). `has_recurrence` short-circuits acyclic
-/// graphs to 1 exactly as the standalone function does.
+/// [`rec_mii`] over pre-resolved edge timings, also the search behind
+/// [`subset_rec_bound`]. `has_recurrence` short-circuits acyclic graphs to
+/// 1 exactly as the standalone function does.
 pub(crate) fn rec_mii_over(n: usize, edges: &[TimedEdge], has_recurrence: bool) -> u32 {
     if !has_recurrence {
         return 1;
@@ -161,7 +161,7 @@ impl CycleScratch {
 /// Recurrence bound of a node subset: the smallest II with no positive
 /// cycle in the induced subgraph (used by the ordering phase to rank
 /// recurrence sets; II-independent, so [`crate::LoopAnalysis`] computes it
-/// once per loop).
+/// once per loop, and takes the loop's RecMII as the largest one).
 pub(crate) fn subset_rec_bound(ddg: &Ddg, machine: &MachineConfig, members: &[OpId]) -> u32 {
     let mut pos = vec![usize::MAX; ddg.num_ops()];
     for (i, m) in members.iter().enumerate() {

@@ -15,8 +15,7 @@ use std::fmt;
 use regpipe_ddg::{Ddg, OpId};
 use regpipe_machine::MachineConfig;
 
-use crate::analysis::TimeAnalysis;
-use crate::hrms::{ii_search, ordering_in};
+use crate::hrms::{ii_search, ordering_in, OrderWalk};
 use crate::sms::swing_ordering;
 use crate::{ExactScheduler, LoopAnalysis, SchedError, SchedRequest, Schedule, Scheduler};
 
@@ -106,12 +105,17 @@ impl SchedulerKind {
         let order = self.order()?;
         let ctx = LoopAnalysis::new(ddg, machine);
         let analysis = ctx.time_analysis(ii, None)?;
-        Some(order(&ctx, &analysis))
+        let mut leaders = Vec::with_capacity(ctx.groups().len());
+        order(&ctx, &analysis, &mut |leader| {
+            leaders.push(leader);
+            true
+        });
+        Some(leaders)
     }
 
     /// The ordering phase the II walk places by; without one (ASAP) it
     /// places the context's topological order ASAP-clamped.
-    fn order(self) -> Option<fn(&LoopAnalysis<'_>, &TimeAnalysis) -> Vec<OpId>> {
+    fn order(self) -> Option<OrderWalk> {
         match self {
             SchedulerKind::Hrms => Some(ordering_in),
             SchedulerKind::Sms => Some(swing_ordering),

@@ -36,55 +36,41 @@
 //! The worked comparison of both orderings on the same kernels lives in
 //! `docs/algorithms.md`.
 
-use std::collections::BTreeSet;
-
 use regpipe_ddg::OpId;
 
 use crate::analysis::TimeAnalysis;
 use crate::hrms::{frontier_walk, group_priorities, Direction};
 use crate::loop_analysis::LoopAnalysis;
 
-/// The swing ordering: the shared [`frontier_walk`] over the context's
-/// precomputed priority sets (recurrences by decreasing RecMII, each with
-/// its connecting path nodes, then the acyclic rest), emitting at each
-/// step the frontier group with the best swing priority for the sweep
-/// direction.
-pub(crate) fn swing_ordering(ctx: &LoopAnalysis<'_>, analysis: &TimeAnalysis) -> Vec<OpId> {
+/// The swing ordering (an [`OrderWalk`](crate::hrms::OrderWalk)): the
+/// shared [`frontier_walk`] over the context's precomputed priority sets
+/// (recurrences by decreasing RecMII, each with its connecting path nodes,
+/// then the acyclic rest), emitting at each step the frontier group with
+/// the best swing priority for the sweep direction: tightest deadline
+/// (smallest ALAP) top-down, deepest origin (largest ASAP) bottom-up; ties
+/// by smaller mobility, then index. Unlike the HRMS pick there is no
+/// readiness gate — the swing is followed unconditionally.
+pub(crate) fn swing_ordering(
+    ctx: &LoopAnalysis<'_>,
+    analysis: &TimeAnalysis,
+    sink: &mut dyn FnMut(OpId) -> bool,
+) -> bool {
     let (g_asap, g_alap, g_mob) = group_priorities(ctx, analysis);
     frontier_walk(
         ctx,
         // Fresh start: the least slack, then the tightest deadline — the
         // node whose placement window the rest of the set must be
         // arranged around.
-        |remaining| {
-            remaining
-                .iter()
-                .copied()
-                .min_by_key(|&v| (g_mob[v], g_alap[v], v))
-                .expect("non-empty")
+        |v| (g_mob[v], g_alap[v], v),
+        |v, dir, _ready| {
+            let swing = match dir {
+                Direction::TopDown => g_alap[v],
+                Direction::BottomUp => -g_asap[v],
+            };
+            (swing, g_mob[v], v)
         },
-        |frontier, _remaining, dir| pick_swing(frontier, dir, &g_asap, &g_alap, &g_mob),
+        sink,
     )
-}
-
-/// Picks the frontier group with the best swing priority: tightest deadline
-/// (smallest ALAP) top-down, deepest origin (largest ASAP) bottom-up; ties
-/// by smaller mobility, then index. Unlike the HRMS pick there is no
-/// readiness gate — the swing is followed unconditionally.
-fn pick_swing(
-    frontier: &BTreeSet<usize>,
-    dir: Direction,
-    g_asap: &[i64],
-    g_alap: &[i64],
-    g_mob: &[i64],
-) -> Option<usize> {
-    frontier.iter().copied().min_by_key(|&v| {
-        let swing = match dir {
-            Direction::TopDown => g_alap[v],
-            Direction::BottomUp => -g_asap[v],
-        };
-        (swing, g_mob[v], v)
-    })
 }
 
 #[cfg(test)]

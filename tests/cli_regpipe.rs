@@ -332,6 +332,48 @@ fn suite_corpus_pins_a_generated_size_point() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The 256-op spill path, where the II walk, the per-round `LoopAnalysis`
+/// and the rotating allocator do nearly all the work: four 256-op kernels
+/// under `best,spill` at the default budgets pin these work totals per
+/// register-sensitive scheduler.
+#[test]
+fn suite_corpus_pins_the_256_op_spill_path() {
+    let dir = scratch_dir("size-point-256");
+    let corpus = dir.join("corpus");
+    run_ok({
+        let mut c = bin();
+        c.args(["gen", "--seed", "49626", "--count", "4", "--min-ops", "256"])
+            .args(["--max-ops", "256", "--out"])
+            .arg(&corpus);
+        c
+    });
+    for (scheduler, pin) in
+        [("hrms", [16, 0, 9_322_282, 882, 116]), ("sms", [16, 0, 9_322_282, 866, 116])]
+    {
+        let path = dir.join(format!("{scheduler}.json"));
+        run_ok({
+            let mut c = bin();
+            c.args([
+                "suite",
+                "--corpus",
+                corpus.to_str().unwrap(),
+                "--strategies",
+                "best,spill",
+            ])
+            .args(["--scheduler", scheduler, "--out"])
+            .arg(&path);
+            c
+        });
+        let report = regpipe::exec::json::parse(&fs::read_to_string(path).unwrap()).unwrap();
+        let aggregates = report.get("aggregates").unwrap().as_array().unwrap();
+        let totals = ["fitted", "failures", "cycles", "spilled", "reschedules"].map(|f| {
+            aggregates.iter().map(|a| a.get(f).unwrap().as_i64().unwrap()).sum::<i64>()
+        });
+        assert_eq!(totals, pin, "{scheduler}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Every registered spill policy drives `suite` end-to-end; the report
 /// records the policy (v3 schema) and stays byte-identical across
 /// `--jobs` for every policy — the CLI half of the ISSUE acceptance.

@@ -24,7 +24,8 @@ use regpipe::machine::MachineConfig;
 use regpipe::prelude::*;
 use regpipe::regalloc::LifetimeAnalysis;
 use regpipe::sched::{
-    mii, rec_mii, ComplexGroups, LoopAnalysis, SchedError, SchedRequest, Schedule,
+    mii, per_recurrence_bounds, rec_mii, ComplexGroups, LoopAnalysis, SchedError, SchedRequest,
+    Schedule,
 };
 use regpipe::spill::{candidates, spill_batch, RankContext};
 
@@ -88,6 +89,26 @@ fn assert_same_compile(
     }
 }
 
+/// One round of the hand-run spill pipeline: allocate `s`, pick the paper
+/// policy's victims and rewrite `g`. Returns false, leaving `g` as it was,
+/// when the schedule fits `budget` or there is nothing to spill.
+fn spill_step(g: &mut Ddg, s: &Schedule, budget: u32) -> bool {
+    let analysis = LifetimeAnalysis::new(g, s);
+    if analysis.max_live() == 0 {
+        return false;
+    }
+    let pool = candidates(g, &analysis);
+    let heuristic = SelectHeuristic::MaxLtOverTraffic;
+    let rank = RankContext { analysis: &analysis, heuristic, round: 0 };
+    let victims: Vec<_> =
+        SpillPolicyKind::Paper.select(&pool, &rank).into_iter().cloned().collect();
+    if victims.is_empty() || allocate(g, s).total() <= budget {
+        return false;
+    }
+    spill_batch(g, &victims);
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -147,21 +168,10 @@ proptest! {
                 (Ok(c), Ok(f)) => {
                     prop_assert_eq!(c.iis_tried(), f.iis_tried());
                     prop_assert_eq!(&c, &f);
-                    // Advance the pipeline: allocate, pick victims, rewrite.
-                    let analysis = LifetimeAnalysis::new(&g, &c);
-                    if analysis.max_live() == 0 {
-                        break;
-                    }
-                    let pool = candidates(&g, &analysis);
-                    let heuristic = SelectHeuristic::MaxLtOverTraffic;
-                    let rank = RankContext { analysis: &analysis, heuristic, round: 0 };
-                    let victims: Vec<_> =
-                        SpillPolicyKind::Paper.select(&pool, &rank).into_iter().cloned().collect();
-                    if victims.is_empty() || allocate(&g, &c).total() <= budget {
-                        break;
-                    }
                     drop(ctx);
-                    spill_batch(&mut g, &victims);
+                    if !spill_step(&mut g, &c, budget) {
+                        break;
+                    }
                 }
                 (c, f) => prop_assert!(
                     false,
@@ -172,6 +182,53 @@ proptest! {
             }
         }
     }
+}
+
+/// `LoopAnalysis` takes RecMII from the bounds of its recurrence sets;
+/// that must equal the whole-graph search of `rec_mii` on the first 300
+/// loops of the built-in suite, a generated corpus and four 256-op
+/// kernels, and on every graph the hand-run spill pipeline rewrites them
+/// into at budgets 32 and 16, on each paper machine. Where Johnson's
+/// circuit enumeration stays under its cap, its largest per-circuit bound,
+/// which shares no code with either, must agree too.
+#[test]
+fn rec_mii_from_recurrence_sets_equals_the_whole_graph_search() {
+    let big = GenParams { min_ops: 256, max_ops: 256, ..GenParams::default() };
+    let loops = suite(SUITE_SEED, 300)
+        .into_iter()
+        .chain(generate(7, 100, &GenParams::default()).unwrap())
+        .chain(generate(SUITE_SEED, 4, &big).unwrap());
+    let spill_machine = MachineConfig::p2l4();
+    let (mut graphs, mut enumerated) = (0, 0);
+    for l in loops {
+        let mut rewritten = vec![l.ddg.clone()];
+        for budget in [32, 16] {
+            let mut g = l.ddg.clone();
+            for _round in 0..4 {
+                let request = SchedRequest::default();
+                let Ok(s) = SchedulerKind::Hrms.schedule(&g, &spill_machine, &request) else {
+                    break;
+                };
+                if !spill_step(&mut g, &s, budget) {
+                    break;
+                }
+                rewritten.push(g.clone());
+            }
+        }
+        for g in &rewritten {
+            for machine in &paper_machines() {
+                let cell = format!("{} ({} ops) on {machine}", l.name, g.num_ops());
+                let from_sets = LoopAnalysis::new(g, machine).rec_mii();
+                assert_eq!(from_sets, rec_mii(g, machine), "{cell}");
+                if let Some(bounds) = per_recurrence_bounds(g, machine, 2_000) {
+                    assert_eq!(from_sets, bounds.first().map_or(1, |b| b.bound), "{cell}");
+                    enumerated += 1;
+                }
+                graphs += 1;
+            }
+        }
+    }
+    assert!(enumerated * 2 > graphs, "circuits enumerated on only {enumerated} of {graphs}");
 }
 
 /// The trace contract on the paper's Figure 2 loop: one point per
