@@ -131,7 +131,7 @@ mod tests {
         assert_eq!(lo, 8, "15 multiplies on 2 units (paper's loop sits at 7)");
         let s = SchedulerKind::Hrms.schedule(&g, &m, &SchedRequest::exactly(lo)).unwrap();
         let a = allocate(&g, &s);
-        assert!(a.total() >= 45, "high pressure at MII: {}", a.total());
+        assert!(a.total() >= 42, "high pressure at MII: {}", a.total());
         // Converges at both register budgets (Figure 4a).
         let increase_ii = options(Strategy::IncreaseIi);
         let at32 = compile(&g, &m, 32, &increase_ii).expect("fits 32 by increasing II");

@@ -11,13 +11,15 @@
 //! * `MaxLive` — the maximum number of simultaneously live values, an
 //!   accurate lower bound for the registers required (the paper's register
 //!   estimate in all examples).
-//! * [`RotatingAllocator`] — actual allocation on a rotating register file:
-//!   first-fit in adjacency (start-time) order, retried at r = `MaxLive`,
-//!   `MaxLive + 1`, … registers until every lifetime fits. It follows Rau
-//!   et al.'s allocators for software-pipelined loops but often lands
-//!   higher than they report: on unconstrained HRMS schedules of the
-//!   built-in suite (P2L4), 472 of the 1258 loops need `MaxLive + 2` or
-//!   more.
+//! * [`RotatingAllocator`] — actual allocation on a rotating register file.
+//!   With instance k of a lifetime `[s, e)` in register `(ρ + k) mod r`,
+//!   each lifetime is one arc `[s − ρ·II, e − ρ·II)` on a circle of `r·II`
+//!   cycles, and an allocation is a packing of disjoint arcs. A multi-start
+//!   end-fit chain packs them in work bounded by the number of lifetimes;
+//!   Rau et al.'s first-fit is tried only below the chain's r, so the
+//!   result never needs more registers than first-fit. On unconstrained
+//!   HRMS schedules of the built-in suite (P2L4) every loop lands on
+//!   `MaxLive` or `MaxLive + 1`.
 //! * [`MveAllocator`] — modulo variable expansion for machines *without*
 //!   rotating files (kernel unrolling + renaming), the alternative sketched
 //!   in Section 2.3.

@@ -39,7 +39,11 @@ impl AllocationResult {
         self.max_live
     }
 
-    /// How far the allocation landed above `MaxLive` (0 means optimal).
+    /// How far the allocation landed above `MaxLive`; 0 means optimal.
+    /// `MaxLive` is only a lower bound, so a positive excess can overstate
+    /// the gap to the fewest registers possible: on 105 of the 3,612 small
+    /// HRMS schedules the allocator's tests solve exactly, no allocation
+    /// reaches `MaxLive`.
     pub fn excess(&self) -> u32 {
         self.total() - self.max_live
     }
@@ -68,18 +72,33 @@ impl fmt::Display for AllocationResult {
 ///
 /// A rotating file renames registers every II cycles, so a lifetime longer
 /// than the II occupies several consecutive rotating registers — one per
-/// concurrently live instance. The allocator tries r = `MaxLive` (of the
-/// loop variants), `MaxLive + 1`, … rotating registers in turn. Each try
-/// places the lifetimes first-fit in start order (longest first on ties):
-/// a lifetime takes the lowest rotation offset that clashes with no
-/// lifetime already placed, and the try fails as soon as one finds none.
-/// The first r at which every lifetime fits is the result. This is one of
-/// the heuristics from Rau et al.'s "Register allocation for software
-/// pipelined loops" that the paper leans on, but it often needs more than
-/// `MaxLive + 1`: on unconstrained HRMS schedules of the built-in
-/// 1258-loop suite (P2L4), 690 loops allocate above `MaxLive` and 472
-/// need `MaxLive + 2` or more. ROADMAP item 2 plans an allocator that
-/// lands on `MaxLive`.
+/// concurrently live instance. Put instance k of a lifetime `[s, e)` in
+/// register `(ρ + k) mod r`. Register q at cycle t then holds whichever
+/// lifetime covers the point `(t − q·II) mod r·II` of a circle of length
+/// `r·II`, and every instance of the lifetime maps to the one arc
+/// `[s − ρ·II, e − ρ·II)`. Two lifetimes clash exactly when their arcs
+/// overlap, so an allocation is a packing of disjoint arcs whose starts are
+/// fixed modulo II.
+///
+/// The allocator packs the arcs with an end-fit chain. It places one
+/// lifetime at its own start, then repeatedly takes the unplaced lifetime
+/// whose start comes soonest, modulo II, at or after the current end
+/// (longest first, then adjacency order) and places it there. The chain's
+/// span in whole IIs is r. The chain runs from the longest lifetime, and
+/// then, while r stays above `MaxLive` (of the loop variants), from every
+/// other lifetime in adjacency (start-time) order; the smallest r wins.
+/// Only if the best chain ends above `MaxLive` does the allocator try
+/// Rau et al.'s first-fit placement ("Register allocation for software
+/// pipelined loops") at r = `MaxLive`, …, r_chain − 1, so it never needs
+/// more registers than first-fit alone. The chain's work and memory are
+/// bounded by the number of lifetimes, never by II or r; only the
+/// fallback keeps a set of r bits.
+///
+/// On unconstrained HRMS schedules of the built-in 1258-loop suite (P2L4)
+/// every loop allocates `MaxLive` or `MaxLive + 1` registers, 156 above
+/// `MaxLive` in total (first-fit alone: 1,786), and the twelve 256-op
+/// kernels of `gen --seed 49626 --count 12 --min-ops 256 --max-ops 256`
+/// all land on `MaxLive`.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct RotatingAllocator {
     _private: (),
@@ -93,59 +112,138 @@ impl RotatingAllocator {
 
     /// Allocates registers for all lifetimes in `analysis`.
     pub fn allocate(&self, analysis: &LifetimeAnalysis) -> AllocationResult {
-        allocate_by(analysis, try_allocate)
+        let ii = i64::from(analysis.ii());
+        let lifetimes = adjacency_order(analysis);
+        let n_ops = analysis.lifetimes().map(|lt| lt.producer().index() + 1).max().unwrap_or(0);
+        let floor = analysis.max_live_variants();
+
+        let mut assignment: Vec<Option<u32>> = vec![None; n_ops];
+        let mut variant_regs = 0;
+        if !lifetimes.is_empty() {
+            let (mut r, mut rho) = best_chain(&lifetimes, ii, floor);
+            if let Some((r_ff, rho_ff)) =
+                (floor..r).find_map(|r| try_allocate(&lifetimes, ii, r).map(|rho| (r, rho)))
+            {
+                (r, rho) = (r_ff, rho_ff);
+            }
+            for (&(_, _, op), rho) in lifetimes.iter().zip(rho) {
+                assignment[op.index()] = Some(rho);
+            }
+            variant_regs = r;
+        }
+        AllocationResult {
+            variant_regs,
+            invariant_regs: analysis.live_invariants(),
+            max_live: analysis.max_live(),
+            assignment,
+        }
     }
 }
 
-/// One first-fit try: `(lifetimes, II, r, ops)` to the per-op assignment.
-type FirstFit = fn(&[(i64, i64, OpId)], i64, u32, usize) -> Option<Vec<Option<u32>>>;
-
-/// The retry loop of [`RotatingAllocator::allocate`] over `try_allocate`.
-fn allocate_by(analysis: &LifetimeAnalysis, try_allocate: FirstFit) -> AllocationResult {
-    let ii = i64::from(analysis.ii());
-    // Adjacency ordering: by start cycle, longest first on ties so the
-    // big lifetimes grab compact runs early.
+/// The lifetimes as `(start, end, producer)` in adjacency order: by start
+/// cycle, longest first on ties so the big lifetimes grab compact runs
+/// early.
+fn adjacency_order(analysis: &LifetimeAnalysis) -> Vec<(i64, i64, OpId)> {
     let mut lifetimes: Vec<(i64, i64, OpId)> =
         analysis.lifetimes().map(|lt| (lt.start(), lt.end(), lt.producer())).collect();
     lifetimes.sort_by_key(|&(s, e, p)| (s, -(e - s), p));
-
-    let max_live_variants = analysis.max_live_variants();
-    let n_ops = analysis.lifetimes().map(|lt| lt.producer().index() + 1).max().unwrap_or(0);
-
-    let mut r = max_live_variants.max(u32::from(!lifetimes.is_empty()));
-    let (variant_regs, assignment) = loop {
-        match try_allocate(&lifetimes, ii, r, n_ops) {
-            Some(assignment) => break (if lifetimes.is_empty() { 0 } else { r }, assignment),
-            None => r += 1,
-        }
-    };
-    AllocationResult {
-        variant_regs,
-        invariant_regs: analysis.live_invariants(),
-        max_live: analysis.max_live(),
-        assignment,
-    }
+    lifetimes
 }
 
-/// Attempts to place all lifetimes on an `r`-register cylinder; returns the
-/// per-op register assignment on success.
-fn try_allocate(
-    lifetimes: &[(i64, i64, OpId)],
-    ii: i64,
-    r: u32,
-    n_ops: usize,
-) -> Option<Vec<Option<u32>>> {
-    if lifetimes.is_empty() {
-        return Some(vec![None; n_ops]);
+/// The end-fit chain with the fewest registers over the starts
+/// [`RotatingAllocator`] tries: `(r, ρ per lifetime)`, for a non-empty
+/// `lifetimes` in adjacency order. `floor` is `MaxLive`, where it stops.
+fn best_chain(lifetimes: &[(i64, i64, OpId)], ii: i64, floor: u32) -> (u32, Vec<u32>) {
+    let n = lifetimes.len();
+    // The lifetimes by start residue, longest first, then in adjacency
+    // order: the chain's choice at a residue is the first untaken entry
+    // at or after it, found by binary search plus `next`.
+    let mut by_residue: Vec<(i64, usize)> =
+        lifetimes.iter().enumerate().map(|(i, &(s, _, _))| (s.rem_euclid(ii), i)).collect();
+    by_residue.sort_by_key(|&(res, i)| (res, lifetimes[i].0 - lifetimes[i].1, i));
+    let mut slot_of = vec![0; n];
+    for (k, &(_, i)) in by_residue.iter().enumerate() {
+        slot_of[i] = k;
     }
+    // `next[k]` leads to the first untaken slot at or after k (n: none).
+    let mut next = vec![0; n + 1];
+    let (mut pos, mut best_pos) = (vec![0i64; n], vec![0i64; n]);
+
+    // One chain from `first`, abandoned once it cannot beat `best` registers.
+    let mut chain = |first: usize, best: u64, pos: &mut [i64]| -> Option<u64> {
+        next.iter_mut().enumerate().for_each(|(k, nx)| *nx = k);
+        next[slot_of[first]] = slot_of[first] + 1;
+        let (origin, mut end) = (lifetimes[first].0, lifetimes[first].1);
+        pos[first] = origin;
+        for _ in 1..n {
+            if span_regs(end - origin, ii) >= best {
+                return None;
+            }
+            let q = end.rem_euclid(ii);
+            let mut k = untaken(&mut next, by_residue.partition_point(|&(res, _)| res < q));
+            if k == n {
+                k = untaken(&mut next, 0);
+            }
+            next[k] = k + 1;
+            let (s, e, _) = lifetimes[by_residue[k].1];
+            let p = end + (s - end).rem_euclid(ii);
+            pos[by_residue[k].1] = p;
+            end = p + (e - s);
+        }
+        Some(span_regs(end - origin, ii)).filter(|&r| r < best)
+    };
+
+    // The longest lifetime, the first in adjacency order on ties.
+    let longest = (0..n).min_by_key(|&i| (lifetimes[i].0 - lifetimes[i].1, i)).unwrap_or(0);
+    let mut r = chain(longest, u64::MAX, &mut best_pos).unwrap_or(u64::MAX);
+    for first in (0..n).filter(|&i| i != longest) {
+        if r <= u64::from(floor) {
+            break;
+        }
+        if let Some(better) = chain(first, r, &mut pos) {
+            r = better;
+            std::mem::swap(&mut pos, &mut best_pos);
+        }
+    }
+    let rho = lifetimes
+        .iter()
+        .zip(&best_pos)
+        .map(|(&(s, _, _), &p)| ((s - p) / ii).rem_euclid(r as i64) as u32)
+        .collect();
+    (u32::try_from(r).unwrap_or(u32::MAX), rho)
+}
+
+/// Registers a chain spanning `span` cycles needs: `⌈span / II⌉`.
+fn span_regs(span: i64, ii: i64) -> u64 {
+    (span + ii - 1).div_euclid(ii) as u64
+}
+
+/// The first untaken slot at or after `k`, compressing the path to it.
+fn untaken(next: &mut [usize], k: usize) -> usize {
+    let mut root = k;
+    while next[root] != root {
+        root = next[root];
+    }
+    let mut k = k;
+    while next[k] != root {
+        let up = next[k];
+        next[k] = root;
+        k = up;
+    }
+    root
+}
+
+/// One first-fit try: places the lifetimes (adjacency order) on an
+/// `r`-register cylinder and returns the ρ of each on success.
+fn try_allocate(lifetimes: &[(i64, i64, OpId)], ii: i64, r: u32) -> Option<Vec<u32>> {
     let r = i64::from(r);
-    let mut assignment: Vec<Option<u32>> = vec![None; n_ops];
+    let mut rho_of: Vec<u32> = Vec::with_capacity(lifetimes.len());
     // (start, end, rho) of the lifetimes placed so far.
     let mut placed: Vec<(i64, i64, i64)> = Vec::with_capacity(lifetimes.len());
     // One bit per register the current lifetime may not take.
     let mut forbidden = vec![0u64; (r as usize).div_ceil(64)];
 
-    for &(s_j, e_j, op) in lifetimes {
+    for &(s_j, e_j, _) in lifetimes {
         let len_j = e_j - s_j;
         // Self-overlap: instance k and instance k+d share a register iff
         // d ≡ 0 (mod r); they overlap in time iff |d|·II < len. So we need
@@ -170,9 +268,9 @@ fn try_allocate(
         }
         let rho = first_clear(&forbidden, r)?;
         placed.push((s_j, e_j, rho));
-        assignment[op.index()] = Some(rho as u32);
+        rho_of.push(rho as u32);
     }
-    Some(assignment)
+    Some(rho_of)
 }
 
 /// The iteration offsets `d` at which lifetime `j`, shifted by `d·II`,
@@ -218,7 +316,8 @@ mod tests {
     use super::*;
     use crate::lifetime::LifetimeAnalysis;
     use regpipe_ddg::{Ddg, DdgBuilder, OpKind};
-    use regpipe_sched::Schedule;
+    use regpipe_sched::{Schedule, SchedulerKind};
+    use std::sync::OnceLock;
 
     fn analyse(g: &Ddg, s: &Schedule) -> LifetimeAnalysis {
         LifetimeAnalysis::new(g, s)
@@ -259,38 +358,109 @@ mod tests {
         }
     }
 
-    /// The per-offset scan the closed form replaced: every iteration
-    /// offset around the overlap window is tested one by one, and each
-    /// lifetime gets a fresh `forbidden` vector of length r.
-    fn try_allocate_scan(
-        lifetimes: &[(i64, i64, OpId)],
-        ii: i64,
-        r: u32,
-        n_ops: usize,
-    ) -> Option<Vec<Option<u32>>> {
+    /// The allocator this one replaced: first-fit tried at r = `MaxLive`,
+    /// `MaxLive + 1`, … until every lifetime fits. Returns that r.
+    fn first_fit(analysis: &LifetimeAnalysis) -> u32 {
+        let lifetimes = adjacency_order(analysis);
         if lifetimes.is_empty() {
-            return Some(vec![None; n_ops]);
+            return 0;
         }
-        let r = i64::from(r);
-        let mut assignment: Vec<Option<u32>> = vec![None; n_ops];
-        let mut placed: Vec<(i64, i64, i64)> = Vec::new();
-        for &(s_j, e_j, op) in lifetimes {
-            if (e_j - s_j + ii - 1).div_euclid(ii) > r {
+        let ii = i64::from(analysis.ii());
+        (analysis.max_live_variants()..)
+            .find(|&r| try_allocate(&lifetimes, ii, r).is_some())
+            .unwrap()
+    }
+
+    /// The fewest rotating registers any allocation of `analysis` needs,
+    /// by branch and bound over the arc packing: the longest lifetime is
+    /// fixed at ρ = 0 and r = `MaxLive`, `MaxLive + 1`, … is tried below
+    /// `upper`, the r of a known allocation. `None` when a try spends `cap`
+    /// nodes without an answer.
+    fn exact_regs(analysis: &LifetimeAnalysis, upper: u32, cap: u64) -> Option<u32> {
+        let mut lts: Vec<(i64, i64)> =
+            analysis.lifetimes().map(|lt| (lt.start(), lt.end())).collect();
+        lts.sort_by_key(|&(s, e)| (s - e, s));
+        let ii = i64::from(analysis.ii());
+        for r in analysis.max_live_variants()..upper {
+            if place(&lts, ii, i64::from(r), &mut vec![0], &mut 0, cap)? {
+                return Some(r);
+            }
+        }
+        Some(upper)
+    }
+
+    /// Extends `rho`, the ρ of `lts[..rho.len()]`, to every lifetime on an
+    /// r-register file: `Some(true)` if an extension fits, `Some(false)` if
+    /// none does, `None` once `nodes` passes `cap`.
+    fn place(
+        lts: &[(i64, i64)],
+        ii: i64,
+        r: i64,
+        rho: &mut Vec<i64>,
+        nodes: &mut u64,
+        cap: u64,
+    ) -> Option<bool> {
+        let k = rho.len();
+        if k == lts.len() {
+            return Some(true);
+        }
+        for c in 0..r {
+            *nodes += 1;
+            if *nodes > cap {
                 return None;
             }
-            let mut forbidden = vec![false; r as usize];
-            for &(s_i, e_i, rho_i) in &placed {
-                for d in (s_i - e_j).div_euclid(ii)..=(e_i - s_j).div_euclid(ii) + 1 {
-                    if s_i < e_j + d * ii && s_j + d * ii < e_i {
-                        forbidden[(rho_i - d).rem_euclid(r) as usize] = true;
+            // Instance d of lifetime k clashes with lifetime i iff
+            // ρ_i ≡ c + d (mod r) for an overlapping offset d.
+            let free = (0..k).all(|i| {
+                let (lo, hi) = overlap_offsets(lts[i], lts[k], ii);
+                hi < lo || (hi - lo + 1 < r && (rho[i] - c - lo).rem_euclid(r) > hi - lo)
+            });
+            if free {
+                rho.push(c);
+                if place(lts, ii, r, rho, nodes, cap)? {
+                    return Some(true);
+                }
+                rho.pop();
+            }
+        }
+        Some(false)
+    }
+
+    /// The allocator's test corpus: HRMS and SMS schedules of the built-in
+    /// suite's first 300 loops, `generate(7, 200)` and four 256-op kernels
+    /// on every paper machine, with the II search started at MII, MII + 1
+    /// and MII + 3. Built once and shared by the tests that read it.
+    fn corpus() -> &'static [(String, SchedulerKind, LifetimeAnalysis)] {
+        use regpipe_loops::{generate, suite, GenParams};
+        use regpipe_machine::MachineConfig;
+        use regpipe_sched::{mii, SchedRequest, Scheduler};
+        static CORPUS: OnceLock<Vec<(String, SchedulerKind, LifetimeAnalysis)>> =
+            OnceLock::new();
+        CORPUS.get_or_init(|| {
+            let big = GenParams { min_ops: 256, max_ops: 256, ..GenParams::default() };
+            let loops: Vec<_> = suite(49626, 300)
+                .into_iter()
+                .chain(generate(7, 200, &GenParams::default()).unwrap())
+                .chain(generate(49626, 4, &big).unwrap())
+                .collect();
+            let machines =
+                [MachineConfig::p1l4(), MachineConfig::p2l4(), MachineConfig::p2l6()];
+            let mut out = Vec::new();
+            for l in &loops {
+                for m in &machines {
+                    for kind in [SchedulerKind::Hrms, SchedulerKind::Sms] {
+                        for extra in [0, 1, 3] {
+                            let request = SchedRequest::starting_at(mii(&l.ddg, m) + extra);
+                            let s = kind.schedule(&l.ddg, m, &request).unwrap();
+                            let name =
+                                format!("{} on {m} under {kind:?} from MII+{extra}", l.name);
+                            out.push((name, kind, analyse(&l.ddg, &s)));
+                        }
                     }
                 }
             }
-            let rho = (0..r).find(|&c| !forbidden[c as usize])?;
-            placed.push((s_j, e_j, rho));
-            assignment[op.index()] = Some(rho as u32);
-        }
-        Some(assignment)
+            out
+        })
     }
 
     #[test]
@@ -318,37 +488,75 @@ mod tests {
         }
     }
 
-    /// The closed-form try gives exactly the per-offset scan's allocation
-    /// on HRMS schedules of the built-in suite, a generated corpus and
-    /// four 256-op kernels, on every paper machine, and every allocation
-    /// passes the brute-force steady-state check.
+    /// Every allocation of the corpus is legal, at or above `MaxLive`,
+    /// and never above first-fit's.
     #[test]
-    fn closed_form_allocation_matches_the_scan_on_generated_schedules() {
-        use regpipe_loops::{generate, suite, GenParams};
-        use regpipe_machine::MachineConfig;
-        use regpipe_sched::{SchedRequest, Scheduler, SchedulerKind};
-        let big = GenParams { min_ops: 256, max_ops: 256, ..GenParams::default() };
-        let loops = suite(49626, 300)
-            .into_iter()
-            .chain(generate(7, 100, &GenParams::default()).unwrap())
-            .chain(generate(49626, 4, &big).unwrap());
-        let machines = [MachineConfig::p1l4(), MachineConfig::p2l4(), MachineConfig::p2l6()];
-        for l in loops {
-            for m in &machines {
-                let s =
-                    SchedulerKind::Hrms.schedule(&l.ddg, m, &SchedRequest::default()).unwrap();
-                let analysis = analyse(&l.ddg, &s);
-                let res = RotatingAllocator::new().allocate(&analysis);
-                assert_eq!(
-                    res,
-                    allocate_by(&analysis, try_allocate_scan),
-                    "{} on {}",
-                    l.name,
-                    m
-                );
-                assert_valid(&analysis, &res);
-            }
+    fn allocations_are_legal_and_never_above_first_fit() {
+        let (mut total, mut reference) = (0, 0);
+        for (name, _, analysis) in corpus() {
+            let res = RotatingAllocator::new().allocate(analysis);
+            assert_valid(analysis, &res);
+            let ff = first_fit(analysis);
+            assert!(analysis.max_live_variants() <= res.variant_regs(), "{name}");
+            assert!(
+                res.variant_regs() <= ff,
+                "{name}: {} > first-fit {ff}",
+                res.variant_regs()
+            );
+            total += res.variant_regs();
+            reference += ff;
         }
+        println!("{} schedules: {total} registers (first-fit {reference})", corpus().len());
+    }
+
+    /// gen_00184 is a schedule where every chain needs a register more
+    /// than first-fit, so the allocator must take the fallback.
+    #[test]
+    fn the_first_fit_fallback_beats_the_chain_on_gen_00184() {
+        use regpipe_loops::{generate, GenParams};
+        use regpipe_machine::MachineConfig;
+        use regpipe_sched::{SchedRequest, Scheduler};
+        let l = generate(7, 200, &GenParams::default()).unwrap().swap_remove(184);
+        assert_eq!(l.name, "gen_00184");
+        let s = SchedulerKind::Hrms
+            .schedule(&l.ddg, &MachineConfig::p1l4(), &SchedRequest::default())
+            .unwrap();
+        let analysis = analyse(&l.ddg, &s);
+        assert_eq!((analysis.lifetimes().count(), analysis.max_live_variants()), (6, 5));
+        let ii = i64::from(analysis.ii());
+        assert_eq!(best_chain(&adjacency_order(&analysis), ii, 5).0, 6);
+        assert_eq!(first_fit(&analysis), 5);
+        let res = RotatingAllocator::new().allocate(&analysis);
+        assert_eq!(res.variant_regs(), 5);
+        assert_valid(&analysis, &res);
+        assert_eq!(exact_regs(&analysis, 6, 1_000), Some(5));
+    }
+
+    /// Against the exact minimum on every HRMS schedule of the corpus with
+    /// at most 12 lifetimes: `MaxLive ≤ exact ≤ allocator ≤ first-fit`.
+    #[test]
+    fn allocations_are_bounded_by_the_exact_minimum() {
+        let (mut proven, mut capped, mut on_exact, mut above_max_live) = (0, 0, 0, 0);
+        for (name, kind, analysis) in corpus() {
+            if *kind != SchedulerKind::Hrms || analysis.lifetimes().count() > 12 {
+                continue;
+            }
+            let regs = RotatingAllocator::new().allocate(analysis).variant_regs();
+            assert!(regs <= first_fit(analysis), "{name}");
+            let Some(exact) = exact_regs(analysis, regs, 100_000) else {
+                capped += 1;
+                continue;
+            };
+            assert!(analysis.max_live_variants() <= exact && exact <= regs, "{name}");
+            proven += 1;
+            on_exact += u32::from(exact == regs);
+            above_max_live += u32::from(exact > analysis.max_live_variants());
+        }
+        println!(
+            "{proven} proven ({on_exact} allocated at the minimum, {above_max_live} with the \
+             minimum above MaxLive), {capped} capped"
+        );
+        assert!(proven > 1_000, "{proven} proven");
     }
 
     #[test]

@@ -853,6 +853,36 @@ mod tests {
     }
 
     #[test]
+    fn a_v1_store_segment_is_dropped_and_its_key_compiles_afresh() {
+        let dir =
+            std::env::temp_dir().join(format!("regpipe-server-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = ServeOptions { cache_dir: Some(dir.clone()), ..ServeOptions::default() };
+        let cold = Server::open(options.clone()).unwrap().handle_line(&request(LOOP, 32)).line;
+        // Rewrite the segment as an older compiler would have left it: the
+        // v1 header, and a well-formed frame whose answer differs.
+        let seg = dir.join("seg-00000000.log");
+        let bytes = std::fs::read(&seg).unwrap();
+        let frame = &bytes[crate::store::MAGIC.len() + 8..];
+        let stale = String::from_utf8(frame.to_vec()).unwrap().replace("\"ii\":", "\"ii\":9");
+        let mut v1 = b"regpipe-store-v1\n".to_vec();
+        v1.extend_from_slice(&u32::try_from(stale.len()).unwrap().to_le_bytes());
+        v1.extend_from_slice(&crate::store::crc32(stale.as_bytes()).to_le_bytes());
+        v1.extend_from_slice(stale.as_bytes());
+        std::fs::write(&seg, v1).unwrap();
+
+        let server = Server::open(options).unwrap();
+        let stats = parse_json(&server.stats_payload()).unwrap();
+        let store = stats.get("store").unwrap();
+        assert_eq!(store.get("recovered_entries").unwrap().as_i64(), Some(0));
+        assert_eq!(store.get("dropped_corrupt_entries").unwrap().as_i64(), Some(1));
+        assert_eq!(server.handle_line(&request(LOOP, 32)).line, cold);
+        let totals = parse_json(&server.stats_payload()).unwrap();
+        assert_eq!(totals.get("totals").unwrap().get("misses").unwrap().as_i64(), Some(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn cache_dir_without_cache_is_rejected() {
         let err = match Server::open(ServeOptions {
             cache: false,

@@ -22,7 +22,7 @@
 //! ```text
 //! store   = segment* ;                    (* files seg-%08d.log *)
 //! segment = magic frame* ;
-//! magic   = "regpipe-store-v1\n" ;        (* 17 bytes *)
+//! magic   = "regpipe-store-v2\n" ;        (* 17 bytes *)
 //! frame   = len crc payload ;             (* len, crc: u32 little-endian *)
 //! crc     = CRC-32 (IEEE) of payload ;
 //! payload = key-text "\n" value ;
@@ -62,8 +62,11 @@ use std::path::{Path, PathBuf};
 use crate::cache::CacheKey;
 use crate::fault::{self, AppendFault};
 
-/// Magic header opening every segment file.
-pub const MAGIC: &[u8] = b"regpipe-store-v1\n";
+/// Magic header opening every segment file. The version moves whenever
+/// the compiler's answers do, since the key does not name the compiler:
+/// v2 payloads come from the end-fit chain allocator, and a v1 segment
+/// holds the first-fit allocator's answers.
+pub const MAGIC: &[u8] = b"regpipe-store-v2\n";
 
 /// Upper bound on one frame's payload; anything larger is structural
 /// corruption (responses are bounded far below this).
