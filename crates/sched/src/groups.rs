@@ -173,12 +173,15 @@ impl ComplexGroups {
 
     /// Puts every member of group `g` on `mrt` with the leader at cycle
     /// `t`, or none of them: on a member's conflict the members placed
-    /// before it are removed again and the attempt fails.
+    /// before it are removed again and the attempt fails. The leader is
+    /// placed first, so a group whose leader's slot is full fails at once.
+    /// `t` is wrapped once; each member's slot is its offset after it.
     pub(crate) fn place(&self, ddg: &Ddg, mrt: &mut Mrt, g: usize, t: i64) -> bool {
         let members = &self.members[g];
+        let base = mrt.slot(t);
         for (placed, &m) in members.iter().enumerate() {
-            if !mrt.try_place(ddg.op(m).kind(), t + self.offset(m)) {
-                self.remove_members(ddg, mrt, &members[..placed], t);
+            if !mrt.try_place_at(ddg.op(m).kind(), self.slot_of(mrt, base, m)) {
+                self.remove_members(ddg, mrt, &members[..placed], base);
                 return false;
             }
         }
@@ -188,13 +191,18 @@ impl ComplexGroups {
     /// Takes group `g`, placed by [`ComplexGroups::place`] with its leader
     /// at cycle `t`, off `mrt`.
     pub(crate) fn remove(&self, ddg: &Ddg, mrt: &mut Mrt, g: usize, t: i64) {
-        self.remove_members(ddg, mrt, &self.members[g], t);
+        self.remove_members(ddg, mrt, &self.members[g], mrt.slot(t));
     }
 
-    fn remove_members(&self, ddg: &Ddg, mrt: &mut Mrt, members: &[OpId], t: i64) {
+    fn remove_members(&self, ddg: &Ddg, mrt: &mut Mrt, members: &[OpId], base: u32) {
         for &m in members {
-            mrt.remove(ddg.op(m).kind(), t + self.offset(m));
+            mrt.remove_at(ddg.op(m).kind(), self.slot_of(mrt, base, m));
         }
+    }
+
+    /// The modulo slot of member `m` when its leader issues in slot `base`.
+    fn slot_of(&self, mrt: &Mrt, base: u32, m: OpId) -> u32 {
+        mrt.slot_after(base, self.offset[m.index()] as u64)
     }
 }
 

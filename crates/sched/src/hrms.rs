@@ -12,7 +12,14 @@
 //!    start implied by scheduled predecessors and/or the latest start
 //!    implied by scheduled successors, and scanning at most II slots of the
 //!    modulo reservation table in the direction that keeps the operation as
-//!    close to its neighbours as possible.
+//!    close to its neighbours as possible. It takes the first slot of that
+//!    scan where the operation fits. The scan jumps between open slots: the
+//!    table's saturation bits name the cycles whose slot still has a free
+//!    unit of the operation's class ([`Mrt::first_open`],
+//!    [`Mrt::last_open`]), and only those are probed, since an operation
+//!    holds its issue slot and fits nowhere else. A bonded group jumps
+//!    until every member's issue slot is open. The slot chosen is the one
+//!    a cycle-by-cycle scan would choose.
 //!
 //! Keeping operations close to their producers/consumers is what makes the
 //! scheduler *register-sensitive*: lifetimes stay near their dataflow
@@ -32,7 +39,7 @@
 //! after it are never ordered.
 
 use regpipe_ddg::{Ddg, OpId};
-use regpipe_machine::Mrt;
+use regpipe_machine::{FuClass, Mrt};
 
 use crate::analysis::TimeAnalysis;
 use crate::groups::ComplexGroups;
@@ -63,6 +70,18 @@ pub(crate) fn ii_search(
     slug: &'static str,
     ordering: Option<OrderWalk>,
 ) -> Result<Schedule, SchedError> {
+    search_with(ctx, request, slug, ordering, |placer, leader| placer.place(leader))
+}
+
+/// [`ii_search`] with `place` putting each ordered group on the table (the
+/// tests pass the per-cycle probe the open-slot search replaced).
+fn search_with(
+    ctx: &LoopAnalysis<'_>,
+    request: &SchedRequest,
+    slug: &'static str,
+    ordering: Option<OrderWalk>,
+    place: impl Fn(&mut Placer<'_, '_>, OpId) -> bool,
+) -> Result<Schedule, SchedError> {
     let lower = ctx.mii().max(request.min_ii.unwrap_or(1));
     let upper = request.max_ii.unwrap_or_else(|| ctx.fallback_max_ii());
     if upper < lower {
@@ -79,13 +98,16 @@ pub(crate) fn ii_search(
         let placed = ordering
             .and_then(|order| {
                 let mut placer = Placer::new(ctx, ii, &analysis, PlaceMode::Hrms, &mut start)?;
-                order(ctx, &analysis, &mut |leader| placer.place(leader))
+                order(ctx, &analysis, &mut |leader| place(&mut placer, leader))
                     .then(|| placer.finish())
             })
             .or_else(|| {
                 let mode = PlaceMode::AsapClamped;
                 let mut placer = Placer::new(ctx, ii, &analysis, mode, &mut start)?;
-                ctx.fallback.iter().all(|&leader| placer.place(leader)).then(|| placer.finish())
+                ctx.fallback
+                    .iter()
+                    .all(|&leader| place(&mut placer, leader))
+                    .then(|| placer.finish())
             });
         if let Some(starts) = placed {
             return Ok(Schedule::with_provenance(ii, starts, slug, tried));
@@ -312,39 +334,54 @@ pub(crate) enum PlaceMode {
     AsapClamped,
 }
 
-/// The slot sequence scanned for one group: at most II candidate start
-/// cycles, ascending or descending. Replaces a per-group `Vec<i64>`
-/// collection with a stack iterator.
+/// The window scanned for one group: at most II candidate start cycles
+/// `from..=to`, probed upward from `from` or, when `down`, downward from
+/// `to`.
 #[derive(Clone, Copy, Debug)]
-enum SlotScan {
-    /// `next..=last`, ascending (empty when `next > last`).
-    Up { next: i64, last: i64 },
-    /// `next..=last` descending, i.e. `next, next-1, …, last`.
-    Down { next: i64, last: i64 },
+struct SlotScan {
+    from: i64,
+    to: i64,
+    down: bool,
 }
 
-impl Iterator for SlotScan {
-    type Item = i64;
-
-    fn next(&mut self) -> Option<i64> {
-        match self {
-            SlotScan::Up { next, last } => {
-                if *next > *last {
-                    return None;
-                }
-                let t = *next;
-                *next += 1;
-                Some(t)
-            }
-            SlotScan::Down { next, last } => {
-                if *next < *last {
-                    return None;
-                }
-                let t = *next;
-                *next -= 1;
-                Some(t)
-            }
+impl SlotScan {
+    /// The first cycle in scan order.
+    fn first(self) -> i64 {
+        if self.down {
+            self.to
+        } else {
+            self.from
         }
+    }
+
+    /// The scan from `t` on, in scan order (`t` inside the window).
+    fn starting_at(self, t: i64) -> SlotScan {
+        if self.down {
+            SlotScan { to: t, ..self }
+        } else {
+            SlotScan { from: t, ..self }
+        }
+    }
+
+    /// The scan past `t`; empty once `t` was the window's last cycle.
+    fn past(self, t: i64) -> SlotScan {
+        if self.down {
+            SlotScan { to: t - 1, ..self }
+        } else {
+            SlotScan { from: t + 1, ..self }
+        }
+    }
+
+    /// The first cycle `t` in scan order at which `class` has a free unit
+    /// in the slot of `t + offset`.
+    fn open(self, mrt: &Mrt, class: FuClass, offset: i64) -> Option<i64> {
+        let (from, to) = (self.from + offset, self.to + offset);
+        let t = if self.down {
+            mrt.last_open(class, from, to)
+        } else {
+            mrt.first_open(class, from, to)
+        };
+        Some(t? - offset)
     }
 }
 
@@ -385,43 +422,56 @@ impl<'p, 'a> Placer<'p, 'a> {
     /// Places the group led by `leader`; false when no slot of its window
     /// fits.
     pub(crate) fn place(&mut self, leader: OpId) -> bool {
-        let ddg = self.ctx.ddg();
         let groups = self.ctx.groups();
-        let (ii64, start) = (self.ii, &mut *self.start);
-        let members = groups.members_of(leader);
+        let (ii64, start) = (self.ii, &*self.start);
+        let g = groups.group_of(leader);
         debug_assert_eq!(groups.offset(leader), 0);
 
         // Window from scheduled neighbours, expressed on the leader's time.
         let mut early: Option<i64> = None;
         let mut late: Option<i64> = None;
-        for &m in members {
-            let m_off = groups.offset(m);
-            for e in &self.ctx.in_cross[m.index()] {
-                if let Some(tp) = start[e.other] {
-                    let c = tp + e.lat - ii64 * e.dist - m_off;
-                    early = Some(early.map_or(c, |x: i64| x.max(c)));
-                }
+        for e in self.ctx.window_in.of(g) {
+            if let Some(tp) = start[e.other] {
+                let c = tp + e.lat - ii64 * e.dist;
+                early = Some(early.map_or(c, |x: i64| x.max(c)));
             }
-            for e in &self.ctx.out_cross[m.index()] {
-                if let Some(ts) = start[e.other] {
-                    let c = ts - e.lat + ii64 * e.dist - m_off;
-                    late = Some(late.map_or(c, |x: i64| x.min(c)));
-                }
+        }
+        for e in self.ctx.window_out.of(g) {
+            if let Some(ts) = start[e.other] {
+                let c = ts - e.lat + ii64 * e.dist;
+                late = Some(late.map_or(c, |x: i64| x.min(c)));
             }
         }
 
         // The group's ASAP level on the leader's clock.
+        let members = groups.members_of(leader);
         let g_asap = members
             .iter()
             .map(|&m| self.analysis.asap(m) - groups.offset(m))
             .max()
             .expect("groups are non-empty");
 
-        // Candidate slots, at most II of them.
-        let mut candidates: SlotScan = match (early, late) {
+        let Some(scan) = self.scan(early, late, g_asap) else {
+            return false;
+        };
+        let Some(t) = self.first_fit(g, scan) else {
+            return false;
+        };
+        for &m in members {
+            self.start[m.index()] = Some(t + groups.offset(m));
+        }
+        true
+    }
+
+    /// The candidate start cycles, at most II of them, for a group whose
+    /// window on the leader's clock is `early..=late` (either end open) and
+    /// whose ASAP level is `g_asap`; `None` when no cycle is left.
+    fn scan(&self, early: Option<i64>, late: Option<i64>, g_asap: i64) -> Option<SlotScan> {
+        let ii64 = self.ii;
+        Some(match (early, late) {
             (Some(e), Some(l)) => {
                 if l < e {
-                    return false;
+                    return None;
                 }
                 let lo = match self.mode {
                     PlaceMode::Hrms => e,
@@ -434,37 +484,58 @@ impl<'p, 'a> Placer<'p, 'a> {
                         }
                     }
                 };
-                SlotScan::Up { next: lo, last: l.min(lo + ii64 - 1) }
+                SlotScan { from: lo, to: l.min(lo + ii64 - 1), down: false }
             }
             (Some(e), None) => {
                 let lo = match self.mode {
                     PlaceMode::Hrms => e,
                     PlaceMode::AsapClamped => e.max(g_asap),
                 };
-                SlotScan::Up { next: lo, last: lo + ii64 - 1 }
+                SlotScan { from: lo, to: lo + ii64 - 1, down: false }
             }
             (None, Some(l)) => match self.mode {
                 // Scan downward: place as late as possible, next to the
                 // already-scheduled consumers.
-                PlaceMode::Hrms => SlotScan::Down { next: l, last: l - ii64 + 1 },
+                PlaceMode::Hrms => SlotScan { from: l - ii64 + 1, to: l, down: true },
                 PlaceMode::AsapClamped => {
                     if l < g_asap {
-                        return false;
+                        return None;
                     }
-                    SlotScan::Up { next: g_asap, last: l.min(g_asap + ii64 - 1) }
+                    SlotScan { from: g_asap, to: l.min(g_asap + ii64 - 1), down: false }
                 }
             },
-            (None, None) => SlotScan::Up { next: g_asap, last: g_asap + ii64 - 1 },
-        };
+            (None, None) => SlotScan { from: g_asap, to: g_asap + ii64 - 1, down: false },
+        })
+    }
 
-        let g = groups.group_of(leader);
-        let Some(t) = candidates.find(|&t| groups.place(ddg, &mut self.mrt, g, t)) else {
-            return false;
-        };
-        for &m in members {
-            start[m.index()] = Some(t + groups.offset(m));
+    /// Places group `g` at the first cycle of `scan`, in scan order, where
+    /// it fits, and returns that cycle. Only cycles at which every member's
+    /// issue slot has a free unit of its class are probed: an operation
+    /// holds its issue slot, so the group fits nowhere else.
+    fn first_fit(&mut self, g: usize, mut scan: SlotScan) -> Option<i64> {
+        let (ddg, groups, machine) = (self.ctx.ddg(), self.ctx.groups(), self.ctx.machine());
+        let members = groups.members_of(groups.leader(g));
+        loop {
+            // Each member's open-slot search moves the scan past that
+            // member's full slots, until all members agree on its start.
+            let mut agreed = 0;
+            while agreed < members.len() {
+                let m = members[agreed];
+                let class = machine.class_of(ddg.op(m).kind());
+                let t = scan.open(&self.mrt, class, groups.offset(m))?;
+                if t == scan.first() {
+                    agreed += 1;
+                } else {
+                    scan = scan.starting_at(t);
+                    agreed = 0;
+                }
+            }
+            let t = scan.first();
+            if groups.place(ddg, &mut self.mrt, g, t) {
+                return Some(t);
+            }
+            scan = scan.past(t);
         }
-        true
     }
 
     /// Per-op start cycles, once every group is placed.
@@ -691,7 +762,7 @@ mod tests {
     #[test]
     fn stress_random_graphs_schedule_and_verify() {
         let mut rng = StdRng::seed_from_u64(42);
-        let machines = [MachineConfig::p1l4(), MachineConfig::p2l4(), MachineConfig::p2l6()];
+        let machines = paper_machines();
         for case in 0..150 {
             let Some(g) = random_graph(&mut rng, case, false) else { continue };
             let m = &machines[case % machines.len()];
@@ -854,30 +925,132 @@ mod tests {
         }
     }
 
-    #[test]
-    fn linear_walk_matches_the_reference_walk() {
+    /// The loops the reference checks run on, each on P1L4, P2L4 and P2L6:
+    /// `suite(49626, 300)`, `generate(7, 200)`, four 256-op kernels (IIs
+    /// past 300, so MRT rows of several words) and the valid draws of 300
+    /// random graphs with bonded groups.
+    fn reference_corpus() -> Vec<Ddg> {
         use regpipe_loops::{generate, suite, GenParams};
         let big = GenParams { min_ops: 256, max_ops: 256, ..GenParams::default() };
-        let loops = suite(49626, 300)
+        let mut loops: Vec<Ddg> = suite(49626, 300)
             .into_iter()
             .chain(generate(7, 200, &GenParams::default()).unwrap())
-            .chain(generate(49626, 4, &big).unwrap());
-        let machines = [MachineConfig::p1l4(), MachineConfig::p2l4(), MachineConfig::p2l6()];
-        for l in loops {
-            for m in &machines {
-                assert_walks_match_the_reference(&l.ddg, m);
-            }
-        }
+            .chain(generate(49626, 4, &big).unwrap())
+            .map(|l| l.ddg)
+            .collect();
         let mut rng = StdRng::seed_from_u64(42);
         let mut bonded = 0;
         for case in 0..300 {
             let Some(g) = random_graph(&mut rng, case, true) else { continue };
-            bonded += usize::from(ComplexGroups::new(&g, &machines[0]).len() < g.num_ops());
-            for m in &machines {
+            bonded +=
+                usize::from(ComplexGroups::new(&g, &MachineConfig::p1l4()).len() < g.num_ops());
+            loops.push(g);
+        }
+        assert!(bonded >= 100, "only {bonded} random graphs have a bonded group");
+        loops
+    }
+
+    fn paper_machines() -> [MachineConfig; 3] {
+        [MachineConfig::p1l4(), MachineConfig::p2l4(), MachineConfig::p2l6()]
+    }
+
+    #[test]
+    fn linear_walk_matches_the_reference_walk() {
+        for g in reference_corpus() {
+            for m in &paper_machines() {
                 assert_walks_match_the_reference(&g, m);
             }
         }
-        assert!(bonded >= 100, "only {bonded} random graphs have a bonded group");
+    }
+
+    /// The all-or-nothing group placement the slot-based one replaced:
+    /// every member's cycle wrapped on its own by `Mrt::try_place`.
+    fn place_per_cycle(
+        ddg: &Ddg,
+        groups: &ComplexGroups,
+        mrt: &mut Mrt,
+        g: usize,
+        t: i64,
+    ) -> bool {
+        let members = groups.members_of(groups.leader(g));
+        for (placed, &m) in members.iter().enumerate() {
+            if !mrt.try_place(ddg.op(m).kind(), t + groups.offset(m)) {
+                for &p in &members[..placed] {
+                    mrt.remove(ddg.op(p).kind(), t + groups.offset(p));
+                }
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The probe loop the open-slot search replaced, kept as its reference:
+    /// the window folded from every member's cross-group edges in the
+    /// graph, then each cycle of the scan probed in turn with
+    /// [`place_per_cycle`].
+    fn per_cycle_place(placer: &mut Placer<'_, '_>, leader: OpId) -> bool {
+        let ctx = placer.ctx;
+        let (ddg, groups, machine) = (ctx.ddg(), ctx.groups(), ctx.machine());
+        let (ii, g, members) = (placer.ii, groups.group_of(leader), groups.members_of(leader));
+        let (mut early, mut late): (Option<i64>, Option<i64>) = (None, None);
+        for &m in members {
+            let off = groups.offset(m);
+            for e in ddg.in_edges(m).filter(|e| groups.group_of(e.from()) != g) {
+                if let Some(tp) = placer.start[e.from().index()] {
+                    let lat = crate::edge_latency(machine, ddg, e);
+                    let c = tp + lat - ii * i64::from(e.distance()) - off;
+                    early = Some(early.map_or(c, |x| x.max(c)));
+                }
+            }
+            for e in ddg.out_edges(m).filter(|e| groups.group_of(e.to()) != g) {
+                if let Some(ts) = placer.start[e.to().index()] {
+                    let lat = crate::edge_latency(machine, ddg, e);
+                    let c = ts - lat + ii * i64::from(e.distance()) - off;
+                    late = Some(late.map_or(c, |x| x.min(c)));
+                }
+            }
+        }
+        let g_asap =
+            members.iter().map(|&m| placer.analysis.asap(m) - groups.offset(m)).max().unwrap();
+        let Some(scan) = placer.scan(early, late, g_asap) else { return false };
+        let mrt = &mut placer.mrt;
+        let mut probe = |t: &i64| place_per_cycle(ddg, groups, mrt, g, *t);
+        let mut cycles = scan.from..=scan.to;
+        let found =
+            if scan.down { cycles.rev().find(&mut probe) } else { cycles.find(&mut probe) };
+        let Some(t) = found else { return false };
+        for &m in members {
+            placer.start[m.index()] = Some(t + groups.offset(m));
+        }
+        true
+    }
+
+    /// Under HRMS, SMS and ASAP, starting at MII, MII + 1 and MII + 3, the
+    /// II walk makes the same schedules, IIs tried included, with the
+    /// open-slot search as with the per-cycle probe. The walk stops 16 IIs
+    /// up: many bonded random graphs never schedule, and climbing to the
+    /// fallback ceiling on each would only repeat the same probes.
+    #[test]
+    fn open_slot_placement_matches_the_per_cycle_probe() {
+        for g in reference_corpus() {
+            for m in &paper_machines() {
+                let ctx = LoopAnalysis::new(&g, m);
+                for ii in [ctx.mii(), ctx.mii() + 1, ctx.mii() + 3] {
+                    let request = SchedRequest { min_ii: Some(ii), max_ii: Some(ii + 16) };
+                    let orders: [(&str, Option<OrderWalk>); 3] = [
+                        ("hrms", Some(ordering_in)),
+                        ("sms", Some(crate::sms::swing_ordering)),
+                        ("asap", None),
+                    ];
+                    for (slug, order) in orders {
+                        let reference =
+                            search_with(&ctx, &request, slug, order, per_cycle_place);
+                        let cell = format!("{slug} on {} at II {ii} ({m})", g.name());
+                        assert_eq!(ii_search(&ctx, &request, slug, order), reference, "{cell}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

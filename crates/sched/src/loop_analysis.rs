@@ -47,16 +47,54 @@ pub(crate) struct TimedEdge {
     pub dist: i64,
 }
 
-/// A cross-group dependence as seen from one member operation, used by the
-/// placement phase to fold scheduled neighbours into an early/late window.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CrossEdge {
+/// A cross-group dependence of one complex group, used by the placement
+/// phase to fold scheduled neighbours into an early/late window on the
+/// group leader's clock.
+#[derive(Clone, Copy, Default, Debug)]
+pub(crate) struct WindowEdge {
     /// The op on the other end (producer for in-edges, consumer for out).
     pub other: usize,
-    /// Latency charged on the edge.
+    /// Latency charged on the edge, with the group member's bond offset
+    /// folded in: `lat − offset` on an in-edge, so the leader starts no
+    /// earlier than `t(other) + lat − II·δ`, and `lat + offset` on an
+    /// out-edge, so it starts no later than `t(other) − lat + II·δ`.
     pub lat: i64,
     /// Dependence distance δ.
     pub dist: i64,
+}
+
+/// Window edges bucketed by group in one flat list: group `g`'s edges are
+/// `edges[first[g]..first[g + 1]]`.
+#[derive(Default)]
+pub(crate) struct GroupEdges {
+    edges: Vec<WindowEdge>,
+    first: Vec<usize>,
+}
+
+impl GroupEdges {
+    /// Buckets `(group, edge)` pairs over `groups` groups, in input order
+    /// within each group.
+    fn bucket(groups: usize, items: impl Iterator<Item = (usize, WindowEdge)> + Clone) -> Self {
+        let mut first = vec![0; groups + 1];
+        for (g, _) in items.clone() {
+            first[g + 1] += 1;
+        }
+        for g in 0..groups {
+            first[g + 1] += first[g];
+        }
+        let mut edges = vec![WindowEdge::default(); first[groups]];
+        let mut next = first.clone();
+        for (g, e) in items {
+            edges[next[g]] = e;
+            next[g] += 1;
+        }
+        GroupEdges { edges, first }
+    }
+
+    /// The edges of group `g`.
+    pub(crate) fn of(&self, g: usize) -> &[WindowEdge] {
+        &self.edges[self.first[g]..self.first[g + 1]]
+    }
 }
 
 /// All edges of `ddg` with pre-resolved timing, in `ddg.edges()` order.
@@ -152,10 +190,10 @@ pub struct LoopAnalysis<'a> {
     /// All edges with pre-resolved timing (the exact scheduler folds
     /// these into its group-level difference constraints per II).
     pub(crate) edges: Vec<TimedEdge>,
-    /// Cross-group in-edges per op, in `ddg.in_edges` order.
-    pub(crate) in_cross: Vec<Vec<CrossEdge>>,
-    /// Cross-group out-edges per op, in `ddg.out_edges` order.
-    pub(crate) out_cross: Vec<Vec<CrossEdge>>,
+    /// Cross-group in-edges per group (placement's early bound).
+    pub(crate) window_in: GroupEdges,
+    /// Cross-group out-edges per group (placement's late bound).
+    pub(crate) window_out: GroupEdges,
     /// Intra-group free edges (placement pre-check).
     pub(crate) intra_free: Vec<IntraFreeEdge>,
     pub(crate) sg: SuperGraph,
@@ -175,32 +213,30 @@ impl<'a> LoopAnalysis<'a> {
         let groups = ComplexGroups::new(ddg, machine);
         let latency = op_latencies(ddg, machine);
         let edges = timed_edges(ddg, machine);
-        let n = ddg.num_ops();
 
-        let mut in_cross = vec![Vec::new(); n];
-        let mut out_cross = vec![Vec::new(); n];
+        // Cross-group edges, bucketed by the group at each end.
+        let group = |v: usize| groups.group_of(OpId::new(v));
+        let offset = |v: usize| groups.offset(OpId::new(v));
+        let cross = edges.iter().filter(|e| group(e.from) != group(e.to));
+        let window_in = GroupEdges::bucket(
+            groups.len(),
+            cross.clone().map(|e| {
+                (
+                    group(e.to),
+                    WindowEdge { other: e.from, lat: e.lat - offset(e.to), dist: e.dist },
+                )
+            }),
+        );
+        let window_out = GroupEdges::bucket(
+            groups.len(),
+            cross.map(|e| {
+                (
+                    group(e.from),
+                    WindowEdge { other: e.to, lat: e.lat + offset(e.from), dist: e.dist },
+                )
+            }),
+        );
         let mut intra_free = Vec::new();
-        for v in 0..n {
-            let m = OpId::new(v);
-            for e in ddg.in_edges(m) {
-                if groups.group_of(e.from()) != groups.group_of(m) {
-                    in_cross[v].push(CrossEdge {
-                        other: e.from().index(),
-                        lat: edge_latency(machine, ddg, e),
-                        dist: i64::from(e.distance()),
-                    });
-                }
-            }
-            for e in ddg.out_edges(m) {
-                if groups.group_of(e.to()) != groups.group_of(m) {
-                    out_cross[v].push(CrossEdge {
-                        other: e.to().index(),
-                        lat: edge_latency(machine, ddg, e),
-                        dist: i64::from(e.distance()),
-                    });
-                }
-            }
-        }
         for e in ddg.edges() {
             if !e.is_fixed() && groups.group_of(e.from()) == groups.group_of(e.to()) {
                 intra_free.push(IntraFreeEdge {
@@ -223,8 +259,8 @@ impl<'a> LoopAnalysis<'a> {
             groups,
             latency,
             edges,
-            in_cross,
-            out_cross,
+            window_in,
+            window_out,
             intra_free,
             sg,
             sets,

@@ -31,7 +31,10 @@
 //! from the earliest start when producers anchor the node, down from the
 //! latest start when consumers do, at most II slots of the modulo
 //! reservation table — operations hug their scheduled neighbours and
-//! lifetimes stay near their dataflow minimum.
+//! lifetimes stay near their dataflow minimum. The scan probes only the
+//! cycles whose issue slot still has a free unit, found from the table's
+//! saturation bits, and takes the first that fits, as a cycle-by-cycle scan
+//! would.
 //!
 //! The worked comparison of both orderings on the same kernels lives in
 //! `docs/algorithms.md`.
