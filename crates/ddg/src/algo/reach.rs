@@ -119,7 +119,7 @@ fn disjoint_rows(
 
 /// Tarjan SCCs of an adjacency-list graph, in reverse topological order of
 /// the condensation (iterative, shared by [`sccs`](super::sccs),
-/// [`BitClosure`] and the scheduler's group-level super graph).
+/// [`BitClosure`] and the scheduler's group-level priority sets).
 pub fn sccs_of(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let n = adj.len();
     let mut index = vec![usize::MAX; n];

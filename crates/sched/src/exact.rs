@@ -15,10 +15,11 @@
 //! * **Lower bounds**: the II sweep starts at `max(ResMII, RecMII)` from
 //!   the cached analysis, so no II below the classical bounds is ever
 //!   searched.
-//! * **Positive-cycle refutation**: the group-level difference-constraint
-//!   graph at a candidate II (edge weight `lat − II·δ` folded with bond
-//!   offsets) is checked for positive cycles; one positive cycle refutes
-//!   the II without any enumeration.
+//! * **Positive-cycle refutation**: the context's group constraint graph
+//!   at a candidate II (edge weight `lat − II·δ`, with the bond offsets
+//!   folded into `lat` once per loop) is checked for positive cycles; one
+//!   positive cycle refutes the II without any enumeration, and so does a
+//!   dependence inside a group that the bond offsets break at this II.
 //! * **Finite complete windows**: each group's start is searched in
 //!   `[est, est + (G+2)·II]`, where `est` is the least fixpoint of the
 //!   difference constraints floored at 0. Any feasible schedule can be
@@ -42,7 +43,6 @@
 //! out the scheduler returns the best schedule found so far and reports
 //! [`ExactStatus::BudgetExhausted`]; it never silently claims optimality.
 
-use regpipe_ddg::OpId;
 use regpipe_machine::Mrt;
 
 use crate::loop_analysis::LoopAnalysis;
@@ -161,14 +161,14 @@ impl ExactScheduler {
         for ii in lower..=sweep_upper {
             iis_tried += 1;
             if !budget.charge() {
-                return self.exhausted(incumbent, iis_tried, budget.used);
+                return self.exhausted(incumbent, ii, iis_tried, budget.used);
             }
             if incumbent.as_ref().is_some_and(|s| s.ii() == ii) {
                 // The incumbent witnesses feasibility at this II; charge
                 // one node for the conclusion so a starved budget still
                 // reports exhaustion instead of a free proof.
                 if !budget.charge() {
-                    return self.exhausted(incumbent, iis_tried, budget.used);
+                    return self.exhausted(incumbent, ii, iis_tried, budget.used);
                 }
                 let starts = incumbent.as_ref().expect("checked").starts().to_vec();
                 witness = Some((ii, starts));
@@ -181,7 +181,7 @@ impl ExactScheduler {
                 }
                 Decision::Unsat => {}
                 Decision::Exhausted => {
-                    return self.exhausted(incumbent, iis_tried, budget.used);
+                    return self.exhausted(incumbent, ii, iis_tried, budget.used);
                 }
             }
         }
@@ -233,17 +233,19 @@ impl ExactScheduler {
         })
     }
 
+    /// The outcome when the budget runs out at `ii`: the incumbent, or
+    /// no schedule found up to `ii` without one.
     fn exhausted(
         &self,
         incumbent: Option<Schedule>,
+        ii: u32,
         iis_tried: u32,
         nodes: u64,
     ) -> Result<ExactOutcome, SchedError> {
         match incumbent {
             Some(s) => {
-                let ii = s.ii();
                 let schedule =
-                    Schedule::with_provenance(ii, s.starts().to_vec(), "exact", iis_tried);
+                    Schedule::with_provenance(s.ii(), s.starts().to_vec(), "exact", iis_tried);
                 Ok(ExactOutcome {
                     schedule,
                     status: ExactStatus::BudgetExhausted,
@@ -251,7 +253,7 @@ impl ExactScheduler {
                     span_proven: false,
                 })
             }
-            None => Err(SchedError::NoScheduleUpTo { max_ii: 0 }),
+            None => Err(SchedError::NoScheduleUpTo { max_ii: ii }),
         }
     }
 }
@@ -313,45 +315,28 @@ fn decide(
     cutoff: Option<i64>,
     budget: &mut Budget,
 ) -> Decision {
-    let ii64 = i64::from(ii);
-    // Free edges internal to a bonded group have a fixed separation; if
-    // that separation undercuts the edge's timing at this II, no
-    // placement of the group can ever be valid.
-    for e in &ctx.intra_free {
-        if e.sep < e.lat - ii64 * e.dist {
-            return Decision::Unsat;
-        }
+    // A dependence inside a bonded group that the bond offsets break at
+    // this II holds at no placement of the group.
+    if !ctx.bonds_hold(ii) {
+        return Decision::Unsat;
     }
 
+    let ii64 = i64::from(ii);
     let groups = ctx.groups();
     let g = groups.len();
-    // The group-level difference-constraint graph: each cross-group edge
-    // `m -> m'` with timing `lat − II·δ` becomes `t(h) − t(g) ≥ w` on
-    // the leaders, with the members' bond offsets folded into `w`.
-    let mut out: Vec<Vec<(usize, i64)>> = vec![Vec::new(); g];
-    let mut inn: Vec<Vec<(usize, i64)>> = vec![Vec::new(); g];
-    for e in &ctx.edges {
-        let from = OpId::new(e.from);
-        let to = OpId::new(e.to);
-        let (gf, gt) = (groups.group_of(from), groups.group_of(to));
-        if gf == gt {
-            continue;
-        }
-        let w = e.lat - ii64 * e.dist + groups.offset(from) - groups.offset(to);
-        out[gf].push((gt, w));
-        inn[gt].push((gf, w));
-    }
-
-    // Earliest starts: least fixpoint of the difference constraints
-    // floored at 0. A positive cycle (no fixpoint) refutes this II — the
-    // constraints are all necessary conditions on any valid schedule.
+    // Earliest starts: least fixpoint of the group constraints
+    // `t(h) − t(g) ≥ lat − II·δ` floored at 0. A positive cycle (no
+    // fixpoint) refutes this II — the constraints are all necessary
+    // conditions on any valid schedule. The constraints inside a group
+    // never raise its start, as `bonds_hold` checked.
     let mut est = vec![0i64; g];
     for round in 0..=g {
         let mut changed = false;
         for gf in 0..g {
-            for &(gt, w) in &out[gf] {
-                if est[gf] + w > est[gt] {
-                    est[gt] = est[gf] + w;
+            for e in ctx.outs.of(gf) {
+                let w = e.lat - ii64 * e.dist;
+                if est[gf] + w > est[e.other] {
+                    est[e.other] = est[gf] + w;
                     changed = true;
                 }
             }
@@ -374,13 +359,9 @@ fn decide(
     for (gi, &e) in est.iter().enumerate() {
         let mut h = e + slack;
         if let Some(u) = cutoff {
-            let max_off = groups
-                .members_of(groups.leader(gi))
-                .iter()
-                .map(|&m| groups.offset(m))
-                .max()
-                .expect("groups are non-empty");
-            h = h.min(u - max_off);
+            // Members are sorted by offset: the last is the latest.
+            let last = groups.members_of(groups.leader(gi)).last();
+            h = h.min(u - groups.offset(*last.expect("groups are non-empty")));
         }
         if h < lo[gi] {
             return Decision::Unsat;
@@ -393,8 +374,7 @@ fn decide(
 
     let mut search = Search {
         ctx,
-        out,
-        inn,
+        ii: ii64,
         lo,
         hi,
         order,
@@ -407,10 +387,7 @@ fn decide(
 /// Mutable state of one fixed-II depth-first search.
 struct Search<'c, 'a> {
     ctx: &'c LoopAnalysis<'a>,
-    /// `out[g]`: constraints `t(h) − t(g) ≥ w` as `(h, w)`.
-    out: Vec<Vec<(usize, i64)>>,
-    /// `inn[h]`: the same constraints indexed by target, as `(g, w)`.
-    inn: Vec<Vec<(usize, i64)>>,
+    ii: i64,
     lo: Vec<i64>,
     hi: Vec<i64>,
     order: Vec<usize>,
@@ -423,13 +400,7 @@ impl Search<'_, '_> {
     fn dfs(&mut self, depth: usize, budget: &mut Budget) -> Decision {
         let (ddg, groups) = (self.ctx.ddg(), self.ctx.groups());
         if depth == self.order.len() {
-            let starts = (0..ddg.num_ops())
-                .map(|v| {
-                    let op = OpId::new(v);
-                    self.lo[groups.group_of(op)] + groups.offset(op)
-                })
-                .collect();
-            return Decision::Sat(starts);
+            return Decision::Sat(groups.op_starts(|g| self.lo[g]));
         }
         let gi = self.order[depth];
         let (wlo, whi) = (self.lo[gi], self.hi[gi]);
@@ -463,14 +434,15 @@ impl Search<'_, '_> {
         Decision::Unsat
     }
 
-    /// Propagates window bounds through the difference constraints to a
+    /// Propagates window bounds through the group constraints to a
     /// fixpoint, starting from `seed`, recording every tightening on the
     /// trail. Returns `false` when some window empties (prune).
     fn propagate(&mut self, seed: usize) -> bool {
+        let (ctx, ii) = (self.ctx, self.ii);
         let mut queue = vec![seed];
         while let Some(v) = queue.pop() {
-            for i in 0..self.out[v].len() {
-                let (w, wt) = self.out[v][i];
+            for e in ctx.outs.of(v) {
+                let (w, wt) = (e.other, e.lat - ii * e.dist);
                 let nl = self.lo[v] + wt;
                 if nl > self.lo[w] {
                     if nl > self.hi[w] {
@@ -481,8 +453,8 @@ impl Search<'_, '_> {
                     queue.push(w);
                 }
             }
-            for i in 0..self.inn[v].len() {
-                let (u, wt) = self.inn[v][i];
+            for e in ctx.ins.of(v) {
+                let (u, wt) = (e.other, e.lat - ii * e.dist);
                 let nh = self.hi[v] - wt;
                 if nh < self.hi[u] {
                     if nh < self.lo[u] {
@@ -512,7 +484,7 @@ impl Search<'_, '_> {
 mod tests {
     use super::*;
     use crate::mii;
-    use regpipe_ddg::{Ddg, DdgBuilder, OpKind};
+    use regpipe_ddg::{Ddg, DdgBuilder, OpId, OpKind};
     use regpipe_machine::MachineConfig;
 
     fn search(

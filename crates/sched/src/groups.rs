@@ -23,10 +23,9 @@ pub struct ComplexGroups {
     group_of: Vec<u32>,
     /// Offset (in cycles) of each operation relative to its group leader.
     offset: Vec<i64>,
-    /// Members of each group, sorted by offset then id.
+    /// Members of each group, sorted by offset then id: the first is the
+    /// group's leader.
     members: Vec<Vec<OpId>>,
-    /// Leader (offset-0 member) of each group.
-    leaders: Vec<OpId>,
 }
 
 impl ComplexGroups {
@@ -42,103 +41,54 @@ impl ComplexGroups {
     /// inconsistent offsets ([`Ddg::validate`] rejects such graphs).
     pub fn new(ddg: &Ddg, machine: &MachineConfig) -> Self {
         let n = ddg.num_ops();
-        // Union-find over fixed edges.
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        fn find(parent: &mut [u32], x: u32) -> u32 {
-            let mut root = x;
-            while parent[root as usize] != root {
-                root = parent[root as usize];
-            }
-            let mut cur = x;
-            while parent[cur as usize] != root {
-                let next = parent[cur as usize];
-                parent[cur as usize] = root;
-                cur = next;
-            }
-            root
-        }
+        // Each bond as a signed offset step at both of its ends.
+        let mut bonds: Vec<Vec<(usize, i64)>> = vec![Vec::new(); n];
         for e in ddg.edges().filter(|e| e.is_fixed()) {
-            let (a, b) = (e.from().index() as u32, e.to().index() as u32);
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb {
-                parent[ra as usize] = rb;
-            }
+            let len =
+                i64::from(machine.latency(ddg.op(e.from()).kind())) + i64::from(e.stagger());
+            bonds[e.from().index()].push((e.to().index(), len));
+            bonds[e.to().index()].push((e.from().index(), -len));
         }
 
-        // Relative offsets: solve the bond equalities by bidirectional BFS
-        // over fixed edges (a bond is a difference constraint, so any member
-        // can seed its group). Inconsistent bond systems — constructible
-        // only by hand, never by the spill rewriter — are rejected here.
+        // Each group is one walk over the bonds from its smallest op, which
+        // solves the bond equalities on the way (a bond is a difference
+        // constraint, so any member can seed its group); groups are
+        // numbered in order of their smallest op. Inconsistent bond
+        // systems — constructible only by hand, never by the spill
+        // rewriter — are rejected here.
         let mut offset = vec![0i64; n];
-        let mut pinned = vec![false; n];
-        let mut fixed_out: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut fixed_in: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let fixed_edges: Vec<_> = ddg.edges().filter(|e| e.is_fixed()).cloned().collect();
-        for (i, e) in fixed_edges.iter().enumerate() {
-            fixed_out[e.from().index()].push(i);
-            fixed_in[e.to().index()].push(i);
-        }
-        let bond_len = |e: &regpipe_ddg::Edge| {
-            i64::from(machine.latency(ddg.op(e.from()).kind())) + i64::from(e.stagger())
-        };
-        for seed in 0..n {
-            if pinned[seed] {
-                continue;
-            }
-            pinned[seed] = true;
-            offset[seed] = 0;
-            let mut queue = vec![seed];
-            while let Some(v) = queue.pop() {
-                for &i in &fixed_out[v] {
-                    let e = &fixed_edges[i];
-                    let want = offset[v] + bond_len(e);
-                    let t = e.to().index();
-                    if pinned[t] {
-                        assert_eq!(offset[t], want, "conflicting bond offsets for op {t}");
-                    } else {
-                        offset[t] = want;
-                        pinned[t] = true;
-                        queue.push(t);
-                    }
-                }
-                for &i in &fixed_in[v] {
-                    let e = &fixed_edges[i];
-                    let want = offset[v] - bond_len(e);
-                    let f = e.from().index();
-                    if pinned[f] {
-                        assert_eq!(offset[f], want, "conflicting bond offsets for op {f}");
-                    } else {
-                        offset[f] = want;
-                        pinned[f] = true;
-                        queue.push(f);
-                    }
-                }
-            }
-        }
-
-        // Collect groups, normalize offsets.
         let mut group_of = vec![u32::MAX; n];
         let mut members: Vec<Vec<OpId>> = Vec::new();
-        for v in 0..n {
-            let root = find(&mut parent, v as u32) as usize;
-            if group_of[root] == u32::MAX {
-                group_of[root] = members.len() as u32;
-                members.push(Vec::new());
+        for seed in 0..n {
+            if group_of[seed] != u32::MAX {
+                continue;
             }
-            let gi = group_of[root];
-            group_of[v] = gi;
-            members[gi as usize].push(OpId::new(v));
-        }
-        let mut leaders = Vec::with_capacity(members.len());
-        for group in &mut members {
-            let min = group.iter().map(|m| offset[m.index()]).min().unwrap_or(0);
-            for m in group.iter() {
+            let gi = members.len() as u32;
+            group_of[seed] = gi;
+            let mut group = vec![OpId::new(seed)];
+            let mut queue = vec![seed];
+            while let Some(v) = queue.pop() {
+                for &(w, len) in &bonds[v] {
+                    let want = offset[v] + len;
+                    if group_of[w] != u32::MAX {
+                        assert_eq!(offset[w], want, "conflicting bond offsets for op {w}");
+                    } else {
+                        offset[w] = want;
+                        group_of[w] = gi;
+                        group.push(OpId::new(w));
+                        queue.push(w);
+                    }
+                }
+            }
+            // Normalize: the earliest member leads, at offset 0.
+            let min = group.iter().map(|m| offset[m.index()]).min().expect("seeded");
+            for m in &group {
                 offset[m.index()] -= min;
             }
             group.sort_by_key(|m| (offset[m.index()], m.index()));
-            leaders.push(group[0]);
+            members.push(group);
         }
-        ComplexGroups { group_of, offset, members, leaders }
+        ComplexGroups { group_of, offset, members }
     }
 
     /// Number of groups.
@@ -168,7 +118,14 @@ impl ComplexGroups {
 
     /// The leader (offset-0 member) of group `g`.
     pub fn leader(&self, g: usize) -> OpId {
-        self.leaders[g]
+        self.members[g][0]
+    }
+
+    /// Per-op start cycles, each member at its offset from its group
+    /// leader's start `leader_start(group)`.
+    pub(crate) fn op_starts(&self, leader_start: impl Fn(usize) -> i64) -> Vec<i64> {
+        let groups = self.group_of.iter().map(|&g| g as usize);
+        groups.zip(&self.offset).map(|(g, &off)| leader_start(g) + off).collect()
     }
 
     /// Puts every member of group `g` on `mrt` with the leader at cycle

@@ -30,20 +30,20 @@
 //! Complex-operation groups (bonded spill code, Section 4.3 of the paper)
 //! are ordered and placed atomically with exact member offsets.
 //!
-//! Everything II-independent — groups, the super graph, recurrence sets and
-//! their bounds, reachability, the fallback order — lives in
-//! [`LoopAnalysis`] and is computed once per loop. Per candidate II the
-//! search below re-runs only the (warm-started) timing analysis and the
-//! two phases, interleaved: the ordering hands each group straight to
-//! placement and stops at the first group that does not fit, so the groups
-//! after it are never ordered.
+//! Everything II-independent — groups, the group constraint graph,
+//! recurrence sets and their bounds, reachability, the fallback order —
+//! lives in [`LoopAnalysis`] and is computed once per loop. Per candidate
+//! II the search below re-runs only the (warm-started) timing analysis
+//! and the two phases, interleaved: the ordering hands each group straight
+//! to placement and stops at the first group that does not fit, so the
+//! groups after it are never ordered.
 
 use regpipe_ddg::{Ddg, OpId};
 use regpipe_machine::{FuClass, Mrt};
 
 use crate::analysis::TimeAnalysis;
 use crate::groups::ComplexGroups;
-use crate::loop_analysis::LoopAnalysis;
+use crate::loop_analysis::{GroupEdge, LoopAnalysis};
 use crate::{SchedError, SchedRequest, Schedule};
 
 const NEG_INF: i64 = i64::MIN / 4;
@@ -87,7 +87,7 @@ fn search_with(
     if upper < lower {
         return Err(SchedError::InfeasibleRequest { min_ii: lower, max_ii: upper });
     }
-    let mut start = vec![None; ctx.ddg().num_ops()];
+    let mut start = vec![None; ctx.groups().len()];
     let mut tried = 0u32;
     let mut prev: Option<TimeAnalysis> = None;
     for ii in lower..=upper {
@@ -199,7 +199,8 @@ pub(crate) fn ordering_in(
 /// soon as `sink` returns false and returns whether `sink` accepted every
 /// group.
 /// Readiness comes from per-group counts of unordered same-set neighbours,
-/// kept up to date as groups are ordered.
+/// kept up to date as groups are ordered; a parallel edge repeats a
+/// neighbour in both the count and its decrements.
 pub(crate) fn frontier_walk<S: Ord, K: Ord>(
     ctx: &LoopAnalysis<'_>,
     seed_key: impl Fn(usize) -> S,
@@ -207,7 +208,6 @@ pub(crate) fn frontier_walk<S: Ord, K: Ord>(
     sink: &mut dyn FnMut(OpId) -> bool,
 ) -> bool {
     let groups = ctx.groups();
-    let sg = &ctx.sg;
     let g = groups.len();
     let mut ordered = vec![false; g];
     // Members of the current set that are not ordered yet.
@@ -220,22 +220,25 @@ pub(crate) fn frontier_walk<S: Ord, K: Ord>(
             remaining[v] = true;
         }
         for &v in set {
-            preds_left[v] = sg.preds[v].iter().filter(|&&p| remaining[p]).count();
-            succs_left[v] = sg.succs[v].iter().filter(|&&s| remaining[s]).count();
+            let left = |edges: &[GroupEdge]| {
+                edges.iter().filter(|e| e.other != v && remaining[e.other]).count()
+            };
+            preds_left[v] = left(ctx.ins.of(v));
+            succs_left[v] = left(ctx.outs.of(v));
         }
         let mut left = set.len();
         while left > 0 {
             let unordered = set.iter().copied().filter(|&v| remaining[v]);
             let td: Vec<usize> = unordered
                 .clone()
-                .filter(|&v| sg.preds[v].iter().any(|&p| ordered[p]))
+                .filter(|&v| ctx.ins.of(v).iter().any(|e| ordered[e.other]))
                 .collect();
             let (dir, start) = if !td.is_empty() {
                 (Direction::TopDown, td)
             } else {
                 let bu: Vec<usize> = unordered
                     .clone()
-                    .filter(|&v| sg.succs[v].iter().any(|&s| ordered[s]))
+                    .filter(|&v| ctx.outs.of(v).iter().any(|e| ordered[e.other]))
                     .collect();
                 if bu.is_empty() {
                     let seed = unordered.min_by_key(|&v| seed_key(v)).expect("non-empty");
@@ -261,27 +264,27 @@ pub(crate) fn frontier_walk<S: Ord, K: Ord>(
                 ordered[v] = true;
                 remaining[v] = false;
                 left -= 1;
-                for &s in &sg.succs[v] {
-                    if remaining[s] {
-                        preds_left[s] -= 1;
+                for e in ctx.outs.of(v) {
+                    if remaining[e.other] {
+                        preds_left[e.other] -= 1;
                     }
                 }
-                for &p in &sg.preds[v] {
-                    if remaining[p] {
-                        succs_left[p] -= 1;
+                for e in ctx.ins.of(v) {
+                    if remaining[e.other] {
+                        succs_left[e.other] -= 1;
                     }
                 }
                 if !sink(groups.leader(v)) {
                     return false;
                 }
                 let next = match dir {
-                    Direction::TopDown => &sg.succs[v],
-                    Direction::BottomUp => &sg.preds[v],
+                    Direction::TopDown => ctx.outs.of(v),
+                    Direction::BottomUp => ctx.ins.of(v),
                 };
-                for &w in next {
-                    if remaining[w] && !in_frontier[w] {
-                        in_frontier[w] = true;
-                        frontier.push(w);
+                for e in next {
+                    if remaining[e.other] && !in_frontier[e.other] {
+                        in_frontier[e.other] = true;
+                        frontier.push(e.other);
                     }
                 }
             }
@@ -394,13 +397,13 @@ pub(crate) struct Placer<'p, 'a> {
     mode: PlaceMode,
     ii: i64,
     mrt: Mrt,
-    /// Start cycle per op (`None` = not yet placed); a buffer the II
-    /// search reuses across attempts.
+    /// Start cycle per group leader (`None` = not yet placed); a buffer
+    /// the II search reuses across attempts.
     start: &'p mut [Option<i64>],
 }
 
 impl<'p, 'a> Placer<'p, 'a> {
-    /// An empty placement at `ii`, or `None` when the free edges inside
+    /// An empty placement at `ii`, or `None` when the dependences inside
     /// some group cannot hold at this II, whatever the order.
     pub(crate) fn new(
         ctx: &'p LoopAnalysis<'a>,
@@ -409,14 +412,12 @@ impl<'p, 'a> Placer<'p, 'a> {
         mode: PlaceMode,
         start: &'p mut [Option<i64>],
     ) -> Option<Self> {
-        let ii64 = i64::from(ii);
-        // Free edges internal to a group must be consistent with the bond
-        // offsets at this II.
-        if ctx.intra_free.iter().any(|e| e.sep < e.lat - ii64 * e.dist) {
+        if !ctx.bonds_hold(ii) {
             return None;
         }
         start.fill(None);
-        Some(Placer { ctx, analysis, mode, ii: ii64, mrt: Mrt::new(ctx.machine(), ii), start })
+        let mrt = Mrt::new(ctx.machine(), ii);
+        Some(Placer { ctx, analysis, mode, ii: i64::from(ii), mrt, start })
     }
 
     /// Places the group led by `leader`; false when no slot of its window
@@ -427,16 +428,17 @@ impl<'p, 'a> Placer<'p, 'a> {
         let g = groups.group_of(leader);
         debug_assert_eq!(groups.offset(leader), 0);
 
-        // Window from scheduled neighbours, expressed on the leader's time.
+        // Window from scheduled neighbours, on the leader's clock (the
+        // group's own start is unset, so its inner dependences take no part).
         let mut early: Option<i64> = None;
         let mut late: Option<i64> = None;
-        for e in self.ctx.window_in.of(g) {
+        for e in self.ctx.ins.of(g) {
             if let Some(tp) = start[e.other] {
                 let c = tp + e.lat - ii64 * e.dist;
                 early = Some(early.map_or(c, |x: i64| x.max(c)));
             }
         }
-        for e in self.ctx.window_out.of(g) {
+        for e in self.ctx.outs.of(g) {
             if let Some(ts) = start[e.other] {
                 let c = ts - e.lat + ii64 * e.dist;
                 late = Some(late.map_or(c, |x: i64| x.min(c)));
@@ -457,9 +459,7 @@ impl<'p, 'a> Placer<'p, 'a> {
         let Some(t) = self.first_fit(g, scan) else {
             return false;
         };
-        for &m in members {
-            self.start[m.index()] = Some(t + groups.offset(m));
-        }
+        self.start[g] = Some(t);
         true
     }
 
@@ -540,7 +540,7 @@ impl<'p, 'a> Placer<'p, 'a> {
 
     /// Per-op start cycles, once every group is placed.
     pub(crate) fn finish(self) -> Vec<i64> {
-        self.start.iter().map(|t| t.expect("all ops placed")).collect()
+        self.ctx.groups().op_starts(|g| self.start[g].expect("all groups placed"))
     }
 }
 
@@ -549,9 +549,10 @@ mod tests {
     use std::collections::BTreeSet;
 
     use super::*;
+    use crate::testing::{paper_machines, random_graph, reference_corpus};
     use crate::{mii, SchedError, Scheduler, SchedulerKind};
     use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use rand::SeedableRng;
     use regpipe_ddg::DdgBuilder;
     use regpipe_ddg::OpKind;
     use regpipe_machine::MachineConfig;
@@ -720,45 +721,6 @@ mod tests {
         assert_eq!(s.ii(), 4);
     }
 
-    /// A random loop of up to 23 ops of mixed kinds and random edges, the
-    /// loop-carried ones free to run backwards. With `bonds`, some
-    /// neighbouring ops are then bonded into complex-operation chains.
-    /// `None` when the draw is not a valid loop.
-    fn random_graph(rng: &mut StdRng, case: usize, bonds: bool) -> Option<Ddg> {
-        let n = rng.random_range(2..24usize);
-        let mut b = DdgBuilder::new(format!("s{case}"));
-        let kinds =
-            [OpKind::Load, OpKind::Store, OpKind::Add, OpKind::Mul, OpKind::Copy, OpKind::Div];
-        let ops: Vec<(OpId, OpKind)> = (0..n)
-            .map(|i| {
-                let kind = kinds[rng.random_range(0..kinds.len())];
-                (b.add_op(kind, format!("n{i}")), kind)
-            })
-            .collect();
-        for _ in 0..rng.random_range(0..2 * n) {
-            let (f, f_kind) = ops[rng.random_range(0..n)];
-            let t = ops[rng.random_range(0..n)].0;
-            if f == t {
-                continue;
-            }
-            let dist =
-                if t > f { rng.random_range(0..3u32) } else { rng.random_range(1..3u32) };
-            if f_kind == OpKind::Store {
-                b.mem(f, t, dist.max(if t > f { 0 } else { 1 }));
-            } else {
-                b.reg_dist(f, t, dist);
-            }
-        }
-        if bonds {
-            for pair in ops.windows(2) {
-                if pair[0].1 != OpKind::Store && rng.random_range(0..3u32) == 0 {
-                    b.bond(pair[0].0, pair[1].0);
-                }
-            }
-        }
-        b.build().ok()
-    }
-
     #[test]
     fn stress_random_graphs_schedule_and_verify() {
         let mut rng = StdRng::seed_from_u64(42);
@@ -774,6 +736,16 @@ mod tests {
         }
     }
 
+    /// The groups with an edge into `v` (`ins`) or out of it.
+    fn neighbours<'c>(
+        ctx: &'c LoopAnalysis<'_>,
+        v: usize,
+        ins: bool,
+    ) -> impl Iterator<Item = usize> + 'c {
+        let edges = if ins { ctx.ins.of(v) } else { ctx.outs.of(v) };
+        edges.iter().map(|e| e.other)
+    }
+
     /// The ordering walk the linear one replaced, kept as its reference: a
     /// `BTreeSet` frontier, and readiness recomputed from `remaining` at
     /// every pick.
@@ -783,7 +755,6 @@ mod tests {
         pick: impl Fn(&BTreeSet<usize>, &BTreeSet<usize>, Direction) -> Option<usize>,
     ) -> Vec<OpId> {
         let groups = ctx.groups();
-        let sg = &ctx.sg;
         let mut order: Vec<usize> = Vec::with_capacity(groups.len());
         let mut ordered = vec![false; groups.len()];
         for set in &ctx.sets {
@@ -792,12 +763,12 @@ mod tests {
                 let td: Vec<usize> = remaining
                     .iter()
                     .copied()
-                    .filter(|&v| sg.preds[v].iter().any(|&p| ordered[p]))
+                    .filter(|&v| neighbours(ctx, v, true).any(|p| ordered[p]))
                     .collect();
                 let bu: Vec<usize> = remaining
                     .iter()
                     .copied()
-                    .filter(|&v| sg.succs[v].iter().any(|&s| ordered[s]))
+                    .filter(|&v| neighbours(ctx, v, false).any(|s| ordered[s]))
                     .collect();
                 let (mut frontier, dir): (BTreeSet<usize>, Direction) =
                     if !td.is_empty() && bu.is_empty() {
@@ -816,11 +787,7 @@ mod tests {
                     }
                     ordered[v] = true;
                     order.push(v);
-                    let next = match dir {
-                        Direction::TopDown => &sg.succs[v],
-                        Direction::BottomUp => &sg.preds[v],
-                    };
-                    for &w in next {
+                    for w in neighbours(ctx, v, dir == Direction::BottomUp) {
                         if remaining.contains(&w) {
                             frontier.insert(w);
                         }
@@ -833,7 +800,6 @@ mod tests {
 
     /// The reference HRMS order: readiness probed in `remaining`.
     fn reference_hrms(ctx: &LoopAnalysis<'_>, analysis: &TimeAnalysis) -> Vec<OpId> {
-        let sg = &ctx.sg;
         let (g_asap, g_alap, g_mob) = group_priorities(ctx, analysis);
         let horizon: i64 = g_alap.iter().copied().max().unwrap_or(0);
         reference_walk(
@@ -843,11 +809,8 @@ mod tests {
             },
             |frontier, remaining, dir| {
                 frontier.iter().copied().min_by_key(|&v| {
-                    let blocked_by = match dir {
-                        Direction::TopDown => &sg.preds[v],
-                        Direction::BottomUp => &sg.succs[v],
-                    };
-                    let not_ready = blocked_by.iter().any(|w| remaining.contains(w) && *w != v);
+                    let not_ready = neighbours(ctx, v, dir == Direction::TopDown)
+                        .any(|w| remaining.contains(&w) && w != v);
                     let criticality = match dir {
                         Direction::TopDown => -(horizon - g_alap[v]),
                         Direction::BottomUp => -g_asap[v],
@@ -925,35 +888,6 @@ mod tests {
         }
     }
 
-    /// The loops the reference checks run on, each on P1L4, P2L4 and P2L6:
-    /// `suite(49626, 300)`, `generate(7, 200)`, four 256-op kernels (IIs
-    /// past 300, so MRT rows of several words) and the valid draws of 300
-    /// random graphs with bonded groups.
-    fn reference_corpus() -> Vec<Ddg> {
-        use regpipe_loops::{generate, suite, GenParams};
-        let big = GenParams { min_ops: 256, max_ops: 256, ..GenParams::default() };
-        let mut loops: Vec<Ddg> = suite(49626, 300)
-            .into_iter()
-            .chain(generate(7, 200, &GenParams::default()).unwrap())
-            .chain(generate(49626, 4, &big).unwrap())
-            .map(|l| l.ddg)
-            .collect();
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut bonded = 0;
-        for case in 0..300 {
-            let Some(g) = random_graph(&mut rng, case, true) else { continue };
-            bonded +=
-                usize::from(ComplexGroups::new(&g, &MachineConfig::p1l4()).len() < g.num_ops());
-            loops.push(g);
-        }
-        assert!(bonded >= 100, "only {bonded} random graphs have a bonded group");
-        loops
-    }
-
-    fn paper_machines() -> [MachineConfig; 3] {
-        [MachineConfig::p1l4(), MachineConfig::p2l4(), MachineConfig::p2l6()]
-    }
-
     #[test]
     fn linear_walk_matches_the_reference_walk() {
         for g in reference_corpus() {
@@ -992,18 +926,20 @@ mod tests {
         let ctx = placer.ctx;
         let (ddg, groups, machine) = (ctx.ddg(), ctx.groups(), ctx.machine());
         let (ii, g, members) = (placer.ii, groups.group_of(leader), groups.members_of(leader));
+        let op_start =
+            |op: OpId| placer.start[groups.group_of(op)].map(|t| t + groups.offset(op));
         let (mut early, mut late): (Option<i64>, Option<i64>) = (None, None);
         for &m in members {
             let off = groups.offset(m);
             for e in ddg.in_edges(m).filter(|e| groups.group_of(e.from()) != g) {
-                if let Some(tp) = placer.start[e.from().index()] {
+                if let Some(tp) = op_start(e.from()) {
                     let lat = crate::edge_latency(machine, ddg, e);
                     let c = tp + lat - ii * i64::from(e.distance()) - off;
                     early = Some(early.map_or(c, |x| x.max(c)));
                 }
             }
             for e in ddg.out_edges(m).filter(|e| groups.group_of(e.to()) != g) {
-                if let Some(ts) = placer.start[e.to().index()] {
+                if let Some(ts) = op_start(e.to()) {
                     let lat = crate::edge_latency(machine, ddg, e);
                     let c = ts - lat + ii * i64::from(e.distance()) - off;
                     late = Some(late.map_or(c, |x| x.min(c)));
@@ -1019,9 +955,7 @@ mod tests {
         let found =
             if scan.down { cycles.rev().find(&mut probe) } else { cycles.find(&mut probe) };
         let Some(t) = found else { return false };
-        for &m in members {
-            placer.start[m.index()] = Some(t + groups.offset(m));
-        }
+        placer.start[g] = Some(t);
         true
     }
 

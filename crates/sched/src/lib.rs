@@ -75,6 +75,8 @@ mod registry;
 mod schedule;
 mod sms;
 mod stage;
+#[cfg(test)]
+mod testing;
 
 pub mod deadline;
 

@@ -4,7 +4,7 @@
 //! through the rounds of `regpipe_core::compile`, across entire compile runs.
 //!
 //! Before this layer existed every II probe rebuilt the complex-operation
-//! groups, the group-level super graph, its SCCs, the per-recurrence RecMII
+//! groups, the group-level graph, its SCCs, the per-recurrence RecMII
 //! bounds (each a Bellman–Ford binary search), the reachability queries
 //! of the ordering phase and the fallback topological order from scratch.
 //! All of that is II-independent. [`LoopAnalysis`] hoists it out of the
@@ -13,6 +13,13 @@
 //! one (warm-started) timing analysis and the placement scan, fed one
 //! group at a time by the alternating-direction inner ordering, which
 //! stops at the first group that does not fit.
+//!
+//! # The group constraint graph
+//!
+//! A dependence `m → m'` from group `g` to group `h` is the constraint
+//! `t(h) − t(g) ≥ lat − II·δ` on the two leaders, with the bond offsets of
+//! `m` and `m'` folded into `lat`. The context stores it at both ends, and
+//! every search over groups reads these lists ([`GroupEdge`]).
 //!
 //! # Invalidation
 //!
@@ -47,34 +54,33 @@ pub(crate) struct TimedEdge {
     pub dist: i64,
 }
 
-/// A cross-group dependence of one complex group, used by the placement
-/// phase to fold scheduled neighbours into an early/late window on the
-/// group leader's clock.
+/// One dependence as a constraint between the leaders of its two groups:
+/// with `g` the producer's group and `h` the consumer's,
+/// `t(h) − t(g) ≥ lat − II·δ`.
 #[derive(Clone, Copy, Default, Debug)]
-pub(crate) struct WindowEdge {
-    /// The op on the other end (producer for in-edges, consumer for out).
+pub(crate) struct GroupEdge {
+    /// The group on the other end: the producer's in an in-list, the
+    /// consumer's in an out-list.
     pub other: usize,
-    /// Latency charged on the edge, with the group member's bond offset
-    /// folded in: `lat − offset` on an in-edge, so the leader starts no
-    /// earlier than `t(other) + lat − II·δ`, and `lat + offset` on an
-    /// out-edge, so it starts no later than `t(other) − lat + II·δ`.
+    /// The edge's latency with the bond offsets of its ends folded in:
+    /// `lat(e) + offset(from) − offset(to)`.
     pub lat: i64,
     /// Dependence distance δ.
     pub dist: i64,
 }
 
-/// Window edges bucketed by group in one flat list: group `g`'s edges are
-/// `edges[first[g]..first[g + 1]]`.
+/// Group edges bucketed by group in one flat list: group `g`'s edges are
+/// `edges[first[g]..first[g + 1]]`, in edge order.
 #[derive(Default)]
 pub(crate) struct GroupEdges {
-    edges: Vec<WindowEdge>,
+    edges: Vec<GroupEdge>,
     first: Vec<usize>,
 }
 
 impl GroupEdges {
     /// Buckets `(group, edge)` pairs over `groups` groups, in input order
     /// within each group.
-    fn bucket(groups: usize, items: impl Iterator<Item = (usize, WindowEdge)> + Clone) -> Self {
+    fn bucket(groups: usize, items: impl Iterator<Item = (usize, GroupEdge)> + Clone) -> Self {
         let mut first = vec![0; groups + 1];
         for (g, _) in items.clone() {
             first[g + 1] += 1;
@@ -82,7 +88,7 @@ impl GroupEdges {
         for g in 0..groups {
             first[g + 1] += first[g];
         }
-        let mut edges = vec![WindowEdge::default(); first[groups]];
+        let mut edges = vec![GroupEdge::default(); first[groups]];
         let mut next = first.clone();
         for (g, e) in items {
             edges[next[g]] = e;
@@ -92,7 +98,7 @@ impl GroupEdges {
     }
 
     /// The edges of group `g`.
-    pub(crate) fn of(&self, g: usize) -> &[WindowEdge] {
+    pub(crate) fn of(&self, g: usize) -> &[GroupEdge] {
         &self.edges[self.first[g]..self.first[g + 1]]
     }
 }
@@ -116,63 +122,11 @@ pub(crate) fn op_latencies(ddg: &Ddg, machine: &MachineConfig) -> Vec<i64> {
         .collect()
 }
 
-/// The group-level super graph: adjacency between complex-group indices.
-pub(crate) struct SuperGraph {
-    /// Distinct successor groups per group.
-    pub succs: Vec<Vec<usize>>,
-    /// Distinct predecessor groups per group.
-    pub preds: Vec<Vec<usize>>,
-    /// Groups closed into a recurrence by a loop-carried edge internal to
-    /// the group (e.g. an accumulator's self-edge). Tracked separately:
-    /// `succs`/`preds` drop intra-group edges, so a one-group recurrence is
-    /// invisible to the SCC pass.
-    pub self_cyclic: Vec<bool>,
-}
-
-impl SuperGraph {
-    fn new(ddg: &Ddg, groups: &ComplexGroups) -> Self {
-        let g = groups.len();
-        let mut succs = vec![Vec::new(); g];
-        let mut preds = vec![Vec::new(); g];
-        let mut self_cyclic = vec![false; g];
-        for e in ddg.edges() {
-            let gf = groups.group_of(e.from());
-            let gt = groups.group_of(e.to());
-            if gf != gt {
-                if !succs[gf].contains(&gt) {
-                    succs[gf].push(gt);
-                }
-                if !preds[gt].contains(&gf) {
-                    preds[gt].push(gf);
-                }
-            } else if e.distance() > 0 {
-                // Distance-0 intra-group edges (bonds and the free edges
-                // between bonded members) are acyclic by validation; only a
-                // carried edge closes a recurrence through the group.
-                self_cyclic[gf] = true;
-            }
-        }
-        SuperGraph { succs, preds, self_cyclic }
-    }
-}
-
-/// An intra-group free edge's fixed separation vs. its timing requirement:
-/// at II the group is placeable only if `sep ≥ lat − II·δ`.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct IntraFreeEdge {
-    /// Bond-offset separation `offset(to) − offset(from)`.
-    pub sep: i64,
-    /// Latency charged on the edge.
-    pub lat: i64,
-    /// Dependence distance δ.
-    pub dist: i64,
-}
-
 /// Everything the schedulers derive from a `(Ddg, MachineConfig)` pair
 /// independently of the candidate II: complex-operation groups, pre-timed
-/// edges, the group super graph and its SCC-derived priority sets (with
-/// word-packed reachability), the fallback topological order, and the
-/// `ResMII`/`RecMII`/`MII` bounds. Built once per graph and shared across
+/// edges, the group constraint graph and its SCC-derived priority sets
+/// (with word-packed reachability), the fallback topological order, and
+/// the `ResMII`/`RecMII`/`MII` bounds. Built once per graph and shared across
 /// every II probe of a schedule call — and, through
 /// [`Scheduler::schedule_in`](crate::Scheduler::schedule_in), across
 /// repeated schedule calls on the same loop.
@@ -187,16 +141,15 @@ pub struct LoopAnalysis<'a> {
     machine: &'a MachineConfig,
     groups: ComplexGroups,
     latency: Vec<i64>,
-    /// All edges with pre-resolved timing (the exact scheduler folds
-    /// these into its group-level difference constraints per II).
-    pub(crate) edges: Vec<TimedEdge>,
-    /// Cross-group in-edges per group (placement's early bound).
-    pub(crate) window_in: GroupEdges,
-    /// Cross-group out-edges per group (placement's late bound).
-    pub(crate) window_out: GroupEdges,
-    /// Intra-group free edges (placement pre-check).
-    pub(crate) intra_free: Vec<IntraFreeEdge>,
-    pub(crate) sg: SuperGraph,
+    /// All edges with pre-resolved timing, for the per-op analyses.
+    edges: Vec<TimedEdge>,
+    /// Every dependence but the bonds, at its consumer's group.
+    pub(crate) ins: GroupEdges,
+    /// Every dependence but the bonds, at its producer's group.
+    pub(crate) outs: GroupEdges,
+    /// The least II at which every dependence inside a group holds
+    /// (`i64::MAX` when one never does).
+    bond_ii: i64,
     /// The HRMS priority sets: recurrences by decreasing RecMII bound, each
     /// augmented with the groups on connecting paths, then the acyclic rest.
     pub(crate) sets: Vec<Vec<usize>>,
@@ -214,41 +167,41 @@ impl<'a> LoopAnalysis<'a> {
         let latency = op_latencies(ddg, machine);
         let edges = timed_edges(ddg, machine);
 
-        // Cross-group edges, bucketed by the group at each end.
         let group = |v: usize| groups.group_of(OpId::new(v));
         let offset = |v: usize| groups.offset(OpId::new(v));
-        let cross = edges.iter().filter(|e| group(e.from) != group(e.to));
-        let window_in = GroupEdges::bucket(
+        // Every dependence but the bonds, which the offsets satisfy by
+        // construction.
+        let folded: Vec<(usize, usize, i64, i64)> = ddg
+            .edges()
+            .zip(&edges)
+            .filter(|(bond, _)| !bond.is_fixed())
+            .map(|(_, e)| {
+                (group(e.from), group(e.to), e.lat + offset(e.from) - offset(e.to), e.dist)
+            })
+            .collect();
+        let ins = GroupEdges::bucket(
             groups.len(),
-            cross.clone().map(|e| {
-                (
-                    group(e.to),
-                    WindowEdge { other: e.from, lat: e.lat - offset(e.to), dist: e.dist },
-                )
-            }),
+            folded.iter().map(|&(g, h, lat, dist)| (h, GroupEdge { other: g, lat, dist })),
         );
-        let window_out = GroupEdges::bucket(
+        let outs = GroupEdges::bucket(
             groups.len(),
-            cross.map(|e| {
-                (
-                    group(e.from),
-                    WindowEdge { other: e.to, lat: e.lat + offset(e.from), dist: e.dist },
-                )
-            }),
+            folded.iter().map(|&(g, h, lat, dist)| (g, GroupEdge { other: h, lat, dist })),
         );
-        let mut intra_free = Vec::new();
-        for e in ddg.edges() {
-            if !e.is_fixed() && groups.group_of(e.from()) == groups.group_of(e.to()) {
-                intra_free.push(IntraFreeEdge {
-                    sep: groups.offset(e.to()) - groups.offset(e.from()),
-                    lat: edge_latency(machine, ddg, e),
-                    dist: i64::from(e.distance()),
-                });
-            }
-        }
 
-        let sg = SuperGraph::new(ddg, &groups);
-        let (sets, rec_mii) = priority_sets(ddg, machine, &groups, &sg);
+        // A dependence inside a group holds iff `lat ≤ II·δ`: from
+        // ⌈lat/δ⌉ on when δ > 0, and at every II or at none when δ = 0.
+        let bond_ii = folded
+            .iter()
+            .filter(|&&(g, h, ..)| g == h)
+            .map(|&(_, _, lat, dist)| match dist {
+                0 if lat > 0 => i64::MAX,
+                0 => 0,
+                _ => (lat + dist - 1).div_euclid(dist),
+            })
+            .max()
+            .unwrap_or(0);
+
+        let (sets, rec_mii) = priority_sets(ddg.num_ops(), &groups, &edges, &outs);
         let fallback = crate::hrms::topo_leader_order(ddg, &groups);
         LoopAnalysis {
             res_mii: res_mii(machine, ddg),
@@ -259,10 +212,9 @@ impl<'a> LoopAnalysis<'a> {
             groups,
             latency,
             edges,
-            window_in,
-            window_out,
-            intra_free,
-            sg,
+            ins,
+            outs,
+            bond_ii,
             sets,
             fallback,
         }
@@ -319,35 +271,55 @@ impl<'a> LoopAnalysis<'a> {
         debug_assert!(analysis.is_some(), "analysis diverged at ii {ii} >= RecMII");
         analysis
     }
+
+    /// Whether every dependence inside a group holds at `ii` with its
+    /// members at their bond offsets (`lat ≤ II·δ`). When one does not, no
+    /// placement of that group is valid at this II, whatever the order.
+    pub(crate) fn bonds_hold(&self, ii: u32) -> bool {
+        i64::from(ii) >= self.bond_ii
+    }
 }
 
 /// The II-independent half of the HRMS ordering phase: recurrence sets by
 /// decreasing RecMII bound, each augmented with the groups on paths
 /// connecting it to previously chosen sets, and a final set with the
 /// acyclic rest. Also returns the loop's RecMII: every dependence cycle
-/// lies inside one cyclic component of the super graph, so RecMII is the
+/// lies inside one cyclic component of the group graph, so RecMII is the
 /// largest component bound (1 without one).
 ///
-/// Reachability runs on a word-packed transitive closure of the super graph
+/// Reachability runs on a word-packed transitive closure of the group graph
 /// ([`BitClosure`]) instead of one BFS per query; chosen/recurrence rows are
 /// unioned with bitwise ORs.
 fn priority_sets(
-    ddg: &Ddg,
-    machine: &MachineConfig,
+    n: usize,
     groups: &ComplexGroups,
-    sg: &SuperGraph,
+    edges: &[TimedEdge],
+    outs: &GroupEdges,
 ) -> (Vec<Vec<usize>>, u32) {
     let g = groups.len();
-    let sccs = regpipe_ddg::algo::sccs_of(&sg.succs);
+    // Distinct successor groups, in first-edge order, without the group
+    // itself.
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); g];
+    for (v, succs) in succs.iter_mut().enumerate() {
+        for e in outs.of(v).iter().filter(|e| e.other != v) {
+            if !succs.contains(&e.other) {
+                succs.push(e.other);
+            }
+        }
+    }
+    let sccs = regpipe_ddg::algo::sccs_of(&succs);
     let mut rec_sets: Vec<(u32, Vec<usize>)> = Vec::new();
     for comp in &sccs {
-        let cyclic = comp.len() > 1 || sg.self_cyclic[comp[0]];
+        // A lone group closes a recurrence only through a carried
+        // dependence inside it (bonds have distance 0 by validation).
+        let v = comp[0];
+        let cyclic = comp.len() > 1 || outs.of(v).iter().any(|e| e.other == v && e.dist > 0);
         if cyclic {
             let members: Vec<OpId> = comp
                 .iter()
                 .flat_map(|&gi| groups.members_of(groups.leader(gi)).iter().copied())
                 .collect();
-            let bound = subset_rec_bound(ddg, machine, &members);
+            let bound = subset_rec_bound(n, edges, &members);
             rec_sets.push((bound, comp.clone()));
         }
     }
@@ -355,7 +327,7 @@ fn priority_sets(
     let rec_mii = rec_sets.first().map_or(1, |&(bound, _)| bound);
 
     let (fwd, bwd) = if rec_sets.len() > 1 {
-        (BitClosure::new(&sg.succs), BitClosure::transposed(&sg.succs))
+        (BitClosure::new(&succs), BitClosure::transposed(&succs))
     } else {
         // With at most one recurrence set there are no path nodes to find.
         (BitClosure::new(&[]), BitClosure::new(&[]))
@@ -420,7 +392,164 @@ fn priority_sets(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{paper_machines, reference_corpus, spill_rewrites};
     use regpipe_ddg::{DdgBuilder, OpKind};
+
+    /// The grouping `ComplexGroups::new` made with a union-find pass before
+    /// its bond walk, kept as its reference: per op its group (numbered by
+    /// smallest op) and its normalised offset, and per group its members
+    /// by offset, then op.
+    fn union_find_groups(
+        ddg: &Ddg,
+        machine: &MachineConfig,
+    ) -> (Vec<usize>, Vec<i64>, Vec<Vec<OpId>>) {
+        let n = ddg.num_ops();
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn find(parent: &mut [usize], x: usize) -> usize {
+            let mut root = x;
+            while parent[root] != root {
+                root = parent[root];
+            }
+            let mut cur = x;
+            while parent[cur] != root {
+                let next = parent[cur];
+                parent[cur] = root;
+                cur = next;
+            }
+            root
+        }
+        for e in ddg.edges().filter(|e| e.is_fixed()) {
+            let (ra, rb) =
+                (find(&mut parent, e.from().index()), find(&mut parent, e.to().index()));
+            if ra != rb {
+                parent[ra] = rb;
+            }
+        }
+
+        let mut offset = vec![0i64; n];
+        let mut pinned = vec![false; n];
+        let fixed: Vec<_> = ddg.edges().filter(|e| e.is_fixed()).collect();
+        let bond_len = |e: &regpipe_ddg::Edge| {
+            i64::from(machine.latency(ddg.op(e.from()).kind())) + i64::from(e.stagger())
+        };
+        for seed in 0..n {
+            if pinned[seed] {
+                continue;
+            }
+            pinned[seed] = true;
+            let mut queue = vec![seed];
+            while let Some(v) = queue.pop() {
+                for e in &fixed {
+                    let (f, t) = (e.from().index(), e.to().index());
+                    let (w, want) = if f == v {
+                        (t, offset[v] + bond_len(e))
+                    } else if t == v {
+                        (f, offset[v] - bond_len(e))
+                    } else {
+                        continue;
+                    };
+                    if !pinned[w] {
+                        offset[w] = want;
+                        pinned[w] = true;
+                        queue.push(w);
+                    }
+                }
+            }
+        }
+
+        let mut group_of = vec![usize::MAX; n];
+        let mut members: Vec<Vec<OpId>> = Vec::new();
+        for v in 0..n {
+            let root = find(&mut parent, v);
+            if group_of[root] == usize::MAX {
+                group_of[root] = members.len();
+                members.push(Vec::new());
+            }
+            group_of[v] = group_of[root];
+            members[group_of[v]].push(OpId::new(v));
+        }
+        for group in &mut members {
+            let min = group.iter().map(|m| offset[m.index()]).min().unwrap();
+            for m in group.iter() {
+                offset[m.index()] -= min;
+            }
+            group.sort_by_key(|m| (offset[m.index()], m.index()));
+        }
+        (group_of, offset, members)
+    }
+
+    /// Checks the context's group graph against the raw graph: the groups
+    /// against the union-find reference, each group's in- and out-lists
+    /// against the constraints derived from the free edges of
+    /// `ddg.edges()`, `edge_latency` and the bond offsets, in edge order,
+    /// and `bonds_hold` against the per-edge check on the free edges
+    /// inside groups from MII − 2 to MII + 3 and on both sides of the
+    /// least II at which it holds.
+    fn assert_group_graph_matches_the_graph(g: &Ddg, m: &MachineConfig) {
+        let ctx = LoopAnalysis::new(g, m);
+        let groups = ctx.groups();
+        let cell = format!("{} ({m})", g.name());
+
+        let (group_of, offset, members) = union_find_groups(g, m);
+        assert_eq!(groups.len(), members.len(), "{cell}");
+        for (v, op) in g.ops().map(|(op, _)| (op.index(), op)) {
+            assert_eq!(
+                (groups.group_of(op), groups.offset(op)),
+                (group_of[v], offset[v]),
+                "{cell}"
+            );
+        }
+        for (gi, expected) in members.iter().enumerate() {
+            assert_eq!(groups.members_of(groups.leader(gi)), expected.as_slice(), "{cell}");
+            assert_eq!(groups.leader(gi), expected[0], "{cell}");
+        }
+
+        let mut ins = vec![Vec::new(); groups.len()];
+        let mut outs = vec![Vec::new(); groups.len()];
+        for e in g.edges().filter(|e| !e.is_fixed()) {
+            let (gf, gt) = (groups.group_of(e.from()), groups.group_of(e.to()));
+            let lat = edge_latency(m, g, e) + groups.offset(e.from()) - groups.offset(e.to());
+            let dist = i64::from(e.distance());
+            ins[gt].push((gf, lat, dist));
+            outs[gf].push((gt, lat, dist));
+        }
+        let flat = |edges: &[GroupEdge]| -> Vec<(usize, i64, i64)> {
+            edges.iter().map(|e| (e.other, e.lat, e.dist)).collect()
+        };
+        for h in 0..groups.len() {
+            assert_eq!(flat(ctx.ins.of(h)), ins[h], "{cell}: in-edges of group {h}");
+            assert_eq!(flat(ctx.outs.of(h)), outs[h], "{cell}: out-edges of group {h}");
+        }
+
+        let least = u32::try_from(ctx.bond_ii).ok();
+        let edges_ii = least.into_iter().flat_map(|b| [b.saturating_sub(1), b]);
+        for ii in (ctx.mii().saturating_sub(2)..=ctx.mii() + 3).chain(edges_ii) {
+            let per_edge = g
+                .edges()
+                .filter(|e| {
+                    !e.is_fixed() && groups.group_of(e.from()) == groups.group_of(e.to())
+                })
+                .all(|e| {
+                    let sep = groups.offset(e.to()) - groups.offset(e.from());
+                    sep >= edge_latency(m, g, e) - i64::from(ii) * i64::from(e.distance())
+                });
+            assert_eq!(ctx.bonds_hold(ii), per_edge, "{cell} at II {ii}");
+        }
+    }
+
+    /// The group graph against the raw graph on the reference corpus and
+    /// the spill rewrites `compile` makes of it at budgets 32 and 16.
+    #[test]
+    fn group_graph_matches_the_raw_graph() {
+        let loops = reference_corpus();
+        for m in &paper_machines() {
+            let rewrites = spill_rewrites(&loops, m, &[32, 16]);
+            assert!(rewrites.len() >= 100, "only {} spill rewrites on {m}", rewrites.len());
+            for g in loops.iter().chain(&rewrites) {
+                assert_group_graph_matches_the_graph(g, m);
+            }
+        }
+    }
 
     #[test]
     fn context_caches_the_standalone_bounds() {

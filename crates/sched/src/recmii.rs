@@ -159,23 +159,19 @@ impl CycleScratch {
 }
 
 /// Recurrence bound of a node subset: the smallest II with no positive
-/// cycle in the induced subgraph (used by the ordering phase to rank
-/// recurrence sets; II-independent, so [`crate::LoopAnalysis`] computes it
-/// once per loop, and takes the loop's RecMII as the largest one).
-pub(crate) fn subset_rec_bound(ddg: &Ddg, machine: &MachineConfig, members: &[OpId]) -> u32 {
-    let mut pos = vec![usize::MAX; ddg.num_ops()];
+/// cycle in the subgraph `edges` (the loop's timed edges over its `n` ops)
+/// induces on `members` (used by the ordering phase to rank recurrence
+/// sets; II-independent, so [`crate::LoopAnalysis`] computes it once per
+/// loop, and takes the loop's RecMII as the largest one).
+pub(crate) fn subset_rec_bound(n: usize, edges: &[TimedEdge], members: &[OpId]) -> u32 {
+    let mut pos = vec![usize::MAX; n];
     for (i, m) in members.iter().enumerate() {
         pos[m.index()] = i;
     }
-    let edges: Vec<TimedEdge> = ddg
-        .edges()
-        .filter(|e| pos[e.from().index()] != usize::MAX && pos[e.to().index()] != usize::MAX)
-        .map(|e| TimedEdge {
-            from: pos[e.from().index()],
-            to: pos[e.to().index()],
-            lat: edge_latency(machine, ddg, e),
-            dist: i64::from(e.distance()),
-        })
+    let edges: Vec<TimedEdge> = edges
+        .iter()
+        .filter(|e| pos[e.from] != usize::MAX && pos[e.to] != usize::MAX)
+        .map(|e| TimedEdge { from: pos[e.from], to: pos[e.to], ..*e })
         .collect();
     rec_mii_over(members.len(), &edges, true)
 }

@@ -4,8 +4,8 @@
 //! by the same group and the second register-sensitive production scheduler
 //! of this crate. Like HRMS it works in two phases over the shared
 //! [`LoopAnalysis`] context — the recurrence-first priority sets, the
-//! group super graph, the warm-started [`TimeAnalysis`] and the placement
-//! machinery are all reused — but the **ordering phase** walks each
+//! group constraint graph, the warm-started [`TimeAnalysis`] and the
+//! placement machinery are all reused — but the **ordering phase** walks each
 //! priority set by a different priority, the node's *swing*:
 //!
 //! * In a **top-down** sweep (some predecessors already ordered) the next

@@ -20,8 +20,7 @@
 use regpipe_ddg::{Ddg, EdgeKind};
 use regpipe_machine::MachineConfig;
 
-use crate::edge_latency;
-use crate::groups::ComplexGroups;
+use crate::loop_analysis::LoopAnalysis;
 use crate::schedule::Schedule;
 
 /// Applies stage scheduling to `schedule`; returns a schedule with the same
@@ -29,12 +28,35 @@ use crate::schedule::Schedule;
 ///
 /// The result always verifies if the input did.
 pub fn stage_schedule(ddg: &Ddg, machine: &MachineConfig, schedule: &Schedule) -> Schedule {
-    let ii = i64::from(schedule.ii());
-    let groups = ComplexGroups::new(ddg, machine);
-    let mut start: Vec<i64> = schedule.starts().to_vec();
+    let ctx = LoopAnalysis::new(ddg, machine);
+    let (groups, ii) = (ctx.groups(), i64::from(schedule.ii()));
+    // A group's shifts bounded by its dependences on other groups, read
+    // from the group constraints with every group at its leader's start.
+    // In a schedule that verifies the members sit at their bond offsets,
+    // so these keep every member's edges.
+    shift_stages(&ctx, schedule, |start, g| {
+        let at = |h: usize| start[groups.leader(h).index()];
+        let ins = ctx.ins.of(g).iter().filter(|e| e.other != g);
+        let outs = ctx.outs.of(g).iter().filter(|e| e.other != g);
+        (
+            ins.map(|e| at(e.other) + e.lat - ii * e.dist - at(g)).max(),
+            outs.map(|e| at(e.other) - e.lat + ii * e.dist - at(g)).min(),
+        )
+    })
+}
 
-    // Group leaders in a fixed processing order.
-    let leaders: Vec<_> = (0..groups.len()).map(|g| groups.leader(g)).collect();
+/// The greedy pass behind [`stage_schedule`], with `window(start, g)`
+/// giving the least and greatest shifts of group `g` its dependences allow
+/// (either unbounded without one; the tests pass the per-member window the
+/// group constraints replaced).
+fn shift_stages(
+    ctx: &LoopAnalysis<'_>,
+    schedule: &Schedule,
+    window: impl Fn(&[i64], usize) -> (Option<i64>, Option<i64>),
+) -> Schedule {
+    let (ddg, groups) = (ctx.ddg(), ctx.groups());
+    let ii = i64::from(schedule.ii());
+    let mut start: Vec<i64> = schedule.starts().to_vec();
 
     // A move never needs to exceed the schedule span: beyond it, no
     // lifetime it touches can keep shrinking. This also bounds the scan for
@@ -46,37 +68,15 @@ pub fn stage_schedule(ddg: &Ddg, machine: &MachineConfig, schedule: &Schedule) -
     while improved && rounds < 64 {
         improved = false;
         rounds += 1;
-        for &leader in &leaders {
-            let members = groups.members_of(leader);
-            // Feasible shift range in whole IIs, from every non-group edge.
-            let mut min_shift = -span_stages * ii;
-            let mut max_shift = span_stages * ii;
-            let mut has_external = false;
-            for &m in members {
-                for e in ddg.in_edges(m) {
-                    if groups.group_of(e.from()) == groups.group_of(m) {
-                        continue;
-                    }
-                    let need = start[e.from().index()] + edge_latency(machine, ddg, e)
-                        - ii * i64::from(e.distance());
-                    // start[m] + shift >= need
-                    min_shift = min_shift.max(need - start[m.index()]);
-                    has_external = true;
-                }
-                for e in ddg.out_edges(m) {
-                    if groups.group_of(e.to()) == groups.group_of(m) {
-                        continue;
-                    }
-                    let limit = start[e.to().index()] - edge_latency(machine, ddg, e)
-                        + ii * i64::from(e.distance());
-                    // start[m] + shift <= limit
-                    max_shift = max_shift.min(limit - start[m.index()]);
-                    has_external = true;
-                }
-            }
-            if !has_external {
+        for g in 0..groups.len() {
+            let (least, greatest) = window(&start, g);
+            if least.is_none() && greatest.is_none() {
                 continue; // isolated group: no lifetime depends on it
             }
+            // Feasible shift range in whole IIs.
+            let min_shift = least.unwrap_or(i64::MIN).max(-span_stages * ii);
+            let max_shift = greatest.unwrap_or(i64::MAX).min(span_stages * ii);
+            let members = groups.members_of(groups.leader(g));
             // Whole-stage candidates within the window.
             let k_lo = min_shift.div_euclid(ii) + i64::from(min_shift.rem_euclid(ii) != 0);
             let k_hi = max_shift.div_euclid(ii);
@@ -138,8 +138,76 @@ fn total_lifetime(ddg: &Ddg, start: &[i64], ii: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SchedRequest, Scheduler, SchedulerKind};
+    use crate::testing::{paper_machines, spill_rewrites};
+    use crate::{edge_latency, SchedRequest, Scheduler, SchedulerKind};
     use regpipe_ddg::{DdgBuilder, OpKind};
+
+    /// The window the group constraints replaced, kept as its reference:
+    /// every member's own edges to other groups, at the member's start.
+    fn member_window(
+        ctx: &LoopAnalysis<'_>,
+        start: &[i64],
+        ii: i64,
+        g: usize,
+    ) -> (Option<i64>, Option<i64>) {
+        let (ddg, machine, groups) = (ctx.ddg(), ctx.machine(), ctx.groups());
+        let (mut least, mut greatest): (Option<i64>, Option<i64>) = (None, None);
+        for &m in groups.members_of(groups.leader(g)) {
+            for e in ddg.in_edges(m).filter(|e| groups.group_of(e.from()) != g) {
+                let need = start[e.from().index()] + edge_latency(machine, ddg, e)
+                    - ii * i64::from(e.distance());
+                // start[m] + shift >= need
+                least = least.max(Some(need - start[m.index()]));
+            }
+            for e in ddg.out_edges(m).filter(|e| groups.group_of(e.to()) != g) {
+                let limit = start[e.to().index()] - edge_latency(machine, ddg, e)
+                    + ii * i64::from(e.distance());
+                // start[m] + shift <= limit
+                let shift = limit - start[m.index()];
+                greatest = Some(greatest.map_or(shift, |x| x.min(shift)));
+            }
+        }
+        (least, greatest)
+    }
+
+    /// Stage scheduling makes the same schedule from the group constraints
+    /// as from the per-member window, under HRMS and ASAP on three
+    /// machines, over `suite(909, 60)` and the spill rewrites `compile`
+    /// makes of it at budgets 32 and 16. Each schedule is also offered
+    /// with group `g` delayed by `g mod 3` stages: its members keep their
+    /// bond offsets, so the windows must still agree, and most groups then
+    /// have lifetimes to shrink.
+    #[test]
+    fn group_windows_match_the_per_member_windows() {
+        let loops: Vec<Ddg> =
+            regpipe_loops::suite(909, 60).into_iter().map(|l| l.ddg).collect();
+        let (mut moved, mut bonded) = (0, 0);
+        for m in &paper_machines() {
+            let rewrites = spill_rewrites(&loops, m, &[32, 16]);
+            bonded += rewrites.len();
+            for g in loops.iter().chain(&rewrites) {
+                let ctx = LoopAnalysis::new(g, m);
+                let groups = ctx.groups();
+                for kind in [SchedulerKind::Hrms, SchedulerKind::Asap] {
+                    let s =
+                        kind.schedule_in(&ctx, &SchedRequest::default()).expect("schedulable");
+                    let ii = i64::from(s.ii());
+                    let delayed = groups.op_starts(|gi| {
+                        s.start(groups.leader(gi)) + ii * i64::try_from(gi % 3).unwrap()
+                    });
+                    for input in [s.clone(), Schedule::new(s.ii(), delayed)] {
+                        let reference = shift_stages(&ctx, &input, |start, gi| {
+                            member_window(&ctx, start, ii, gi)
+                        });
+                        let post = stage_schedule(g, m, &input);
+                        assert_eq!(post, reference, "{kind} on {} ({m})", g.name());
+                        moved += usize::from(post.starts() != input.starts());
+                    }
+                }
+            }
+        }
+        assert!(bonded >= 50 && moved >= 400, "{bonded} spill rewrites, {moved} moved");
+    }
 
     #[test]
     fn stage_scheduling_preserves_validity_and_ii() {

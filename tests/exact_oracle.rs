@@ -10,6 +10,9 @@
 //! * budget regressions: budgets 0 and 1 are `BudgetExhausted` with a
 //!   valid best-effort schedule, and two budgets agree whenever both
 //!   prove;
+//! * bonded groups: node counts and optima pinned on the spilled final
+//!   graphs of a generated corpus, the only loops here whose groups have
+//!   members at non-zero bond offsets;
 //! * the committed `BENCH_gap.json` is fresh, proves a majority of its
 //!   corpus, and never reports a heuristic II below a proven optimum.
 
@@ -18,15 +21,15 @@ use std::num::NonZeroUsize;
 use proptest::prelude::*;
 
 use regpipe::bench::{run_gap, GapConfig, DEFAULT_SPILL_BUDGET};
-use regpipe::core::SpillPolicyKind;
-use regpipe::ddg::{DdgBuilder, OpKind};
+use regpipe::core::{compile, CompileOptions, SpillPolicyKind, Strategy};
+use regpipe::ddg::{Ddg, DdgBuilder, OpKind};
 use regpipe::exec::json::{parse as parse_json, Value};
 use regpipe::loops::{generate, paper, GenParams};
 use regpipe::machine::{res_mii, MachineConfig};
 use regpipe::regalloc::allocate;
 use regpipe::sched::{
-    mii, rec_mii, ExactScheduler, ExactStatus, LoopAnalysis, SchedRequest, Scheduler,
-    SchedulerKind, DEFAULT_NODE_BUDGET,
+    mii, rec_mii, ExactScheduler, ExactStatus, LoopAnalysis, SchedError, SchedRequest,
+    Scheduler, SchedulerKind, DEFAULT_NODE_BUDGET,
 };
 
 fn machines() -> Vec<MachineConfig> {
@@ -192,6 +195,64 @@ fn tiny_budgets_exhaust_with_a_valid_best_effort_schedule() {
             }
         }
     }
+}
+
+/// A budget that runs out before any schedule is found names the II it
+/// ran out at. gen_00000 of this corpus has MII 11 on P2L4, and HRMS
+/// cannot schedule it at exactly that II, so a one-node search has no
+/// incumbent to fall back on.
+#[test]
+fn an_exhausted_search_without_incumbent_names_the_ii_it_reached() {
+    let params = GenParams { min_ops: 40, max_ops: 60, ..GenParams::default() };
+    let l = generate(7, 60, &params).expect("knobs are valid").remove(0);
+    let m = MachineConfig::p2l4();
+    let ctx = LoopAnalysis::new(&l.ddg, &m);
+    let request = SchedRequest::exactly(ctx.mii());
+    assert_eq!(ctx.mii(), 11);
+    assert!(SchedulerKind::Hrms.schedule_in(&ctx, &request).is_err(), "no incumbent at MII");
+    let err = ExactScheduler::with_budget(1).solve_in(&ctx, &request).unwrap_err();
+    assert_eq!(err, SchedError::NoScheduleUpTo { max_ii: 11 });
+}
+
+/// The spilled final graphs of `compile(.., Strategy::Spill)` on
+/// `generate(7, 40)` (at most 12 ops, as `regpipe gap` draws them) at
+/// budgets 8 and 6 that carry a bond.
+fn bonded_spill_rewrites(m: &MachineConfig) -> Vec<Ddg> {
+    let params = GenParams { max_ops: 12, ..GenParams::default() };
+    let corpus = generate(7, 40, &params).expect("knobs are valid");
+    let options = CompileOptions { strategy: Strategy::Spill, ..CompileOptions::default() };
+    let mut graphs = Vec::new();
+    for regs in [8, 6] {
+        for l in &corpus {
+            let Ok(compiled) = compile(&l.ddg, m, regs, &options) else { continue };
+            if compiled.ddg().edges().any(|e| e.is_fixed()) {
+                graphs.push(compiled.ddg().clone());
+            }
+        }
+    }
+    graphs
+}
+
+/// The oracle on bonded groups: its search folds the members' bond
+/// offsets into the group constraints, and no generated or suite loop has
+/// a bond, so the spill rewrites pin what it proves and the nodes it
+/// spends there.
+#[test]
+fn pins_the_oracle_on_bonded_spill_rewrites() {
+    let m = MachineConfig::p2l4();
+    let (mut loops, mut proven, mut ii_sum, mut span_sum, mut nodes) = (0, 0, 0, 0, 0);
+    for g in bonded_spill_rewrites(&m) {
+        let outcome = ExactScheduler::new()
+            .solve_in(&LoopAnalysis::new(&g, &m), &SchedRequest::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", g.name()));
+        outcome.schedule.verify(&g, &m).unwrap_or_else(|e| panic!("{}: {e}", g.name()));
+        loops += 1;
+        proven += usize::from(outcome.proven());
+        ii_sum += outcome.schedule.ii();
+        span_sum += outcome.schedule.last_start();
+        nodes += outcome.nodes;
+    }
+    assert_eq!((loops, proven, ii_sum, span_sum, nodes), (44, 43, 484, 953, 850_081));
 }
 
 /// Two different budgets must agree on the optimal II whenever both
