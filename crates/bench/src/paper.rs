@@ -30,7 +30,7 @@ use regpipe_loops::BenchLoop;
 use regpipe_machine::MachineConfig;
 use regpipe_regalloc::{allocate, LifetimeAnalysis, MveAllocator};
 use regpipe_sched::{
-    mii, stage_schedule, PipelinedLoop, SchedRequest, Scheduler, SchedulerKind,
+    mii, stage_schedule, LoopAnalysis, PipelinedLoop, SchedRequest, Scheduler, SchedulerKind,
 };
 use regpipe_spill::{eliminate_dead_ops, SelectHeuristic};
 
@@ -138,14 +138,15 @@ pub fn fig4(jobs: NonZeroUsize) {
 
 fn fig4_sweep(name: &str, g: &Ddg, machine: &MachineConfig) -> String {
     let mut out = String::new();
-    let lo = mii(g, machine);
+    let ctx = LoopAnalysis::new(g, machine);
+    let lo = ctx.mii();
     let _ = writeln!(out, "--- {name} (MII = {lo}) ---");
     let _ = writeln!(out, "{:>5} {:>6} {:>4}", "II", "regs", "SC");
     let mut last_regs = u32::MAX;
     let mut reached_16 = false;
     let mut reached_32 = false;
     for ii in lo..lo + 40 {
-        let Ok(s) = SchedulerKind::Hrms.schedule(g, machine, &SchedRequest::exactly(ii)) else {
+        let Ok(s) = SchedulerKind::Hrms.schedule_in(&ctx, &SchedRequest::exactly(ii)) else {
             continue;
         };
         let a = allocate(g, &s);
@@ -405,14 +406,15 @@ pub fn ablation(loops: &[BenchLoop], jobs: NonZeroUsize) {
     // 1. HRMS vs ASAP register pressure (same-II subset).
     // ------------------------------------------------------------------
     let per_loop = parallel_map(loops, jobs, |_, l| {
-        let h = hrms.schedule(&l.ddg, &machine, &SchedRequest::default()).unwrap();
-        let a = asap.schedule(&l.ddg, &machine, &SchedRequest::default()).unwrap();
+        let ctx = LoopAnalysis::new(&l.ddg, &machine);
+        let h = hrms.schedule_in(&ctx, &SchedRequest::default()).unwrap();
+        let a = asap.schedule_in(&ctx, &SchedRequest::default()).unwrap();
         if h.ii() != a.ii() {
             return None;
         }
         // 4. Stage scheduling on top of each.
-        let hs = stage_schedule(&l.ddg, &machine, &h);
-        let as_ = stage_schedule(&l.ddg, &machine, &a);
+        let hs = stage_schedule(&ctx, &h);
+        let as_ = stage_schedule(&ctx, &a);
         Some((
             u64::from(allocate(&l.ddg, &h).total()),
             u64::from(allocate(&l.ddg, &a).total()),

@@ -1,16 +1,12 @@
 //! Graph algorithms over dependence graphs.
 //!
 //! Everything a modulo scheduler needs from graph theory: strongly connected
-//! components (recurrence detection), topological orders, elementary-circuit
-//! enumeration (for exact per-recurrence `RecMII` diagnostics) and
-//! reachability.
+//! components (recurrence detection), topological orders and reachability.
 
-mod circuits;
 mod reach;
 mod scc;
 mod topo;
 
-pub use circuits::{elementary_circuits, Circuit};
 pub use reach::{sccs_of, BitClosure};
 pub use scc::{recurrences, sccs, Scc};
 pub use topo::topo_order_ignoring_back_edges;

@@ -41,8 +41,8 @@ impl Scc {
 /// ([`sccs_of`] over the graph's adjacency lists, so deep graphs cannot
 /// overflow the stack).
 ///
-/// Components are returned in *reverse topological order* (callees first), a
-/// property of Tarjan's algorithm the scheduler relies on.
+/// Components are returned in *reverse topological order* (callees first),
+/// as [`sccs_of`] returns them.
 pub fn sccs(g: &Ddg) -> Vec<Scc> {
     let adj: Vec<Vec<usize>> = (0..g.num_ops())
         .map(|v| g.successors(OpId::new(v)).map(OpId::index).collect())

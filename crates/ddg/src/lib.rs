@@ -13,8 +13,8 @@
 //!   citizens ([`Invariant`]) and per-value *non-spillable* marking (used by
 //!   the spilling machinery to guarantee convergence, paper Section 4.3).
 //! * [`DdgBuilder`] — ergonomic construction of loop bodies.
-//! * [`algo`] — Tarjan SCCs (recurrence detection), topological orders,
-//!   elementary-circuit enumeration (Johnson) and reachability.
+//! * [`algo`] — Tarjan SCCs (recurrence detection), topological orders
+//!   and reachability.
 //! * [`to_dot`] — Graphviz export for debugging and documentation.
 //!
 //! # Example

@@ -1,10 +1,9 @@
 //! Timing analysis: ASAP/ALAP starts, depth, height and mobility for a
 //! candidate II.
 
-use regpipe_ddg::{Ddg, OpId};
-use regpipe_machine::MachineConfig;
+use regpipe_ddg::OpId;
 
-use crate::loop_analysis::{op_latencies, timed_edges, TimedEdge};
+use crate::loop_analysis::TimedEdge;
 
 /// Per-operation timing bounds at a fixed candidate II.
 ///
@@ -15,9 +14,9 @@ use crate::loop_analysis::{op_latencies, timed_edges, TimedEdge};
 /// used for tie-breaking in the ordering phase.
 ///
 /// The analysis is only well-defined for `ii ≥ RecMII`; at smaller IIs the
-/// longest-path iteration would not converge. [`TimeAnalysis::new`] bails
-/// out (returns `None`) if it detects divergence, which doubles as a cheap
-/// RecMII feasibility check.
+/// longest-path iteration would not converge. Its one constructor,
+/// [`LoopAnalysis::time_analysis`](crate::LoopAnalysis::time_analysis),
+/// returns `None` there.
 ///
 /// Alongside each bound the analysis tracks the total dependence *distance*
 /// of the path that produced it. Those distances let the solution at one II
@@ -38,14 +37,8 @@ pub struct TimeAnalysis {
 }
 
 impl TimeAnalysis {
-    /// Runs the analysis for `ii`; `None` if `ii < RecMII` (divergent).
-    pub fn new(ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Option<Self> {
-        let edges = timed_edges(ddg, machine);
-        let latency = op_latencies(ddg, machine);
-        Self::compute(ddg.num_ops(), &edges, &latency, ii, None)
-    }
-
-    /// Core fixpoint computation over pre-resolved edge timings.
+    /// Core fixpoint computation over pre-resolved edge timings; `None`
+    /// when it diverges (`ii < RecMII`).
     ///
     /// `warm` may carry the solution for a *smaller* II of the same graph.
     /// Each bound's recorded path distance gives a valid value of that same
@@ -154,8 +147,16 @@ impl TimeAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regpipe_ddg::{DdgBuilder, OpKind};
+    use crate::loop_analysis::{op_latencies, timed_edges};
+    use regpipe_ddg::{Ddg, DdgBuilder, OpKind};
     use regpipe_machine::MachineConfig;
+
+    /// The analysis at `ii` from a cold start, with divergence detected by
+    /// the fixpoint itself rather than against a cached RecMII.
+    fn cold(g: &Ddg, machine: &MachineConfig, ii: u32) -> Option<TimeAnalysis> {
+        let (edges, latency) = (timed_edges(g, machine), op_latencies(g, machine));
+        TimeAnalysis::compute(g.num_ops(), &edges, &latency, ii, None)
+    }
 
     #[test]
     fn chain_asap_accumulates_latencies() {
@@ -167,7 +168,7 @@ mod tests {
         b.reg(m, s);
         let g = b.build().unwrap();
         let machine = MachineConfig::p1l4();
-        let t = TimeAnalysis::new(&g, &machine, 1).unwrap();
+        let t = cold(&g, &machine, 1).unwrap();
         assert_eq!(t.asap(l), 0);
         assert_eq!(t.asap(m), 2);
         assert_eq!(t.asap(s), 6);
@@ -185,8 +186,8 @@ mod tests {
         let g = b.build().unwrap();
         let machine = MachineConfig::p1l4();
         // RecMII = 8: at II 8 the back edge is tight but feasible.
-        assert!(TimeAnalysis::new(&g, &machine, 8).is_some());
-        assert!(TimeAnalysis::new(&g, &machine, 7).is_none(), "diverges below RecMII");
+        assert!(cold(&g, &machine, 8).is_some());
+        assert!(cold(&g, &machine, 7).is_none(), "diverges below RecMII");
     }
 
     #[test]
@@ -203,7 +204,7 @@ mod tests {
         b.reg(c, s);
         let g = b.build().unwrap();
         let machine = MachineConfig::p1l4();
-        let t = TimeAnalysis::new(&g, &machine, 4).unwrap();
+        let t = cold(&g, &machine, 4).unwrap();
         assert_eq!(t.mobility(a), 0);
         assert_eq!(t.mobility(c), 3, "copy can slide by lat(add)-lat(copy)");
     }
@@ -239,8 +240,7 @@ mod tests {
             let lo = crate::rec_mii(&g, &machine);
             let mut prev: Option<TimeAnalysis> = None;
             for ii in lo..lo + 6 {
-                let cold =
-                    TimeAnalysis::new(&g, &machine, ii).expect("feasible at ii >= RecMII");
+                let cold = cold(&g, &machine, ii).expect("feasible at ii >= RecMII");
                 let warm = TimeAnalysis::compute(n, &edges, &latency, ii, prev.as_ref())
                     .expect("warm start stays feasible");
                 assert_eq!(warm.asap, cold.asap, "case {case} ii {ii}: asap\n{g}");

@@ -697,7 +697,7 @@ mod tests {
         assert_eq!(sched.ii(), 8);
         // A ceiling above the fallback bound must still be respected as
         // given (the old dead expression could never change it either).
-        let huge = crate::fallback_max_ii(&g, &m) + 100;
+        let huge = LoopAnalysis::new(&g, &m).fallback_max_ii() + 100;
         let sched = SchedulerKind::Hrms
             .schedule(&g, &m, &SchedRequest { min_ii: None, max_ii: Some(huge) })
             .unwrap();
@@ -1001,8 +1001,8 @@ mod tests {
         b.reg_dist(acc, acc, 1);
         let g = b.build().unwrap();
         let m = MachineConfig::p2l4();
-        let order =
-            SchedulerKind::Hrms.ordering(&g, &m, mii(&g, &m)).expect("feasible analysis");
+        let ctx = LoopAnalysis::new(&g, &m);
+        let order = SchedulerKind::Hrms.ordering(&ctx, ctx.mii()).expect("feasible analysis");
         assert_eq!(order[0], acc, "dominant self-recurrence must lead the order: {order:?}");
         schedule_ok(&g, &m);
     }

@@ -85,7 +85,7 @@ pub use exact::{ExactOutcome, ExactScheduler, ExactStatus, DEFAULT_NODE_BUDGET};
 pub use groups::ComplexGroups;
 pub use loop_analysis::LoopAnalysis;
 pub use pipeline::{KernelSlot, PipelinedLoop, TraceEntry};
-pub use recmii::{per_recurrence_bounds, rec_mii, RecurrenceBound};
+pub use recmii::rec_mii;
 pub use registry::SchedulerKind;
 pub use schedule::{Schedule, VerifyError};
 pub use stage::stage_schedule;
@@ -214,16 +214,6 @@ pub trait Scheduler {
     }
 }
 
-/// A defensive upper bound on the II at which scheduling always succeeds:
-/// the fully sequential schedule (sum of occupancies and latencies).
-pub fn fallback_max_ii(ddg: &Ddg, machine: &MachineConfig) -> u32 {
-    let mut total: u64 = 1;
-    for (_, n) in ddg.ops() {
-        total += u64::from(machine.latency(n.kind()).max(machine.occupancy(n.kind())));
-    }
-    u32::try_from(total.min(u64::from(u32::MAX))).unwrap_or(u32::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,7 +247,7 @@ mod tests {
         b.add_op(OpKind::Add, "a");
         let g = b.build().unwrap();
         let m = MachineConfig::p1l4();
-        assert!(fallback_max_ii(&g, &m) >= 17 + 4);
+        assert!(LoopAnalysis::new(&g, &m).fallback_max_ii() >= 17 + 4);
     }
 
     #[test]

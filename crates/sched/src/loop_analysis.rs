@@ -8,11 +8,12 @@
 //! bounds (each a Bellman–Ford binary search), the reachability queries
 //! of the ordering phase and the fallback topological order from scratch.
 //! All of that is II-independent. [`LoopAnalysis`] hoists it out of the
-//! loop. The per-recurrence bounds also give the loop's RecMII, the
-//! largest of them, so no whole-graph search runs. What remains per II is
-//! one (warm-started) timing analysis and the placement scan, fed one
-//! group at a time by the alternating-direction inner ordering, which
-//! stops at the first group that does not fit.
+//! loop and keeps the per-recurrence bounds
+//! ([`rec_bounds`](LoopAnalysis::rec_bounds)). They also give the loop's
+//! RecMII, the largest of them, so no whole-graph search runs. What
+//! remains per II is one (warm-started) timing analysis and the placement
+//! scan, fed one group at a time by the alternating-direction inner
+//! ordering, which stops at the first group that does not fit.
 //!
 //! # The group constraint graph
 //!
@@ -35,9 +36,9 @@ use regpipe_ddg::{Ddg, OpId};
 use regpipe_machine::{res_mii, MachineConfig};
 
 use crate::analysis::TimeAnalysis;
+use crate::edge_latency;
 use crate::groups::ComplexGroups;
 use crate::recmii::subset_rec_bound;
-use crate::{edge_latency, fallback_max_ii};
 
 /// One dependence edge with its timing resolved against the machine model:
 /// the Bellman–Ford relaxations and RecMII probes iterate edges many times,
@@ -125,11 +126,14 @@ pub(crate) fn op_latencies(ddg: &Ddg, machine: &MachineConfig) -> Vec<i64> {
 /// Everything the schedulers derive from a `(Ddg, MachineConfig)` pair
 /// independently of the candidate II: complex-operation groups, pre-timed
 /// edges, the group constraint graph and its SCC-derived priority sets
-/// (with word-packed reachability), the fallback topological order, and
-/// the `ResMII`/`RecMII`/`MII` bounds. Built once per graph and shared across
-/// every II probe of a schedule call — and, through
-/// [`Scheduler::schedule_in`](crate::Scheduler::schedule_in), across
-/// repeated schedule calls on the same loop.
+/// (with word-packed reachability), the fallback topological order, the
+/// per-recurrence bounds and the `ResMII`/`RecMII`/`MII` bounds. Built once
+/// per graph and shared across every II probe of a schedule call — and,
+/// through [`Scheduler::schedule_in`](crate::Scheduler::schedule_in),
+/// across repeated schedule calls on the same loop. Whatever needs a
+/// loop's facts (the schedulers, [`stage_schedule`](crate::stage_schedule),
+/// [`SchedulerKind::ordering`](crate::SchedulerKind::ordering)) takes the
+/// caller's context.
 ///
 /// # Invalidation
 ///
@@ -156,7 +160,8 @@ pub struct LoopAnalysis<'a> {
     /// Forward topological leader order (the ASAP/fallback placement order).
     pub(crate) fallback: Vec<OpId>,
     res_mii: u32,
-    rec_mii: u32,
+    /// One bound per recurrence, largest first.
+    rec_bounds: Vec<u32>,
     fallback_max_ii: u32,
 }
 
@@ -201,11 +206,11 @@ impl<'a> LoopAnalysis<'a> {
             .max()
             .unwrap_or(0);
 
-        let (sets, rec_mii) = priority_sets(ddg.num_ops(), &groups, &edges, &outs);
+        let (sets, rec_bounds) = priority_sets(ddg.num_ops(), &groups, &edges, &outs);
         let fallback = crate::hrms::topo_leader_order(ddg, &groups);
         LoopAnalysis {
             res_mii: res_mii(machine, ddg),
-            rec_mii,
+            rec_bounds,
             fallback_max_ii: fallback_max_ii(ddg, machine),
             ddg,
             machine,
@@ -240,30 +245,39 @@ impl<'a> LoopAnalysis<'a> {
         self.res_mii
     }
 
-    /// The recurrence-constrained II lower bound.
+    /// The recurrence-constrained II lower bound: the largest of
+    /// [`rec_bounds`](Self::rec_bounds), 1 without a recurrence.
     pub fn rec_mii(&self) -> u32 {
-        self.rec_mii
+        self.rec_bounds.first().copied().unwrap_or(1)
+    }
+
+    /// The recurrence bounds, largest first: one per recurrence of the loop
+    /// (a cyclic strongly connected component of the group constraint
+    /// graph), the least II at which no dependence cycle among its members
+    /// is over-constrained (paper Section 2.2). Empty without a recurrence.
+    pub fn rec_bounds(&self) -> &[u32] {
+        &self.rec_bounds
     }
 
     /// The minimum initiation interval `max(ResMII, RecMII)`.
     pub fn mii(&self) -> u32 {
-        self.res_mii.max(self.rec_mii)
+        self.res_mii.max(self.rec_mii())
     }
 
-    /// The defensive upper bound on the II search
-    /// ([`fallback_max_ii`](crate::fallback_max_ii)).
+    /// The defensive upper bound on the II search: the length of the fully
+    /// sequential schedule, at which scheduling always succeeds.
     pub fn fallback_max_ii(&self) -> u32 {
         self.fallback_max_ii
     }
 
     /// Timing analysis at `ii`, warm-started from `prev` (the solution at a
-    /// smaller II of this same graph) when given.
+    /// smaller II of this same graph) when given; the one constructor of
+    /// [`TimeAnalysis`].
     ///
-    /// Returns `None` exactly when `ii < RecMII` — the same condition under
-    /// which [`TimeAnalysis::new`] detects divergence, decided here against
-    /// the cached bound without running the fixpoint at all.
+    /// Returns `None` exactly when `ii < RecMII`, where the fixpoint would
+    /// diverge; decided against the cached bound without running it.
     pub fn time_analysis(&self, ii: u32, prev: Option<&TimeAnalysis>) -> Option<TimeAnalysis> {
-        if ii < self.rec_mii {
+        if ii < self.rec_mii() {
             return None;
         }
         let analysis =
@@ -280,12 +294,23 @@ impl<'a> LoopAnalysis<'a> {
     }
 }
 
+/// A defensive upper bound on the II at which scheduling always succeeds:
+/// the fully sequential schedule (sum of occupancies and latencies).
+fn fallback_max_ii(ddg: &Ddg, machine: &MachineConfig) -> u32 {
+    let mut total: u64 = 1;
+    for (_, n) in ddg.ops() {
+        total += u64::from(machine.latency(n.kind()).max(machine.occupancy(n.kind())));
+    }
+    u32::try_from(total.min(u64::from(u32::MAX))).unwrap_or(u32::MAX)
+}
+
 /// The II-independent half of the HRMS ordering phase: recurrence sets by
 /// decreasing RecMII bound, each augmented with the groups on paths
 /// connecting it to previously chosen sets, and a final set with the
-/// acyclic rest. Also returns the loop's RecMII: every dependence cycle
-/// lies inside one cyclic component of the group graph, so RecMII is the
-/// largest component bound (1 without one).
+/// acyclic rest. Also returns the bound of each cyclic component, in the
+/// order the sets take them: every dependence cycle lies inside one
+/// cyclic component of the group graph, so RecMII is the first (1 without
+/// one).
 ///
 /// Reachability runs on a word-packed transitive closure of the group graph
 /// ([`BitClosure`]) instead of one BFS per query; chosen/recurrence rows are
@@ -295,7 +320,7 @@ fn priority_sets(
     groups: &ComplexGroups,
     edges: &[TimedEdge],
     outs: &GroupEdges,
-) -> (Vec<Vec<usize>>, u32) {
+) -> (Vec<Vec<usize>>, Vec<u32>) {
     let g = groups.len();
     // Distinct successor groups, in first-edge order, without the group
     // itself.
@@ -324,7 +349,6 @@ fn priority_sets(
         }
     }
     rec_sets.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    let rec_mii = rec_sets.first().map_or(1, |&(bound, _)| bound);
 
     let (fwd, bwd) = if rec_sets.len() > 1 {
         (BitClosure::new(&succs), BitClosure::transposed(&succs))
@@ -386,13 +410,15 @@ fn priority_sets(
     if !rest.is_empty() {
         sets.push(rest);
     }
-    (sets, rec_mii)
+    (sets, rec_sets.into_iter().map(|(bound, _)| bound).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{paper_machines, reference_corpus, spill_rewrites};
+    use crate::testing::{
+        elementary_circuits, paper_machines, reference_corpus, spill_rewrites, Circuit,
+    };
     use regpipe_ddg::{DdgBuilder, OpKind};
 
     /// The grouping `ComplexGroups::new` made with a union-find pass before
@@ -569,6 +595,9 @@ mod tests {
         assert_eq!(ctx.fallback_max_ii(), fallback_max_ii(&g, &m));
     }
 
+    /// Below RecMII the context answers `None` from its cached bound, where
+    /// the cold fixpoint diverges; from RecMII on both give the same
+    /// analysis.
     #[test]
     fn time_analysis_agrees_with_direct_construction() {
         let mut b = DdgBuilder::new("ta");
@@ -579,13 +608,54 @@ mod tests {
         let g = b.build().unwrap();
         let m = MachineConfig::p2l4();
         let ctx = LoopAnalysis::new(&g, &m);
-        assert!(ctx.time_analysis(ctx.rec_mii() - 1, None).is_none());
-        let via_ctx = ctx.time_analysis(ctx.rec_mii(), None).unwrap();
-        let direct = TimeAnalysis::new(&g, &m, ctx.rec_mii()).unwrap();
-        for v in 0..g.num_ops() {
-            let op = OpId::new(v);
-            assert_eq!(via_ctx.asap(op), direct.asap(op));
-            assert_eq!(via_ctx.alap(op), direct.alap(op));
+        let (edges, latency) = (timed_edges(&g, &m), op_latencies(&g, &m));
+        let bounds = |t: TimeAnalysis| g.op_ids().map(|op| (t.asap(op), t.alap(op))).collect();
+        for ii in ctx.rec_mii() - 1..=ctx.rec_mii() + 2 {
+            let via_ctx: Option<Vec<_>> = ctx.time_analysis(ii, None).map(bounds);
+            let direct = TimeAnalysis::compute(g.num_ops(), &edges, &latency, ii, None);
+            assert_eq!(via_ctx.is_some(), ii >= ctx.rec_mii(), "II {ii}");
+            assert_eq!(via_ctx, direct.map(bounds), "II {ii}");
         }
+    }
+
+    /// The recurrence bounds against Johnson's enumeration wherever it
+    /// finishes under 2,000 circuits, on the reference corpus and the spill
+    /// rewrites `compile` makes of it at budgets 32 and 16: RecMII is the
+    /// largest circuit bound and the whole-graph search's, and on a loop
+    /// without bonds, whose groups are its ops, each bound is the largest
+    /// of the circuits in one recurrence of the graph.
+    #[test]
+    fn rec_bounds_match_the_circuit_reference() {
+        let loops = reference_corpus();
+        let (mut graphs, mut enumerated, mut unbonded) = (0, 0, 0);
+        for m in &paper_machines() {
+            for g in loops.iter().chain(&spill_rewrites(&loops, m, &[32, 16])) {
+                let ctx = LoopAnalysis::new(g, m);
+                let cell = format!("{} ({} ops) on {m}", g.name(), g.num_ops());
+                assert_eq!(ctx.rec_mii(), crate::rec_mii(g, m), "{cell}");
+                graphs += 1;
+                let Some(circuits) = elementary_circuits(g, m, 2_000) else { continue };
+                enumerated += 1;
+                let largest = circuits.iter().map(Circuit::bound).max().unwrap_or(1);
+                assert_eq!(ctx.rec_mii(), largest, "{cell}");
+                if ctx.groups().len() < g.num_ops() {
+                    continue;
+                }
+                unbonded += 1;
+                let recurrences = regpipe_ddg::algo::recurrences(g);
+                let bounds = recurrences.iter().map(|r| {
+                    let inside = circuits.iter().filter(|c| r.ops().contains(&c.ops[0]));
+                    inside.map(Circuit::bound).max().expect("a recurrence closes a circuit")
+                });
+                let mut bounds: Vec<u32> = bounds.collect();
+                bounds.sort_unstable_by(|a, b| b.cmp(a));
+                assert_eq!(ctx.rec_bounds(), bounds, "{cell}");
+            }
+        }
+        assert!(
+            enumerated * 2 > graphs,
+            "circuits enumerated on only {enumerated} of {graphs}"
+        );
+        assert!(unbonded >= 1000, "only {unbonded} enumerated loops without bonds");
     }
 }

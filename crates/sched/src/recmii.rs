@@ -1,10 +1,9 @@
 //! Recurrence-constrained minimum initiation interval.
 
-use regpipe_ddg::algo::{elementary_circuits, recurrences};
+use regpipe_ddg::algo::recurrences;
 use regpipe_ddg::{Ddg, OpId};
 use regpipe_machine::MachineConfig;
 
-use crate::edge_latency;
 use crate::loop_analysis::{timed_edges, TimedEdge};
 
 /// Computes `RecMII`: the smallest II such that no dependence cycle is
@@ -160,9 +159,10 @@ impl CycleScratch {
 
 /// Recurrence bound of a node subset: the smallest II with no positive
 /// cycle in the subgraph `edges` (the loop's timed edges over its `n` ops)
-/// induces on `members` (used by the ordering phase to rank recurrence
-/// sets; II-independent, so [`crate::LoopAnalysis`] computes it once per
-/// loop, and takes the loop's RecMII as the largest one).
+/// induces on `members`. II-independent, so [`crate::LoopAnalysis`]
+/// computes it once per recurrence of the loop
+/// ([`rec_bounds`](crate::LoopAnalysis::rec_bounds)): the ordering phase
+/// ranks recurrence sets by it, and the loop's RecMII is the largest.
 pub(crate) fn subset_rec_bound(n: usize, edges: &[TimedEdge], members: &[OpId]) -> u32 {
     let mut pos = vec![usize::MAX; n];
     for (i, m) in members.iter().enumerate() {
@@ -176,75 +176,10 @@ pub(crate) fn subset_rec_bound(n: usize, edges: &[TimedEdge], members: &[OpId]) 
     rec_mii_over(members.len(), &edges, true)
 }
 
-/// The II bound contributed by one recurrence.
-#[derive(Clone, PartialEq, Debug)]
-pub struct RecurrenceBound {
-    /// The operations of the critical circuit.
-    pub ops: Vec<OpId>,
-    /// Total latency around the circuit.
-    pub latency: i64,
-    /// Total dependence distance around the circuit.
-    pub distance: u32,
-    /// The bound `⌈latency / distance⌉`.
-    pub bound: u32,
-}
-
-/// Exact per-recurrence diagnostics: for every elementary circuit, its
-/// `⌈Lat/Dist⌉` bound, sorted descending by bound.
-///
-/// Enumerates circuits with Johnson's algorithm (capped at `cap`); returns
-/// `None` when the graph has too many circuits, in which case callers should
-/// fall back to the scalar [`rec_mii`].
-pub fn per_recurrence_bounds(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    cap: usize,
-) -> Option<Vec<RecurrenceBound>> {
-    let circuits = elementary_circuits(ddg, cap)?;
-    let mut out: Vec<RecurrenceBound> = circuits
-        .into_iter()
-        .map(|c| {
-            // Latency around the circuit: sum of per-hop edge latencies.
-            // Re-derive hop latencies from node kinds (an Order edge would
-            // have latency zero, but circuits through Order edges still
-            // constrain ordering): use the minimal-latency interpretation
-            // consistent with `rec_mii` by checking actual edges.
-            let ops = c.ops().to_vec();
-            let k = ops.len();
-            let mut latency = 0i64;
-            for i in 0..k {
-                let from = ops[i];
-                let to = ops[(i + 1) % k];
-                // Minimal-distance parallel edge was already selected by the
-                // circuit enumerator; charge the max-latency edge kind
-                // between the pair that matches the chosen distance loosely:
-                // use the maximum latency among edges from->to (conservative).
-                let lat = ddg
-                    .out_edges(from)
-                    .filter(|e| e.to() == to)
-                    .map(|e| edge_latency(machine, ddg, e))
-                    .max()
-                    .unwrap_or(0);
-                latency += lat;
-            }
-            let distance = c.total_distance();
-            let bound = if distance == 0 {
-                u32::MAX // malformed; validation forbids this
-            } else {
-                let lat = latency.max(1);
-                let d = i64::from(distance);
-                u32::try_from((lat + d - 1) / d).unwrap_or(u32::MAX)
-            };
-            RecurrenceBound { ops, latency, distance, bound }
-        })
-        .collect();
-    out.sort_by(|a, b| b.bound.cmp(&a.bound).then(a.ops.len().cmp(&b.ops.len())));
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{elementary_circuits, Circuit};
     use regpipe_ddg::{DdgBuilder, OpKind};
 
     #[test]
@@ -304,6 +239,8 @@ mod tests {
         assert_eq!(rec_mii(&g, &MachineConfig::p1l4()), 4);
     }
 
+    /// One bound per recurrence, largest first, and the largest is the
+    /// whole-graph RecMII.
     #[test]
     fn per_recurrence_bounds_match_recmii() {
         let mut b = DdgBuilder::new("two");
@@ -313,11 +250,9 @@ mod tests {
         b.reg_dist(d, d, 2);
         let g = b.build().unwrap();
         let m = MachineConfig::p1l4();
-        let bounds = per_recurrence_bounds(&g, &m, 1000).unwrap();
-        assert_eq!(bounds.len(), 2);
-        assert_eq!(bounds[0].bound, rec_mii(&g, &m));
-        assert_eq!(bounds[0].bound, 9);
-        assert_eq!(bounds[1].bound, 4);
+        let ctx = crate::LoopAnalysis::new(&g, &m);
+        assert_eq!(ctx.rec_bounds(), [9, 4]);
+        assert_eq!(ctx.rec_bounds()[0], rec_mii(&g, &m));
     }
 
     #[test]
@@ -353,8 +288,8 @@ mod tests {
             }
             let Ok(g) = b.build() else { continue };
             let fast = rec_mii(&g, &m);
-            if let Some(bounds) = per_recurrence_bounds(&g, &m, 100_000) {
-                let exact = bounds.first().map_or(1, |b| b.bound).max(1);
+            if let Some(circuits) = elementary_circuits(&g, &m, 100_000) {
+                let exact = circuits.iter().map(Circuit::bound).max().unwrap_or(1);
                 assert_eq!(fast, exact, "case {case}:\n{g}");
             }
         }

@@ -12,8 +12,7 @@
 
 use std::fmt;
 
-use regpipe_ddg::{Ddg, OpId};
-use regpipe_machine::MachineConfig;
+use regpipe_ddg::OpId;
 
 use crate::hrms::{ii_search, ordering_in, OrderWalk};
 use crate::sms::swing_ordering;
@@ -92,8 +91,8 @@ impl SchedulerKind {
         }
     }
 
-    /// Runs the ordering phase in isolation: the sequence of
-    /// complex-group leaders the scheduler places at `ii`, one per group.
+    /// Runs the ordering phase on `ctx`'s loop in isolation: the sequence
+    /// of complex-group leaders the scheduler places at `ii`, one per group.
     /// The HRMS order satisfies the pred-XOR-succ property: a group outside
     /// any recurrence is emitted while only its predecessors or only its
     /// successors are already ordered, never both.
@@ -101,12 +100,11 @@ impl SchedulerKind {
     /// Returns `None` for [`SchedulerKind::Asap`] and
     /// [`SchedulerKind::Exact`], which have no ordering phase, and when the
     /// timing analysis is infeasible at `ii`.
-    pub fn ordering(self, ddg: &Ddg, machine: &MachineConfig, ii: u32) -> Option<Vec<OpId>> {
+    pub fn ordering(self, ctx: &LoopAnalysis<'_>, ii: u32) -> Option<Vec<OpId>> {
         let order = self.order()?;
-        let ctx = LoopAnalysis::new(ddg, machine);
         let analysis = ctx.time_analysis(ii, None)?;
         let mut leaders = Vec::with_capacity(ctx.groups().len());
-        order(&ctx, &analysis, &mut |leader| {
+        order(ctx, &analysis, &mut |leader| {
             leaders.push(leader);
             true
         });
@@ -153,6 +151,7 @@ impl Scheduler for SchedulerKind {
 mod tests {
     use super::*;
     use regpipe_ddg::{DdgBuilder, OpKind};
+    use regpipe_machine::MachineConfig;
 
     #[test]
     fn slugs_roundtrip_and_unknowns_are_named() {

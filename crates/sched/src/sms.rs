@@ -177,9 +177,10 @@ mod tests {
         b.reg(d, s);
         let g = b.build().unwrap();
         let m = MachineConfig::p2l4();
-        let ii = mii(&g, &m);
-        let sms = SchedulerKind::Sms.ordering(&g, &m, ii).expect("feasible");
-        let hrms = SchedulerKind::Hrms.ordering(&g, &m, ii).expect("feasible");
+        let ctx = LoopAnalysis::new(&g, &m);
+        let ii = ctx.mii();
+        let sms = SchedulerKind::Sms.ordering(&ctx, ii).expect("feasible");
+        let hrms = SchedulerKind::Hrms.ordering(&ctx, ii).expect("feasible");
         assert_ne!(sms, hrms, "orderings must diverge on the join kernel");
         // SMS takes the tight-deadline multiply before the slack store.
         let pos = |order: &[OpId], op: OpId| order.iter().position(|&x| x == op).unwrap();

@@ -18,23 +18,22 @@
 //! with).
 
 use regpipe_ddg::{Ddg, EdgeKind};
-use regpipe_machine::MachineConfig;
 
 use crate::loop_analysis::LoopAnalysis;
 use crate::schedule::Schedule;
 
-/// Applies stage scheduling to `schedule`; returns a schedule with the same
-/// II and modulo slots but (weakly) smaller total lifetime.
+/// Applies stage scheduling to `schedule`, a schedule of `ctx`'s loop;
+/// returns a schedule with the same II and modulo slots but (weakly)
+/// smaller total lifetime.
 ///
 /// The result always verifies if the input did.
-pub fn stage_schedule(ddg: &Ddg, machine: &MachineConfig, schedule: &Schedule) -> Schedule {
-    let ctx = LoopAnalysis::new(ddg, machine);
+pub fn stage_schedule(ctx: &LoopAnalysis<'_>, schedule: &Schedule) -> Schedule {
     let (groups, ii) = (ctx.groups(), i64::from(schedule.ii()));
     // A group's shifts bounded by its dependences on other groups, read
     // from the group constraints with every group at its leader's start.
     // In a schedule that verifies the members sit at their bond offsets,
     // so these keep every member's edges.
-    shift_stages(&ctx, schedule, |start, g| {
+    shift_stages(ctx, schedule, |start, g| {
         let at = |h: usize| start[groups.leader(h).index()];
         let ins = ctx.ins.of(g).iter().filter(|e| e.other != g);
         let outs = ctx.outs.of(g).iter().filter(|e| e.other != g);
@@ -141,6 +140,7 @@ mod tests {
     use crate::testing::{paper_machines, spill_rewrites};
     use crate::{edge_latency, SchedRequest, Scheduler, SchedulerKind};
     use regpipe_ddg::{DdgBuilder, OpKind};
+    use regpipe_machine::MachineConfig;
 
     /// The window the group constraints replaced, kept as its reference:
     /// every member's own edges to other groups, at the member's start.
@@ -199,7 +199,7 @@ mod tests {
                         let reference = shift_stages(&ctx, &input, |start, gi| {
                             member_window(&ctx, start, ii, gi)
                         });
-                        let post = stage_schedule(g, m, &input);
+                        let post = stage_schedule(&ctx, &input);
                         assert_eq!(post, reference, "{kind} on {} ({m})", g.name());
                         moved += usize::from(post.starts() != input.starts());
                     }
@@ -222,7 +222,7 @@ mod tests {
         let g = b.build().unwrap();
         let machine = MachineConfig::p2l4();
         let s = SchedulerKind::Hrms.schedule(&g, &machine, &SchedRequest::default()).unwrap();
-        let post = stage_schedule(&g, &machine, &s);
+        let post = stage_schedule(&LoopAnalysis::new(&g, &machine), &s);
         assert_eq!(post.ii(), s.ii());
         post.verify(&g, &machine).expect("still valid");
     }
@@ -242,7 +242,7 @@ mod tests {
         // II = 4: p@0, c@12 (8 cycles of pointless slack), st@16.
         let bad = Schedule::new(4, vec![0, 12, 16]);
         bad.verify(&g, &machine).unwrap();
-        let post = stage_schedule(&g, &machine, &bad);
+        let post = stage_schedule(&LoopAnalysis::new(&g, &machine), &bad);
         post.verify(&g, &machine).unwrap();
         let lt = |s: &Schedule| (s.start(c) - s.start(p)) + (s.start(st) - s.start(c));
         assert!(lt(&post) < lt(&bad), "{} vs {}", lt(&post), lt(&bad));
@@ -258,7 +258,7 @@ mod tests {
         let g = b.build().unwrap();
         let machine = MachineConfig::p1l4();
         let bad = Schedule::new(3, vec![1, 14]);
-        let post = stage_schedule(&g, &machine, &bad);
+        let post = stage_schedule(&LoopAnalysis::new(&g, &machine), &bad);
         for (id, _) in g.ops() {
             assert_eq!(
                 post.start(id).rem_euclid(3),
@@ -281,7 +281,7 @@ mod tests {
         // p@0; group placed far away: l@20, c@22 (II=4).
         let bad = Schedule::from_fixed(4, &[(l, 20), (c, 22), (p, 0)]);
         bad.verify(&g, &machine).unwrap();
-        let post = stage_schedule(&g, &machine, &bad);
+        let post = stage_schedule(&LoopAnalysis::new(&g, &machine), &bad);
         post.verify(&g, &machine).unwrap();
         assert_eq!(post.start(c) - post.start(l), 2, "bond offset intact");
         assert!(post.start(c) - post.start(p) < 22, "group slid toward p");
@@ -296,7 +296,7 @@ mod tests {
         let g = b.build().unwrap();
         let machine = MachineConfig::p1l4();
         let s = Schedule::new(4, vec![0, 4]);
-        let post = stage_schedule(&g, &machine, &s);
+        let post = stage_schedule(&LoopAnalysis::new(&g, &machine), &s);
         assert_eq!(post.starts(), s.starts());
     }
 }

@@ -7,7 +7,7 @@
 use regpipe::loops::kernels;
 use regpipe::prelude::*;
 use regpipe::regalloc::{pressure_chart, LifetimeAnalysis, MveAllocator};
-use regpipe::sched::{rec_mii, stage_schedule, SchedRequest, Scheduler};
+use regpipe::sched::{stage_schedule, LoopAnalysis, SchedRequest, Scheduler};
 
 fn main() {
     let machine = MachineConfig::p2l4();
@@ -17,13 +17,14 @@ fn main() {
         "kernel", "ops", "RecMII", "MII", "II", "regs", "asap", "asap+stage", "MVE"
     );
     for g in kernels::all_kernels() {
+        let ctx = LoopAnalysis::new(&g, &machine);
         let hrms = SchedulerKind::Hrms
-            .schedule(&g, &machine, &SchedRequest::default())
+            .schedule_in(&ctx, &SchedRequest::default())
             .expect("kernels schedule");
         let asap = SchedulerKind::Asap
-            .schedule(&g, &machine, &SchedRequest::default())
+            .schedule_in(&ctx, &SchedRequest::default())
             .expect("kernels schedule");
-        let asap_staged = stage_schedule(&g, &machine, &asap);
+        let asap_staged = stage_schedule(&ctx, &asap);
         let hrms_alloc = allocate(&g, &hrms);
         let asap_alloc = allocate(&g, &asap);
         let staged_alloc = allocate(&g, &asap_staged);
@@ -32,8 +33,8 @@ fn main() {
             "{:<14} {:>4} {:>6} {:>4} {:>5} {:>7} {:>7} {:>9} {:>4}x{:<3}",
             g.name(),
             g.num_ops(),
-            rec_mii(&g, &machine),
-            mii(&g, &machine),
+            ctx.rec_mii(),
+            ctx.mii(),
             hrms.ii(),
             hrms_alloc.total(),
             asap_alloc.total(),

@@ -29,7 +29,7 @@ use regpipe::loops::{
 };
 use regpipe::machine::MachineConfig;
 use regpipe::regalloc::allocate;
-use regpipe::sched::{mii, rec_mii, SchedRequest, Scheduler, SchedulerKind};
+use regpipe::sched::{mii, LoopAnalysis, SchedRequest, Scheduler, SchedulerKind};
 use regpipe::serve::{
     base_requests, replay_in_process, serve_stdin, IdPolicy, ReplayConfig, ReplaySource,
     ServeOptions, Server,
@@ -109,8 +109,9 @@ fn usage(topic: Option<&str>) -> String {
 
 const INFO: &str = "\
 regpipe info <file.ddg> [--machine M] [--scheduler S]
-  Facts about a loop: op mix, MII/RecMII, recurrences, and the
-  unconstrained schedule's II and register requirement.
+  Facts about a loop: op mix, MII/RecMII, its recurrences with their II
+  bounds (largest first), and the unconstrained schedule's II and
+  register requirement.
   --scheduler hrms|sms|asap|exact                      (default hrms)
 ";
 const COMPILE: &str = "\
@@ -479,16 +480,20 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     let counts = OpKind::ALL.iter().zip(g.kind_histogram()).filter(|&(_, c)| c > 0);
     let mix: Vec<String> = counts.map(|(kind, c)| format!("{c} {}", kind.name())).collect();
     println!("op mix: {}", mix.join(", "));
+    let ctx = LoopAnalysis::new(&g, &machine);
     println!(
         "machine {}: ResMII-bound MII = {}, RecMII = {}",
         machine.name(),
-        mii(&g, &machine),
-        rec_mii(&g, &machine)
+        ctx.mii(),
+        ctx.rec_mii()
     );
-    println!("recurrences: {}", regpipe::ddg::algo::recurrences(&g).len());
-    let s = scheduler
-        .schedule(&g, &machine, &SchedRequest::default())
-        .map_err(|e| e.to_string())?;
+    let bounds = ctx.rec_bounds();
+    println!("recurrences: {}", bounds.len());
+    if !bounds.is_empty() {
+        let bounds: Vec<String> = bounds.iter().map(u32::to_string).collect();
+        println!("recurrence bounds: {}", bounds.join(", "));
+    }
+    let s = scheduler.schedule_in(&ctx, &SchedRequest::default()).map_err(|e| e.to_string())?;
     let a = allocate(&g, &s);
     println!(
         "unconstrained schedule: II = {}, SC = {}, registers = {} (MaxLive {})",

@@ -62,6 +62,32 @@ fn info_reports_the_paper_example_facts() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A loop with two recurrences: `info` counts them and prints one bound
+/// per recurrence, largest first; the first is the RecMII.
+#[test]
+fn info_reports_each_recurrence_bound_largest_first() {
+    let dir = scratch_dir("info-recurrences");
+    let ddg = dir.join("two.ddg");
+    fs::write(&ddg, "loop two\nop a add\nop d div\nedge a -> a reg 1\nedge d -> d reg 2\n")
+        .expect("write ddg");
+    let out = run_ok({
+        let mut c = bin();
+        c.arg("info").arg(&ddg);
+        c
+    });
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        stdout,
+        "loop 'two': 2 ops, 2 edges, 0 invariants\n\
+         op mix: 1 add, 1 div\n\
+         machine P2L4: ResMII-bound MII = 9, RecMII = 9\n\
+         recurrences: 2\n\
+         recurrence bounds: 9, 4\n\
+         unconstrained schedule: II = 9, SC = 1, registers = 3 (MaxLive 3)\n"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn compile_best_meets_an_8_register_budget_on_the_example() {
     let dir = scratch_dir("compile");

@@ -24,8 +24,7 @@ use regpipe::machine::MachineConfig;
 use regpipe::prelude::*;
 use regpipe::regalloc::LifetimeAnalysis;
 use regpipe::sched::{
-    mii, per_recurrence_bounds, rec_mii, ComplexGroups, LoopAnalysis, SchedError, SchedRequest,
-    Schedule,
+    mii, rec_mii, ComplexGroups, LoopAnalysis, SchedError, SchedRequest, Schedule,
 };
 use regpipe::spill::{candidates, spill_batch, RankContext};
 
@@ -188,9 +187,7 @@ proptest! {
 /// that must equal the whole-graph search of `rec_mii` on the first 300
 /// loops of the built-in suite, a generated corpus and four 256-op
 /// kernels, and on every graph the hand-run spill pipeline rewrites them
-/// into at budgets 32 and 16, on each paper machine. Where Johnson's
-/// circuit enumeration stays under its cap, its largest per-circuit bound,
-/// which shares no code with either, must agree too.
+/// into at budgets 32 and 16, on each paper machine.
 #[test]
 fn rec_mii_from_recurrence_sets_equals_the_whole_graph_search() {
     let big = GenParams { min_ops: 256, max_ops: 256, ..GenParams::default() };
@@ -199,7 +196,6 @@ fn rec_mii_from_recurrence_sets_equals_the_whole_graph_search() {
         .chain(generate(7, 100, &GenParams::default()).unwrap())
         .chain(generate(SUITE_SEED, 4, &big).unwrap());
     let spill_machine = MachineConfig::p2l4();
-    let (mut graphs, mut enumerated) = (0, 0);
     for l in loops {
         let mut rewritten = vec![l.ddg.clone()];
         for budget in [32, 16] {
@@ -220,15 +216,9 @@ fn rec_mii_from_recurrence_sets_equals_the_whole_graph_search() {
                 let cell = format!("{} ({} ops) on {machine}", l.name, g.num_ops());
                 let from_sets = LoopAnalysis::new(g, machine).rec_mii();
                 assert_eq!(from_sets, rec_mii(g, machine), "{cell}");
-                if let Some(bounds) = per_recurrence_bounds(g, machine, 2_000) {
-                    assert_eq!(from_sets, bounds.first().map_or(1, |b| b.bound), "{cell}");
-                    enumerated += 1;
-                }
-                graphs += 1;
             }
         }
     }
-    assert!(enumerated * 2 > graphs, "circuits enumerated on only {enumerated} of {graphs}");
 }
 
 /// The trace contract on the paper's Figure 2 loop: one point per

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use regpipe::prelude::*;
 use regpipe::regalloc::{LifetimeAnalysis, RotatingAllocator};
-use regpipe::sched::{ComplexGroups, SchedRequest};
+use regpipe::sched::{ComplexGroups, LoopAnalysis, SchedRequest};
 use regpipe::spill::{candidates, spill, RankContext};
 
 /// Strategy: a random well-formed loop body.
@@ -254,9 +254,10 @@ proptest! {
     fn hrms_ordering_is_pred_xor_succ(g in arb_bonded_ddg(), m_idx in 0usize..3) {
         let m = &machines()[m_idx];
         let scheduler = SchedulerKind::Hrms;
-        let base = mii(&g, m).max(1);
+        let ctx = LoopAnalysis::new(&g, m);
+        let base = ctx.mii().max(1);
         let order = (base..base + 64)
-            .find_map(|ii| scheduler.ordering(&g, m, ii))
+            .find_map(|ii| scheduler.ordering(&ctx, ii))
             .expect("some feasible II for the timing analysis");
         let groups = ComplexGroups::new(&g, m);
 

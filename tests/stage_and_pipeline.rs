@@ -4,19 +4,22 @@
 use regpipe::loops::{kernels, suite};
 use regpipe::prelude::*;
 use regpipe::regalloc::LifetimeAnalysis;
-use regpipe::sched::{stage_schedule, PipelinedLoop, SchedRequest, Scheduler, TraceEntry};
+use regpipe::sched::{
+    stage_schedule, LoopAnalysis, PipelinedLoop, SchedRequest, Scheduler, TraceEntry,
+};
 
 #[test]
 fn stage_scheduling_never_hurts_across_the_suite() {
     let loops = suite(909, 60);
     let m = MachineConfig::p2l4();
     for l in &loops {
+        let ctx = LoopAnalysis::new(&l.ddg, &m);
         for sched in [
-            SchedulerKind::Hrms.schedule(&l.ddg, &m, &SchedRequest::default()).unwrap(),
-            SchedulerKind::Asap.schedule(&l.ddg, &m, &SchedRequest::default()).unwrap(),
+            SchedulerKind::Hrms.schedule_in(&ctx, &SchedRequest::default()).unwrap(),
+            SchedulerKind::Asap.schedule_in(&ctx, &SchedRequest::default()).unwrap(),
         ] {
             let before = LifetimeAnalysis::new(&l.ddg, &sched);
-            let post = stage_schedule(&l.ddg, &m, &sched);
+            let post = stage_schedule(&ctx, &sched);
             post.verify(&l.ddg, &m).unwrap_or_else(|e| panic!("{}: {e}", l.name));
             assert_eq!(post.ii(), sched.ii(), "{}: II untouched", l.name);
             let after = LifetimeAnalysis::new(&l.ddg, &post);
@@ -38,8 +41,9 @@ fn stage_scheduling_never_hurts_across_the_suite() {
 fn stage_scheduling_preserves_modulo_slots() {
     let g = kernels::state_fragment();
     let m = MachineConfig::p2l4();
-    let s = SchedulerKind::Asap.schedule(&g, &m, &SchedRequest::default()).unwrap();
-    let post = stage_schedule(&g, &m, &s);
+    let ctx = LoopAnalysis::new(&g, &m);
+    let s = SchedulerKind::Asap.schedule_in(&ctx, &SchedRequest::default()).unwrap();
+    let post = stage_schedule(&ctx, &s);
     let ii = i64::from(s.ii());
     for id in g.op_ids() {
         assert_eq!(post.start(id).rem_euclid(ii), s.start(id).rem_euclid(ii));
