@@ -97,40 +97,89 @@ impl From<(usize, String)> for ParseError {
 
 /// Renders `ddg` in the text format; [`parse`] round-trips it.
 pub fn format(ddg: &Ddg) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("loop {}\n", sanitize(ddg.name())));
+    // About one short line per op and edge; one allocation for typical
+    // kernels.
+    let mut out = String::with_capacity(32 * (2 + ddg.num_ops() + ddg.num_edges()));
+    write_canonical(ddg, &mut out);
+    out
+}
+
+/// Where [`write_canonical`] puts the text: a `String` ([`format()`]) or
+/// the content hash's FNV-1a state, which then never builds the text.
+pub(crate) trait TextSink {
+    fn put(&mut self, s: &str);
+}
+
+impl TextSink for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+/// Writes the canonical text of `ddg` piece by piece: the one definition
+/// of the bytes [`format()`] returns and [`crate::content_hash`] hashes.
+pub(crate) fn write_canonical(ddg: &Ddg, out: &mut impl TextSink) {
+    out.put("loop ");
+    put_name(out, ddg.name());
+    out.put("\n");
     for (_, node) in ddg.ops() {
-        out.push_str(&format!("op {} {}\n", sanitize(node.name()), node.kind().name()));
+        out.put("op ");
+        put_name(out, node.name());
+        out.put(" ");
+        out.put(node.kind().name());
+        out.put("\n");
     }
     for e in ddg.edges() {
-        let kind = match (e.kind(), e.is_fixed(), e.stagger()) {
-            (EdgeKind::RegFlow, true, 0) => "reg!".to_string(),
-            (EdgeKind::RegFlow, true, s) => format!("reg!+{s}"),
-            (EdgeKind::RegFlow, false, _) => "reg".to_string(),
-            (EdgeKind::Mem, _, _) => "mem".to_string(),
-            (EdgeKind::Order, _, _) => "ord".to_string(),
-        };
-        out.push_str(&format!(
-            "edge {} -> {} {} {}\n",
-            sanitize(ddg.op(e.from()).name()),
-            sanitize(ddg.op(e.to()).name()),
-            kind,
-            e.distance()
-        ));
+        out.put("edge ");
+        put_name(out, ddg.op(e.from()).name());
+        out.put(" -> ");
+        put_name(out, ddg.op(e.to()).name());
+        match (e.kind(), e.is_fixed(), e.stagger()) {
+            (EdgeKind::RegFlow, true, 0) => out.put(" reg! "),
+            (EdgeKind::RegFlow, true, s) => {
+                out.put(" reg!+");
+                put_u32(out, s);
+                out.put(" ");
+            }
+            (EdgeKind::RegFlow, false, _) => out.put(" reg "),
+            (EdgeKind::Mem, _, _) => out.put(" mem "),
+            (EdgeKind::Order, _, _) => out.put(" ord "),
+        }
+        put_u32(out, e.distance());
+        out.put("\n");
     }
     for (_, inv) in ddg.invariants() {
-        out.push_str(&format!("inv {} uses", sanitize(inv.name())));
+        out.put("inv ");
+        put_name(out, inv.name());
+        out.put(" uses");
         for u in inv.uses() {
-            out.push_str(&format!(" {}", sanitize(ddg.op(*u).name())));
+            out.put(" ");
+            put_name(out, ddg.op(*u).name());
         }
-        out.push('\n');
+        out.put("\n");
     }
     for id in ddg.op_ids() {
         if ddg.is_value_marked_non_spillable(id) {
-            out.push_str(&format!("nospill {}\n", sanitize(ddg.op(id).name())));
+            out.put("nospill ");
+            put_name(out, ddg.op(id).name());
+            out.put("\n");
         }
     }
-    out
+}
+
+/// Writes `n` in decimal.
+fn put_u32(out: &mut impl TextSink, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.put(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 /// [`parse`], with the source file name attached to any error.
@@ -282,17 +331,21 @@ pub fn parse(text: &str) -> Result<Ddg, ParseError> {
     Ok(g)
 }
 
-/// Replaces whitespace and `#` in names so they survive a round trip
-/// (whitespace would split the token, `#` would start a comment); an
-/// empty name becomes `_` so declarations keep their arity.
-fn sanitize(name: &str) -> String {
-    let cleaned: String =
-        name.chars().map(|c| if c.is_whitespace() || c == '#' { '_' } else { c }).collect();
-    if cleaned.is_empty() {
-        "_".to_string()
-    } else {
-        cleaned
+/// Writes a name so that it survives a round trip: whitespace and `#`
+/// become `_` (whitespace would split the token, `#` would start a
+/// comment), and an empty name becomes `_` so declarations keep their
+/// arity. A clean name is written as one piece.
+fn put_name(out: &mut impl TextSink, name: &str) {
+    if name.is_empty() {
+        return out.put("_");
     }
+    let mut rest = name;
+    while let Some((i, c)) = rest.char_indices().find(|&(_, c)| c.is_whitespace() || c == '#') {
+        out.put(&rest[..i]);
+        out.put("_");
+        rest = &rest[i + c.len_utf8()..];
+    }
+    out.put(rest);
 }
 
 #[cfg(test)]

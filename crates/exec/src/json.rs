@@ -14,6 +14,11 @@
 //!   a bare `-` are rejected rather than handed to `f64::parse`.
 //! * `\uXXXX` escapes decode UTF-16 surrogate pairs into one code point;
 //!   a lone surrogate is a parse error, never a silent U+FFFD.
+//! * A raw control character (U+0000–U+001F) inside a string is a parse
+//!   error naming its byte offset, as RFC 8259 requires it escaped;
+//!   U+007F passes. Rendering escapes every one of them.
+//! * Parsing is linear in the input: a string's unescaped runs are
+//!   copied whole, so a 1 MiB request string parses in milliseconds.
 //! * Non-finite floats have no JSON representation; rendering one panics
 //!   ([`Value::render`]), never a silent `null`.
 
@@ -160,21 +165,30 @@ pub fn report(schema: &str, fields: Vec<(String, Value)>) -> String {
     text
 }
 
+/// Writes `s` as a JSON string literal, copying each run of bytes that
+/// needs no escape in one step (escaped bytes are all ASCII, so every run
+/// ends on a character boundary).
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -185,11 +199,10 @@ fn write_escaped(out: &mut String, s: &str) {
 ///
 /// A message with the byte offset of the first problem.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing content at byte {pos}"));
     }
     Ok(value)
@@ -210,13 +223,16 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+// The recursive parsers take the `&str` so that `parse_string` can copy
+// runs of it without re-validating UTF-8; the leaf parsers read bytes.
+fn parse_value(text: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
+        Some(b'{') => parse_object(text, pos),
+        Some(b'[') => parse_array(text, pos),
+        Some(b'"') => parse_string(text, pos).map(Value::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
@@ -316,10 +332,22 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u16, String> {
     Ok(unit)
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses a string literal in time linear in its length: each run of
+/// bytes up to the next `"`, `\` or control byte is copied in one step.
+/// A run ends at an ASCII byte (or the end of input), so it is a whole
+/// slice of `text` and needs no UTF-8 check. A raw U+0000–U+001F is an
+/// error, as RFC 8259 requires it escaped.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
+        let run = *pos;
+        *pos = bytes[run..]
+            .iter()
+            .position(|&b| matches!(b, b'"' | b'\\' | 0x00..=0x1f))
+            .map_or(bytes.len(), |n| run + n);
+        out.push_str(&text[run..*pos]);
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
@@ -389,18 +417,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     None => return Err(format!("bad escape at byte {escape_at}")),
                 }
             }
-            Some(_) => {
-                // Advance one full UTF-8 character.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(&b) => return Err(format!("raw control character U+{b:04X} at byte {pos}")),
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(text: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -409,7 +432,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -422,7 +445,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(text: &str, pos: &mut usize) -> Result<Value, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -432,10 +456,10 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        pairs.push((key, parse_value(bytes, pos)?));
+        pairs.push((key, parse_value(text, pos)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -534,6 +558,45 @@ mod tests {
             let err = parse(doc).unwrap_err();
             assert!(err.contains("surrogate"), "{doc}: {err}");
         }
+    }
+
+    /// Regression: each character of a string used to re-validate the
+    /// whole rest of the input, so a 1 MiB string took ~22 s even in a
+    /// release build. The bound holds for an unoptimised test build.
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        let piece = "edge a -> b reg 0 # \u{e9}\u{4e2d}";
+        let spelled = format!("{piece}\\n\\t\\u00e9\\\"");
+        let decoded = format!("{piece}\n\t\u{e9}\"");
+        let repeats = (1 << 20) / spelled.len();
+        let doc = format!("{{\"ddg\":\"{}\"}}", spelled.repeat(repeats));
+        assert!(doc.len() > 1_000_000, "{}", doc.len());
+        let started = std::time::Instant::now();
+        let value = parse(&doc).unwrap();
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "1 MiB string took {took:?}");
+        assert_eq!(value.get("ddg").unwrap().as_str(), Some(decoded.repeat(repeats).as_str()));
+    }
+
+    /// Regression: raw control characters inside a string used to be
+    /// accepted; RFC 8259 requires them escaped.
+    #[test]
+    fn raw_control_characters_are_rejected_with_their_offset() {
+        for b in 0u8..0x20 {
+            let c = char::from(b);
+            let err = parse(&format!("[\"ab{c}c\"]")).unwrap_err();
+            assert!(
+                err.contains("raw control character") && err.contains("at byte 4"),
+                "{err}"
+            );
+            let escaped = Value::Str(format!("ab{c}c"));
+            assert_eq!(parse(&escaped.render()).unwrap(), escaped);
+        }
+        assert!(parse("{\"a\tb\":1}").unwrap_err().contains("at byte 3"));
+        // DEL is not a JSON control character, and whitespace between
+        // tokens is outside any string.
+        assert_eq!(parse("\"a\u{7f}b\"").unwrap(), Value::Str("a\u{7f}b".into()));
+        assert!(parse("{\t\"a\" :\n\"b\"\r}").is_ok());
     }
 
     #[test]

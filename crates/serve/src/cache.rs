@@ -14,6 +14,13 @@
 //! tail. Compiles never run under a shard lock — the server computes the
 //! payload first and inserts afterwards — so lock hold times are a few
 //! pointer swaps regardless of kernel size.
+//!
+//! Beside the cache sits the server's alias map, from a request's raw
+//! `ddg` text (its FNV-1a hash and byte length) to the canonical
+//! `ddg_hash`, so a hit on text the daemon has seen before skips the
+//! `.ddg` parse and the content hash. It is sharded by the raw hash and
+//! bounded by a fixed share of the cache budget; it changes how much work
+//! a request costs, never its response.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -241,6 +248,74 @@ impl Shard {
             entries: self.map.len() as u64,
             bytes: self.bytes as u64,
         }
+    }
+}
+
+/// A request's raw `ddg` text, named as the cache names a graph: 64-bit
+/// FNV-1a of its bytes, plus their length.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct RawText {
+    hash: u64,
+    len: usize,
+}
+
+impl RawText {
+    pub(crate) fn of(text: &str) -> RawText {
+        RawText { hash: fnv1a(text.as_bytes()), len: text.len() }
+    }
+}
+
+/// The alias map may hold about `1 / ALIAS_SHARE` of the cache's byte
+/// budget, on top of it.
+const ALIAS_SHARE: usize = 16;
+
+/// Approximate resident bytes of one alias (key, value, table slack).
+const ALIAS_ENTRY_BYTES: usize = 48;
+
+/// Raw `ddg` text → canonical `ddg_hash` ([`regpipe_ddg::content_hash`]),
+/// so a request whose exact text the daemon has parsed before builds its
+/// [`CacheKey`] without parsing or hashing the graph again.
+///
+/// The server records an alias only after the text has parsed and
+/// validated, so equivalent spellings each alias the one canonical hash
+/// and share one cache entry. Shards are chosen by the raw hash, and each
+/// clears itself when it reaches its share of the bound: a clear costs
+/// re-parses, never a different response.
+pub(crate) struct AliasMap {
+    shards: Vec<Mutex<HashMap<RawText, u64>>>,
+    per_shard: usize,
+}
+
+impl AliasMap {
+    /// An empty map for a cache of `shards` shards and `capacity_bytes`.
+    pub(crate) fn new(shards: usize, capacity_bytes: usize) -> AliasMap {
+        AliasMap {
+            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            per_shard: (capacity_bytes / ALIAS_SHARE / shards / ALIAS_ENTRY_BYTES).max(1),
+        }
+    }
+
+    fn shard(&self, raw: RawText) -> &Mutex<HashMap<RawText, u64>> {
+        &self.shards[(raw.hash as usize) % self.shards.len()]
+    }
+
+    /// The canonical hash recorded for `raw`, if any.
+    pub(crate) fn get(&self, raw: RawText) -> Option<u64> {
+        self.shard(raw).lock().expect("alias shard poisoned").get(&raw).copied()
+    }
+
+    /// Records that `raw` parses to a graph with hash `ddg_hash`.
+    pub(crate) fn insert(&self, raw: RawText, ddg_hash: u64) {
+        let mut map = self.shard(raw).lock().expect("alias shard poisoned");
+        if map.len() >= self.per_shard {
+            map.clear();
+        }
+        map.insert(raw, ddg_hash);
+    }
+
+    /// Aliases currently held, over all shards.
+    pub(crate) fn len(&self) -> u64 {
+        self.shards.iter().map(|s| s.lock().expect("alias shard poisoned").len() as u64).sum()
     }
 }
 

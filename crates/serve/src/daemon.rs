@@ -94,23 +94,29 @@ pub fn serve_connection<R: BufRead, W: Write>(
     loop {
         match read_request_line(reader, server.max_request_bytes())? {
             ReadLine::Eof => return Ok(()),
-            ReadLine::Oversized(got) => {
-                writeln!(writer, "{}", server.oversized_response(got))?;
-                writer.flush()?;
-            }
+            ReadLine::Oversized(got) => write_line(writer, server.oversized_response(got))?,
             ReadLine::Line(line) => {
                 if line.trim().is_empty() {
                     continue;
                 }
                 let response = server.handle_line(&line);
-                writeln!(writer, "{}", response.line)?;
-                writer.flush()?;
-                if response.shutdown || server.is_shutdown() {
+                let shutdown = response.shutdown;
+                write_line(writer, response.line)?;
+                if shutdown || server.is_shutdown() {
                     return Ok(());
                 }
             }
         }
     }
+}
+
+/// Writes one response and its newline with a single `write_all`, then
+/// flushes: on an unbuffered socket, two writes would wake the client
+/// twice per answer.
+fn write_line<W: Write>(writer: &mut W, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
 }
 
 /// Runs the daemon over stdin/stdout until EOF or `shutdown`.

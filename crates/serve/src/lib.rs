@@ -15,6 +15,9 @@
 //! a miss would compute. That makes the daemon's observable behaviour
 //! independent of cache state, client concurrency, and transport; the
 //! test suite and CI hold it to exactly that standard.
+//! A hit on `ddg` text the daemon has parsed before does not parse it
+//! again: a bounded alias map takes the raw text's FNV-1a hash and length
+//! to the canonical content hash.
 //!
 //! The daemon is *crash-only*: engine panics are caught per request
 //! (`error.kind = "internal"`, the daemon keeps serving), `--deadline-ms`

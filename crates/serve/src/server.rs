@@ -23,7 +23,7 @@ use regpipe_exec::{parse_strategy, strategy_slug};
 use regpipe_machine::{FuClass, MachineConfig};
 use regpipe_sched::{deadline, SchedulerKind};
 
-use crate::cache::{CacheKey, ShardedCache};
+use crate::cache::{AliasMap, CacheKey, RawText, ShardedCache};
 use crate::fault;
 use crate::store::Store;
 
@@ -125,6 +125,8 @@ impl Response {
 pub struct Server {
     options: ServeOptions,
     cache: ShardedCache,
+    /// Raw `ddg` text → canonical hash; `None` under `--no-cache`.
+    aliases: Option<AliasMap>,
     store: Option<Mutex<Store>>,
     compile_requests: AtomicU64,
     protocol_errors: AtomicU64,
@@ -198,7 +200,8 @@ impl Server {
         if options.cache_dir.is_some() && !options.cache {
             return Err("a persistent cache dir requires the cache (drop --no-cache)".into());
         }
-        let cache = ShardedCache::new(options.shards.max(1), options.capacity_bytes);
+        let shards = options.shards.max(1);
+        let cache = ShardedCache::new(shards, options.capacity_bytes);
         let store = match &options.cache_dir {
             None => None,
             Some(dir) => {
@@ -221,9 +224,11 @@ impl Server {
         if options.deadline_ms.is_some() {
             install_deadline_panic_hook();
         }
+        let aliases = options.cache.then(|| AliasMap::new(shards, options.capacity_bytes));
         Ok(Server {
             options,
             cache,
+            aliases,
             store,
             compile_requests: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
@@ -344,7 +349,7 @@ impl Server {
     }
 
     fn handle_compile(&self, id: Option<i64>, doc: &Value) -> String {
-        let params = match CompileParams::from_request(doc) {
+        let mut params = match CompileParams::from_request(doc, self.aliases.as_ref()) {
             Ok(p) => p,
             Err(e) => return self.error_response(id, ErrorKind::Invalid, &e),
         };
@@ -359,10 +364,11 @@ impl Server {
                 panic!("injected fault: compile panic");
             }
             let _guard = deadline_budget.map(deadline::arm);
-            self.cached_payload(&params)
+            self.cached_payload(&mut params)
         }));
         match result {
-            Ok(payload) => attach_id(id, &payload),
+            Ok(Ok(payload)) => attach_id(id, &payload),
+            Ok(Err(e)) => self.error_response(id, ErrorKind::Invalid, &e),
             Err(panic) if deadline::is_deadline_panic(panic.as_ref()) => {
                 // Cancelled cooperatively; nothing was cached, so a retry
                 // with a larger budget starts clean.
@@ -392,18 +398,24 @@ impl Server {
     /// Cache-first payload lookup; misses compile outside any shard lock
     /// (a concurrent miss on the same key computes the identical payload)
     /// and are written through to the persistent store when one is open.
-    fn cached_payload(&self, params: &CompileParams) -> String {
+    ///
+    /// # Errors
+    ///
+    /// The `bad ddg` message, for an aliased text that fails to parse on
+    /// a miss: reachable only through a collision in the alias key.
+    fn cached_payload(&self, params: &mut CompileParams) -> Result<String, String> {
         if !self.options.cache {
-            return params.compute_payload();
+            return Ok(params.compute_payload());
         }
-        let key = params.cache_key();
-        if let Some(hit) = self.cache.get(&key) {
-            return hit;
+        if let Some(hit) = self.cache.get(&params.cache_key()) {
+            return Ok(hit);
         }
+        params.parse_if_aliased()?;
         let computed = params.compute_payload();
+        let key = params.cache_key();
         self.cache.insert(key.clone(), computed.clone());
         self.persist(&key, &computed);
-        computed
+        Ok(computed)
     }
 
     /// Writes one computed entry through to the store and compacts when
@@ -480,6 +492,10 @@ impl Server {
                 "deadline_exceeded".to_string(),
                 Value::uint(self.deadline_exceeded.load(Ordering::Relaxed)),
             ),
+            (
+                "alias_entries".to_string(),
+                Value::uint(self.aliases.as_ref().map_or(0, AliasMap::len)),
+            ),
             ("persistent".to_string(), Value::Bool(store_counters.is_some())),
             (
                 "store".to_string(),
@@ -544,9 +560,13 @@ pub fn machine_key(machine: &MachineConfig) -> String {
     out
 }
 
-/// A fully validated compile request.
-struct CompileParams {
-    ddg: Ddg,
+/// A compile request with every field validated. Its `ddg` text is
+/// parsed here unless the alias map already knows the text's canonical
+/// hash; then it is parsed only if the cache misses.
+struct CompileParams<'a> {
+    text: &'a str,
+    /// The parsed loop; `None` while `ddg_hash` comes from an alias.
+    ddg: Option<Ddg>,
     ddg_hash: u64,
     machine: MachineConfig,
     scheduler: SchedulerKind,
@@ -555,13 +575,34 @@ struct CompileParams {
     budget: u32,
 }
 
-impl CompileParams {
-    fn from_request(doc: &Value) -> Result<CompileParams, String> {
+fn parse_ddg(text: &str) -> Result<Ddg, String> {
+    textfmt::parse(text).map_err(|e| format!("compile: bad ddg: {e}"))
+}
+
+impl<'a> CompileParams<'a> {
+    /// Validates `doc`'s fields in a fixed order, `ddg` first. An aliased
+    /// text is known to parse, so skipping its parse never changes which
+    /// error a request gets.
+    fn from_request(
+        doc: &'a Value,
+        aliases: Option<&AliasMap>,
+    ) -> Result<CompileParams<'a>, String> {
         let text = doc
             .get("ddg")
             .and_then(Value::as_str)
             .ok_or("compile: missing string 'ddg' field")?;
-        let ddg = textfmt::parse(text).map_err(|e| format!("compile: bad ddg: {e}"))?;
+        let raw = aliases.map(|aliases| (aliases, RawText::of(text)));
+        let (ddg, ddg_hash) = match raw.and_then(|(aliases, raw)| aliases.get(raw)) {
+            Some(ddg_hash) => (None, ddg_hash),
+            None => {
+                let ddg = parse_ddg(text)?;
+                let ddg_hash = content_hash(&ddg);
+                if let Some((aliases, raw)) = raw {
+                    aliases.insert(raw, ddg_hash);
+                }
+                (Some(ddg), ddg_hash)
+            }
+        };
         let machine = match doc.get("machine") {
             None => MachineConfig::p2l4(),
             Some(v) => {
@@ -599,8 +640,28 @@ impl CompileParams {
                     .ok_or("compile: 'budget' must be a positive integer")?
             }
         };
-        let ddg_hash = content_hash(&ddg);
-        Ok(CompileParams { ddg, ddg_hash, machine, scheduler, strategy, spill_policy, budget })
+        Ok(CompileParams {
+            text,
+            ddg,
+            ddg_hash,
+            machine,
+            scheduler,
+            strategy,
+            spill_policy,
+            budget,
+        })
+    }
+
+    /// Parses an aliased text, on a cache miss. The fresh hash replaces
+    /// the alias's; they differ only if two texts collide in the alias
+    /// key.
+    fn parse_if_aliased(&mut self) -> Result<(), String> {
+        if self.ddg.is_none() {
+            let ddg = parse_ddg(self.text)?;
+            self.ddg_hash = content_hash(&ddg);
+            self.ddg = Some(ddg);
+        }
+        Ok(())
     }
 
     fn cache_key(&self) -> CacheKey {
@@ -627,7 +688,8 @@ impl CompileParams {
             ("ok".to_string(), Value::Bool(true)),
             ("ddg_hash".to_string(), Value::Str(format!("{:016x}", self.ddg_hash))),
         ];
-        match compile(&self.ddg, &self.machine, self.budget, &options) {
+        let ddg = self.ddg.as_ref().expect("a compile parses its loop first");
+        match compile(ddg, &self.machine, self.budget, &options) {
             Ok(c) => {
                 pairs.push(("status".to_string(), Value::Str("fitted".into())));
                 pairs.push(("ii".to_string(), Value::uint(u64::from(c.ii()))));
@@ -935,6 +997,169 @@ mod tests {
         // requests (including both explicit "paper" ones) hit.
         assert_eq!(totals.get("misses").unwrap().as_i64(), Some(4));
         assert_eq!(totals.get("hits").unwrap().as_i64(), Some(6));
+    }
+
+    fn counter(stats: &Value, path: &[&str]) -> i64 {
+        let mut v = stats;
+        for key in path {
+            v = v.get(key).unwrap_or_else(|| panic!("stats lack {path:?}"));
+        }
+        v.as_i64().unwrap()
+    }
+
+    fn error_kind(line: &str) -> String {
+        let doc = parse_json(line).unwrap();
+        doc.get("error").and_then(|e| e.get("kind")).and_then(Value::as_str).unwrap().into()
+    }
+
+    /// RFC 8259 requires control characters inside strings escaped, also
+    /// in fields the daemon ignores.
+    #[test]
+    fn a_raw_tab_in_a_ping_is_a_protocol_error() {
+        let server = Server::new(ServeOptions::default());
+        let r = server.handle_line("{\"op\":\"ping\",\"note\":\"a\tb\"}");
+        assert_eq!(error_kind(&r.line), "protocol", "{}", r.line);
+        assert!(r.line.contains("raw control character U+0009"), "{}", r.line);
+        let escaped = server.handle_line("{\"op\":\"ping\",\"note\":\"a\\tb\"}");
+        assert_eq!(escaped.line, "{\"ok\":true,\"op\":\"pong\"}");
+    }
+
+    /// A request just under the default line bound is answered promptly,
+    /// in an unoptimised test build too: the JSON and `.ddg` parses and
+    /// the alias hash are linear in the line.
+    #[test]
+    fn megabyte_requests_are_answered_within_100_ms() {
+        let server = Server::new(ServeOptions::default());
+        let max = server.max_request_bytes();
+        let ping = format!("{{\"op\":\"ping\",\"pad\":\"{}\"}}", "x".repeat(max - 40));
+        let padded = |pad: usize| format!("{LOOP}# {}\n", "y".repeat(pad));
+        let short = request(&padded(0), 32).len();
+        let compile = request(&padded(max - 40 - short), 32);
+        let plain = Server::new(ServeOptions::default()).handle_line(&request(LOOP, 32)).line;
+        for (line, want) in [(ping, "{\"ok\":true,\"op\":\"pong\"}"), (compile, plain.as_str())]
+        {
+            assert!((max - 64..=max).contains(&line.len()), "{}", line.len());
+            let started = std::time::Instant::now();
+            let r = server.handle_line(&line);
+            let took = started.elapsed();
+            assert_eq!(r.line, want);
+            assert!(took < Duration::from_millis(100), "{} bytes took {took:?}", line.len());
+        }
+    }
+
+    /// The canonical text and two other spellings of one loop: one miss,
+    /// two hits, one entry, the same bytes as `--no-cache`; and every
+    /// repeat hits through its alias.
+    #[test]
+    fn equivalent_spellings_alias_one_entry() {
+        let on = Server::new(ServeOptions::default());
+        let off = Server::new(ServeOptions { cache: false, ..ServeOptions::default() });
+        let spellings = [
+            LOOP,
+            "# header\n\nloop t\nop ld load\nop a add\nop st store\n\
+             edge ld -> a reg 0\nedge a -> st reg 0\n",
+            "loop  t\n  op ld   load # the load\nop a add\n\n op st store\n\
+             edge ld -> a   reg 0\nedge a -> st reg\n",
+        ];
+        let uncached = off.handle_line(&request(LOOP, 32)).line;
+        for text in spellings {
+            assert_eq!(on.handle_line(&request(text, 32)).line, uncached);
+            assert_eq!(off.handle_line(&request(text, 32)).line, uncached);
+        }
+        let stats = parse_json(&on.stats_payload()).unwrap();
+        assert_eq!(counter(&stats, &["totals", "misses"]), 1);
+        assert_eq!(counter(&stats, &["totals", "hits"]), 2);
+        assert_eq!(counter(&stats, &["totals", "entries"]), 1);
+        assert_eq!(counter(&stats, &["alias_entries"]), 3);
+        for text in spellings {
+            assert_eq!(
+                on.handle_line(&request(text, 8)).line,
+                off.handle_line(&request(text, 8)).line
+            );
+        }
+        let stats = parse_json(&on.stats_payload()).unwrap();
+        assert_eq!(counter(&stats, &["totals", "misses"]), 2);
+        assert_eq!(counter(&stats, &["totals", "hits"]), 4);
+        assert_eq!(counter(&stats, &["alias_entries"]), 3);
+        let stats = parse_json(&off.stats_payload()).unwrap();
+        assert_eq!(counter(&stats, &["alias_entries"]), 0, "--no-cache keeps no aliases");
+    }
+
+    #[test]
+    fn a_bad_ddg_is_never_aliased() {
+        let server = Server::new(ServeOptions::default());
+        let bad = request("loop l\nop a add\nedge a -> b reg 0\n", 32);
+        let first = server.handle_line(&bad).line;
+        assert_eq!(error_kind(&first), "invalid", "{first}");
+        assert!(first.contains("unknown op 'b'"), "{first}");
+        assert_eq!(server.handle_line(&bad).line, first);
+        let stats = parse_json(&server.stats_payload()).unwrap();
+        assert_eq!(counter(&stats, &["alias_entries"]), 0);
+        assert_eq!(counter(&stats, &["compile_requests"]), 0);
+    }
+
+    /// An aliased text is parsed again when the cache misses, and the
+    /// parse decides: a text that collides with another's alias still
+    /// gets its own answer on a miss, here its `invalid` error.
+    #[test]
+    fn an_aliased_miss_parses_its_text() {
+        let server = Server::new(ServeOptions::default());
+        let bad = "loop l\nop a add\nedge a -> b reg 0\n";
+        let want = server.handle_line(&request(bad, 32)).line;
+        let aliases = server.aliases.as_ref().unwrap();
+        aliases.insert(RawText::of(bad), 0x5eed);
+        assert_eq!(server.handle_line(&request(bad, 32)).line, want);
+    }
+
+    /// A server whose alias map and cache overflow on every insert
+    /// answers a stream with repeats exactly like one that never
+    /// overflows; the small one's aliases stay within their bound.
+    #[test]
+    fn an_overflowing_alias_map_changes_no_answer() {
+        let loops =
+            regpipe_loops::generate(7, 12, &regpipe_loops::GenParams::default()).unwrap();
+        let mut lines = crate::requests_from_loops(&loops, &crate::ReplayConfig::default());
+        lines.extend(lines.clone().into_iter().rev());
+        let roomy = Server::new(ServeOptions::default());
+        for capacity_bytes in [64, 4096] {
+            let small = Server::new(ServeOptions { capacity_bytes, ..ServeOptions::default() });
+            for line in &lines {
+                assert_eq!(small.handle_line(line).line, roomy.handle_line(line).line);
+            }
+            let stats = parse_json(&small.stats_payload()).unwrap();
+            assert!(counter(&stats, &["alias_entries"]) <= 8, "{stats:?}");
+            assert!(counter(&stats, &["totals", "evictions"]) > 0, "{stats:?}");
+        }
+        let stats = parse_json(&roomy.stats_payload()).unwrap();
+        assert_eq!(counter(&stats, &["alias_entries"]), 12);
+    }
+
+    /// Recovered entries carry no aliases: a warm daemon parses each text
+    /// once, then answers every request as a byte-identical hit.
+    #[test]
+    fn a_warm_restart_hits_before_its_aliases_exist() {
+        let dir =
+            std::env::temp_dir().join(format!("regpipe-server-alias-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = ServeOptions { cache_dir: Some(dir.clone()), ..ServeOptions::default() };
+        let spaced = format!("# again\n{LOOP}\n");
+        let lines = [request(LOOP, 32), request(&spaced, 32), request(LOOP, 4)];
+        let cold: Vec<String> = {
+            let server = Server::open(options.clone()).unwrap();
+            lines.iter().map(|l| server.handle_line(l).line).collect()
+        };
+        let server = Server::open(options).unwrap();
+        let stats = parse_json(&server.stats_payload()).unwrap();
+        assert_eq!(counter(&stats, &["alias_entries"]), 0);
+        for _ in 0..2 {
+            let warm: Vec<String> = lines.iter().map(|l| server.handle_line(l).line).collect();
+            assert_eq!(warm, cold);
+        }
+        let stats = parse_json(&server.stats_payload()).unwrap();
+        assert_eq!(counter(&stats, &["totals", "hits"]), 6);
+        assert_eq!(counter(&stats, &["totals", "misses"]), 0);
+        assert_eq!(counter(&stats, &["alias_entries"]), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Equivalent formattings of the same loop share one cache entry.

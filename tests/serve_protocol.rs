@@ -118,6 +118,49 @@ fn oversized_requests_are_bounded_and_do_not_break_framing() {
     assert_eq!(lines[1], "{\"id\":1,\"ok\":true,\"op\":\"pong\"}");
 }
 
+/// Near-limit and repeated lines on stdin: a ping just under the 1 MiB
+/// line bound, three spellings of one loop, a ping carrying a raw tab
+/// (JSON requires it escaped), then stats. The spellings share one cache
+/// entry through three aliases and answer as `--no-cache` does.
+#[test]
+fn near_limit_lines_and_equivalent_spellings_over_stdin() {
+    let ping = format!("{{\"id\":0,\"op\":\"ping\",\"pad\":\"{}\"}}", "x".repeat(1_000_000));
+    let spellings = [
+        DDG.to_string(),
+        format!("# spelled again\\n\\n{DDG}"),
+        DDG.replace(' ', "  ").replace("\\n", " # c\\n"),
+    ];
+    let compiles: Vec<String> = (1..)
+        .zip(&spellings)
+        .map(|(id, text)| {
+            format!("{{\"id\":{id},\"op\":\"compile\",\"ddg\":\"{text}\",\"budget\":16}}")
+        })
+        .collect();
+    let input = format!(
+        "{ping}\n{}\n{{\"id\":4,\"op\":\"ping\",\"note\":\"a\tb\"}}\n{{\"op\":\"stats\"}}\n",
+        compiles.join("\n")
+    );
+    let stdout = String::from_utf8(serve_stdin(&input, &[]).stdout).unwrap();
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 6, "{stdout}");
+    assert_eq!(lines[0], "{\"id\":0,\"ok\":true,\"op\":\"pong\"}");
+    let uncached = serve_stdin(&format!("{}\n", compiles.join("\n")), &["--no-cache"]).stdout;
+    assert_eq!(lines[1..4].join("\n") + "\n", String::from_utf8(uncached).unwrap());
+    let answers: Vec<&str> = lines[1..4].iter().map(|l| &l[l.find(',').unwrap()..]).collect();
+    assert!(answers.iter().all(|a| *a == answers[0]), "{answers:?}");
+    let tab = parse_json(lines[4]).unwrap();
+    let error = tab.get("error").expect("error object");
+    assert_eq!(error.get("kind").and_then(Value::as_str), Some("protocol"), "{}", lines[4]);
+    let stats = parse_json(lines[5]).unwrap();
+    let totals = stats.get("totals").unwrap();
+    let count = |v: &Value, key: &str| v.get(key).and_then(Value::as_i64).unwrap();
+    assert_eq!(
+        (count(totals, "misses"), count(totals, "hits"), count(totals, "entries")),
+        (1, 2, 1)
+    );
+    assert_eq!(count(&stats, "alias_entries"), 3);
+}
+
 /// Identical compile requests hit the cache: misses only on first sight,
 /// hits afterwards, and the response bytes are identical either way.
 #[test]
